@@ -32,6 +32,7 @@ from .model import (
     ideal_ratio,
     leakage_at,
     read_currents,
+    sense_grid,
 )
 from .oracle import (
     ColumnNetwork,
@@ -98,6 +99,7 @@ __all__ = [
     "read_currents",
     "read_power_ratio",
     "render_plot",
+    "sense_grid",
     "solve_column",
     "sweep_grid",
     "write_csv",

@@ -1,29 +1,32 @@
 """Design-space studies built on the column model and the network oracle.
 
-Everything here is orchestration: each sweep point is produced by exactly
-one call into the model (or oracle) with the same inputs a direct call
-would use, so sweep results are bit-identical to point evaluations.  Grid
-points are independent and could be evaluated in parallel; results are
-always assembled in grid order.
+Everything here is orchestration over model.sense_grid: each curve or
+pre-sweep is one array evaluation instead of one model call per point;
+only the optimal-range bisection, which needs one point at a time, calls
+the scalar view read_currents.  Both evaluate the same kernel, so sweep
+results are bit-identical to point evaluations.  Results are always
+assembled in grid order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from .model import (
+    ENGINES,
     CellSpec,
     FactorToggles,
     ReadSetup,
     SenseResult,
     TechnologyProfile,
     read_currents,
+    sense_grid,
+    sense_results,
 )
-from .oracle import oracle_margin
 
 # Default grids mirror the usual presentation of this design space:
 # on-resistance swept over four decades, column length in powers of two.
@@ -34,21 +37,9 @@ COARSE_R_ON_GRID: tuple[float, ...] = tuple(float(x) for x in np.logspace(4.0, 8
 DEFAULT_N_GRID: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096)
 VALIDATION_N_GRID: tuple[int, ...] = (256, 512, 1024, 2048, 4096)
 
-ENGINES = ("lumped", "oracle")
-
 
 class NonUnimodalError(ValueError):
     """Margin-versus-resistance curve is not quasi-concave."""
-
-
-def _evaluate(
-    profile: TechnologyProfile, cell: CellSpec, setup: ReadSetup, engine: str
-) -> SenseResult:
-    if engine == "lumped":
-        return read_currents(profile, cell, setup)
-    if engine == "oracle":
-        return oracle_margin(profile, cell, setup)
-    raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +101,20 @@ class MarginCurve:
                     raise ValueError(f"margin values must lie in (0, 1], got {v}")
 
 
+def margin_curve(
+    label: str, x, grid: tuple[np.ndarray, ...], meta: dict[str, Any]
+) -> MarginCurve:
+    """Margin curve over x from the arrays of one sense_grid call."""
+    results = sense_results(*grid)
+    return MarginCurve(
+        label=label,
+        x=tuple(x),
+        y=tuple(r.margin_normalized for r in results),
+        results=results,
+        meta=meta,
+    )
+
+
 def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]:
     """One margin-versus-r_on curve per (toggles, v_read, n) slice.
 
@@ -124,33 +129,23 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     for toggles in spec.toggles:
         for v_read in spec.v_read_grid:
             for n in spec.n_grid:
-                setup = ReadSetup.from_toggles(v_read, n, toggles)
-                results = []
-                for r_on in spec.r_on_grid:
-                    cell = CellSpec(r_on=r_on, ratio_ideal=spec.ratio_ideal)
-                    try:
-                        results.append(_evaluate(profile, cell, setup, spec.engine))
-                    except Exception as exc:
-                        errors.append(exc)
-                        results = None
-                        break
-                if results is None:
-                    continue
-                curves.append(
-                    MarginCurve(
-                        label=f"{toggles.describe()}, V={v_read:g}V, n={n}",
-                        x=spec.r_on_grid,
-                        y=tuple(r.margin_normalized for r in results),
-                        results=tuple(results),
-                        meta={
-                            "n_cells": n,
-                            "v_read": v_read,
-                            "toggles": toggles,
-                            "ratio_ideal": spec.ratio_ideal,
-                            "engine": spec.engine,
-                        },
+                try:
+                    grid = sense_grid(
+                        profile, spec.r_on_grid, spec.ratio_ideal, n, v_read,
+                        toggles, spec.engine,
                     )
-                )
+                except Exception as exc:
+                    errors.append(exc)
+                    continue
+                label = f"{toggles.describe()}, V={v_read:g}V, n={n}"
+                meta = {
+                    "n_cells": n,
+                    "v_read": v_read,
+                    "toggles": toggles,
+                    "ratio_ideal": spec.ratio_ideal,
+                    "engine": spec.engine,
+                }
+                curves.append(margin_curve(label, spec.r_on_grid, grid, meta))
     if not curves and errors:
         raise errors[0]
     return curves
@@ -169,46 +164,28 @@ def ablation_series(
     the margin curve.  The swept resistance replaces cell.r_on point by
     point; cell.ratio_ideal is kept.
     """
-    if not (
-        setup.include_line_resistance
-        and setup.include_transistor_resistance
-        and setup.include_leakage
-    ):
+    if setup.toggles != FactorToggles.all_on():
         raise ValueError("ablation baseline requires all factors enabled")
     variants = [
-        ("baseline", setup),
-        ("-R_T", replace(setup, include_transistor_resistance=False)),
-        ("-r", replace(setup, include_line_resistance=False)),
-        ("-I_Tleak", replace(setup, include_leakage=False)),
+        ("baseline", setup.toggles),
+        ("-R_T", FactorToggles(transistor_resistance=False)),
+        ("-r", FactorToggles(line_resistance=False)),
+        ("-I_Tleak", FactorToggles(leakage=False)),
     ]
     series = []
-    for label, variant in variants:
-        results = tuple(
-            read_currents(profile, replace(cell, r_on=r_on), variant)
-            for r_on in r_on_grid
+    for label, toggles in variants:
+        grid = sense_grid(
+            profile, r_on_grid, cell.ratio_ideal, setup.n_cells, setup.v_read, toggles
         )
-        curve = MarginCurve(
-            label=label,
-            x=tuple(r_on_grid),
-            y=tuple(r.margin_normalized for r in results),
-            results=results,
-            meta={
-                "n_cells": setup.n_cells,
-                "v_read": setup.v_read,
-                "toggles": variant.toggles,
-                "ratio_ideal": cell.ratio_ideal,
-                "removed": label if label != "baseline" else "",
-            },
-        )
-        series.append((label, curve))
+        meta = {
+            "n_cells": setup.n_cells,
+            "v_read": setup.v_read,
+            "toggles": toggles,
+            "ratio_ideal": cell.ratio_ideal,
+            "removed": label if label != "baseline" else "",
+        }
+        series.append((label, margin_curve(label, r_on_grid, grid, meta)))
     return series
-
-
-def _margin_at(
-    profile: TechnologyProfile, r_on: float, ratio_ideal: float, setup: ReadSetup
-) -> float:
-    cell = CellSpec(r_on=r_on, ratio_ideal=ratio_ideal)
-    return read_currents(profile, cell, setup).margin_normalized
 
 
 def _check_quasi_concave(
@@ -253,8 +230,8 @@ def find_optimal_range(
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    setup = ReadSetup(v_read=v_read, n_cells=n_cells)
-    margins = [_margin_at(profile, r, ratio_ideal, setup) for r in r_on_grid]
+
+    margins = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_read)[3].tolist()
     _check_quasi_concave(r_on_grid, margins)
     if max(margins) < threshold:
         return None
@@ -263,8 +240,10 @@ def find_optimal_range(
     first = above.index(True)
     last = len(above) - 1 - above[::-1].index(True)
 
-    def margin(r: float) -> float:
-        return _margin_at(profile, r, ratio_ideal, setup)
+    setup = ReadSetup(v_read=v_read, n_cells=n_cells)
+
+    def margin(r_on: float) -> float:
+        return read_currents(profile, CellSpec(r_on, ratio_ideal), setup).margin_normalized
 
     def bisect_flank(lo: float, hi: float, rising: bool) -> float:
         # Invariant: the threshold crossing stays inside (lo, hi); on a
@@ -301,14 +280,8 @@ def argmax_resistance(
     """
     if not r_on_grid:
         raise ValueError("r_on_grid must be non-empty")
-    setup = ReadSetup(v_read=v_read, n_cells=n_cells)
-    best_r = r_on_grid[0]
-    best_m = _margin_at(profile, best_r, ratio_ideal, setup)
-    for r in r_on_grid[1:]:
-        m = _margin_at(profile, r, ratio_ideal, setup)
-        if m > best_m:
-            best_r, best_m = r, m
-    return best_r
+    margins = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_read)[3]
+    return r_on_grid[int(np.argmax(margins))]
 
 
 def compensation_curve(
@@ -328,23 +301,13 @@ def compensation_curve(
     gain is identically zero.  The attached sense results are those at
     the raised voltage.
     """
-    curve_y = []
-    results_alt = []
-    for r_on in r_on_grid:
-        cell = CellSpec(r_on=r_on, ratio_ideal=ratio_ideal)
-        base = read_currents(
-            profile, cell, ReadSetup.from_toggles(v_base, n_cells, toggles)
-        )
-        alt = read_currents(
-            profile, cell, ReadSetup.from_toggles(v_alt, n_cells, toggles)
-        )
-        curve_y.append(alt.margin_normalized - base.margin_normalized)
-        results_alt.append(alt)
+    base = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_base, toggles)
+    alt = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_alt, toggles)
     return MarginCurve(
         label=f"margin gain {v_base:g}V->{v_alt:g}V",
         x=tuple(r_on_grid),
-        y=tuple(curve_y),
-        results=tuple(results_alt),
+        y=tuple((alt[3] - base[3]).tolist()),
+        results=sense_results(*alt),
         meta={
             "n_cells": n_cells,
             "v_base": v_base,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,16 @@ from .analysis import (
 )
 from .figures import FIGURE_WRITERS
 from .model import (
+    ENGINES,
     CellSpec,
     FactorToggles,
     LeakageRangeError,
     ReadSetup,
-    read_currents,
+    SolverError,
+    sense_grid,
+    sense_point,
 )
-from .oracle import SolverError, compare_lumped_distributed, oracle_margin
+from .oracle import compare_lumped_distributed
 from .profile_io import ProfileError, load_bundled_profile, load_profile
 from .results import ResultTable, write_csv
 from .svg import render_plot
@@ -55,24 +59,14 @@ def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_toggle_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-line-resistance",
-        dest="include_line_resistance",
-        action="store_false",
-        help="disable the metal line resistance term",
-    )
-    parser.add_argument(
-        "--no-transistor-resistance",
-        dest="include_transistor_resistance",
-        action="store_false",
-        help="disable the transistor read resistance term",
-    )
-    parser.add_argument(
-        "--no-leakage",
-        dest="include_leakage",
-        action="store_false",
-        help="disable the transistor leakage term",
-    )
+    # One --no-<factor> flag per FactorToggles field, stored under its name.
+    for field in fields(FactorToggles):
+        parser.add_argument(
+            f"--no-{field.name.replace('_', '-')}",
+            dest=field.name,
+            action="store_false",
+            help=f"disable the {field.name.replace('_', ' ')} term",
+        )
 
 
 def _add_ron_grid_args(parser: argparse.ArgumentParser, points: int = 200) -> None:
@@ -101,19 +95,14 @@ def _load(args: argparse.Namespace):
 
 
 def _toggles(args: argparse.Namespace) -> FactorToggles:
-    return FactorToggles(
-        line_resistance=args.include_line_resistance,
-        transistor_resistance=args.include_transistor_resistance,
-        leakage=args.include_leakage,
-    )
+    return FactorToggles(*(getattr(args, f.name) for f in fields(FactorToggles)))
 
 
 def _cmd_margin(args: argparse.Namespace) -> int:
     profile = _load(args)
     cell = CellSpec(r_on=args.ron, ratio_ideal=args.k)
-    setup = ReadSetup.from_toggles(args.vread, args.n, _toggles(args))
-    evaluate = read_currents if args.engine == "lumped" else oracle_margin
-    result = evaluate(profile, cell, setup)
+    setup = ReadSetup(v_read=args.vread, n_cells=args.n, toggles=_toggles(args))
+    result = sense_point(profile, cell, setup, args.engine)
     if args.json:
         print(
             json.dumps(
@@ -242,11 +231,7 @@ def _cmd_optimal_range(args: argparse.Namespace) -> int:
         profile, args.k, args.n, args.vread, args.threshold, grid
     )
     peak_r = argmax_resistance(profile, args.k, args.n, args.vread, grid)
-    peak_margin = read_currents(
-        profile,
-        CellSpec(r_on=peak_r, ratio_ideal=args.k),
-        ReadSetup(v_read=args.vread, n_cells=args.n),
-    ).margin_normalized
+    peak_margin = float(sense_grid(profile, peak_r, args.k, args.n, args.vread)[3])
     if args.json:
         payload = {
             "threshold": args.threshold,
@@ -382,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True, help="fabricated on/off ratio")
     p.add_argument("--n", type=int, required=True, help="cells per column")
     p.add_argument("--vread", type=float, required=True, help="read voltage (V)")
-    p.add_argument("--engine", choices=("lumped", "oracle"), default="lumped")
+    p.add_argument("--engine", choices=ENGINES, default="lumped")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     _add_toggle_args(p)
     p.set_defaults(func=_cmd_margin)
@@ -392,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--n", type=int, nargs="+", default=list(DEFAULT_N_GRID))
     p.add_argument("--vread", type=float, nargs="+", default=[0.2])
-    p.add_argument("--engine", choices=("lumped", "oracle"), default="lumped")
+    p.add_argument("--engine", choices=ENGINES, default="lumped")
     _add_ron_grid_args(p)
     _add_toggle_args(p)
     p.add_argument("--csv", metavar="PATH")

@@ -24,42 +24,20 @@ from .analysis import (
     MarginCurve,
     ablation_series,
     compensation_curve,
+    margin_curve,
 )
 from .model import (
     CellSpec,
     FactorToggles,
     ReadSetup,
     TechnologyProfile,
-    read_currents,
+    sense_grid,
 )
-from .oracle import oracle_margin
 from .results import ResultTable, write_csv
 from .svg import render_plot
 
 V_READ_DEFAULT = 0.2
 RATIO_DEFAULT = 10.0
-
-
-def _margin_vs_n(
-    profile: TechnologyProfile,
-    r_on: float,
-    ratio_ideal: float,
-    toggles: FactorToggles,
-    n_grid: tuple[int, ...],
-    v_read: float,
-) -> MarginCurve:
-    cell = CellSpec(r_on=r_on, ratio_ideal=ratio_ideal)
-    results = tuple(
-        read_currents(profile, cell, ReadSetup.from_toggles(v_read, n, toggles))
-        for n in n_grid
-    )
-    return MarginCurve(
-        label=f"R_on={r_on:g}",
-        x=tuple(float(n) for n in n_grid),
-        y=tuple(r.margin_normalized for r in results),
-        results=results,
-        meta={"r_on": r_on, "toggles": toggles, "v_read": v_read},
-    )
 
 
 def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
@@ -74,23 +52,22 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     written = []
     for key, desc, toggles, r_ons in panels:
         curves = [
-            _margin_vs_n(profile, r_on, RATIO_DEFAULT, toggles, DEFAULT_N_GRID, V_READ_DEFAULT)
+            margin_curve(
+                f"R_on={r_on:g}",
+                map(float, DEFAULT_N_GRID),
+                sense_grid(
+                    profile, r_on, RATIO_DEFAULT, DEFAULT_N_GRID, V_READ_DEFAULT, toggles
+                ),
+                meta={"r_on": r_on, "toggles": toggles, "v_read": V_READ_DEFAULT},
+            )
             for r_on in r_ons
         ]
-        for curve in curves:
-            for n, res in zip(curve.x, curve.results):
-                rows.append(
-                    (
-                        key,
-                        curve.meta["r_on"],
-                        int(n),
-                        V_READ_DEFAULT,
-                        res.i_on,
-                        res.i_off,
-                        res.ratio_effective,
-                        res.margin_normalized,
-                    )
-                )
+        rows += [
+            (key, r_on, n, V_READ_DEFAULT,
+             res.i_on, res.i_off, res.ratio_effective, res.margin_normalized)
+            for r_on, curve in zip(r_ons, curves)
+            for n, res in zip(DEFAULT_N_GRID, curve.results)
+        ]
         svg_path = outdir / f"fig3{key}.svg"
         render_plot(
             curves,
@@ -104,16 +81,8 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
         )
         written.append(svg_path)
     table = ResultTable(
-        header=(
-            "panel",
-            "r_on_ohm",
-            "n_cells",
-            "v_read_v",
-            "i_on_a",
-            "i_off_a",
-            "ratio_effective",
-            "margin_normalized",
-        ),
+        header=("panel", "r_on_ohm", "n_cells", "v_read_v", "i_on_a", "i_off_a",
+                "ratio_effective", "margin_normalized"),
         rows=tuple(rows),
     )
     csv_path = outdir / "fig3.csv"
@@ -123,25 +92,20 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
 
 def _margin_vs_r(
     profile: TechnologyProfile,
+    label: str,
     ratio_ideal: float,
     n: int,
     grid: tuple[float, ...],
-    engine: str,
-    v_read: float,
+    v_read: float = V_READ_DEFAULT,
+    engine: str = "lumped",
 ) -> MarginCurve:
-    setup = ReadSetup(v_read=v_read, n_cells=n)
-    evaluate = read_currents if engine == "lumped" else oracle_margin
-    results = tuple(
-        evaluate(profile, CellSpec(r_on=r, ratio_ideal=ratio_ideal), setup)
-        for r in grid
-    )
-    label = f"n={n}" if engine == "lumped" else f"n={n} (network)"
-    return MarginCurve(
-        label=label,
-        x=grid,
-        y=tuple(r.margin_normalized for r in results),
-        results=results,
-        meta={"n_cells": n, "engine": engine, "ratio_ideal": ratio_ideal},
+    return margin_curve(
+        label,
+        grid,
+        sense_grid(profile, grid, ratio_ideal, n, v_read, engine=engine),
+        meta={
+            "n_cells": n, "engine": engine, "ratio_ideal": ratio_ideal, "v_read": v_read
+        },
     )
 
 
@@ -151,11 +115,14 @@ def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     written = []
 
     model_curves = [
-        _margin_vs_r(profile, RATIO_DEFAULT, n, DEFAULT_R_ON_GRID, "lumped", V_READ_DEFAULT)
+        _margin_vs_r(profile, f"n={n}", RATIO_DEFAULT, n, DEFAULT_R_ON_GRID)
         for n in VALIDATION_N_GRID
     ]
     oracle_curves = [
-        _margin_vs_r(profile, RATIO_DEFAULT, n, COARSE_R_ON_GRID, "oracle", V_READ_DEFAULT)
+        _margin_vs_r(
+            profile, f"n={n} (network)", RATIO_DEFAULT, n, COARSE_R_ON_GRID,
+            engine="oracle",
+        )
         for n in VALIDATION_N_GRID
     ]
     rows = [
@@ -182,7 +149,7 @@ def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     written += [csv_a, svg_a]
 
     k100_curves = [
-        _margin_vs_r(profile, 100.0, n, DEFAULT_R_ON_GRID, "lumped", V_READ_DEFAULT)
+        _margin_vs_r(profile, f"n={n}", 100.0, n, DEFAULT_R_ON_GRID)
         for n in VALIDATION_N_GRID
     ]
     rows = [
@@ -243,44 +210,19 @@ def write_fig6(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     """Read-voltage compensation at n=1024: margins and margin gains."""
     outdir = Path(outdir)
     n = 1024
-    margin_curves = []
-    for v in (0.2, 0.4, 0.6):
-        curve = _margin_vs_r(profile, RATIO_DEFAULT, n, DEFAULT_R_ON_GRID, "lumped", v)
-        margin_curves.append(
-            MarginCurve(
-                label=f"V_read={v:g}V",
-                x=curve.x,
-                y=curve.y,
-                results=curve.results,
-                meta={**curve.meta, "v_read": v},
-            )
-        )
+    margin_curves = [
+        _margin_vs_r(profile, f"V_read={v:g}V", RATIO_DEFAULT, n, DEFAULT_R_ON_GRID, v)
+        for v in (0.2, 0.4, 0.6)
+    ]
     gain_04 = compensation_curve(profile, RATIO_DEFAULT, n, 0.2, 0.4, DEFAULT_R_ON_GRID)
     gain_06 = compensation_curve(profile, RATIO_DEFAULT, n, 0.2, 0.6, DEFAULT_R_ON_GRID)
 
-    rows = []
-    for idx, r_on in enumerate(DEFAULT_R_ON_GRID):
-        rows.append(
-            (
-                r_on,
-                margin_curves[0].y[idx],
-                margin_curves[1].y[idx],
-                margin_curves[2].y[idx],
-                gain_04.y[idx],
-                gain_06.y[idx],
-            )
-        )
+    rows = zip(DEFAULT_R_ON_GRID, *(c.y for c in margin_curves + [gain_04, gain_06]))
     csv_path = outdir / "fig6.csv"
     write_csv(
         ResultTable(
-            header=(
-                "r_on_ohm",
-                "margin_0.2v",
-                "margin_0.4v",
-                "margin_0.6v",
-                "gain_0.4v",
-                "gain_0.6v",
-            ),
+            header=("r_on_ohm", "margin_0.2v", "margin_0.4v", "margin_0.6v", "gain_0.4v",
+                    "gain_0.6v"),
             rows=tuple(rows),
         ),
         csv_path,

@@ -18,6 +18,11 @@ crosses the full n*r line resistance while all other cells leak.  Each
 non-ideality (line resistance r, transistor resistance R_T, transistor
 leakage I_Tleak) can be switched off individually for ablation studies.
 
+sense_grid evaluates this over arrays of R_on and n, for this model and
+for the oracle module's distributed ladder, which for the worst-case cell
+differs only in its drive term; read_currents and oracle.oracle_margin
+are its scalar views.
+
 Leakage is a measured function of read voltage, carried as a table on the
 technology profile; lookups interpolate linearly between measured points
 and refuse to extrapolate.
@@ -29,9 +34,17 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
+ENGINES = ("lumped", "oracle")
+
 
 class LeakageRangeError(ValueError):
     """Requested read voltage lies outside the measured leakage table."""
+
+
+class SolverError(RuntimeError):
+    """The network has no finite solution for the given element values."""
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -144,9 +157,7 @@ class ReadSetup:
 
     v_read: float
     n_cells: int
-    include_line_resistance: bool = True
-    include_transistor_resistance: bool = True
-    include_leakage: bool = True
+    toggles: FactorToggles = FactorToggles()
 
     def __post_init__(self) -> None:
         _require_finite("v_read", self.v_read)
@@ -156,26 +167,8 @@ class ReadSetup:
             raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
-
-    @classmethod
-    def from_toggles(
-        cls, v_read: float, n_cells: int, toggles: FactorToggles
-    ) -> "ReadSetup":
-        return cls(
-            v_read=v_read,
-            n_cells=n_cells,
-            include_line_resistance=toggles.line_resistance,
-            include_transistor_resistance=toggles.transistor_resistance,
-            include_leakage=toggles.leakage,
-        )
-
-    @property
-    def toggles(self) -> FactorToggles:
-        return FactorToggles(
-            line_resistance=self.include_line_resistance,
-            transistor_resistance=self.include_transistor_resistance,
-            leakage=self.include_leakage,
-        )
+        if not isinstance(self.toggles, FactorToggles):
+            raise ValueError(f"toggles must be a FactorToggles, got {self.toggles!r}")
 
 
 @dataclass(frozen=True)
@@ -230,14 +223,163 @@ def leakage_at(profile: TechnologyProfile, v_read: float) -> float:
             f"read voltage {v_read:g} V outside leakage table range "
             f"[{lo:g} V, {hi:g} V] of profile {profile.node_label!r}"
         )
-    voltages = [v for v, _ in table]
-    pos = bisect_left(voltages, v_read)
-    if pos < len(voltages) and voltages[pos] == v_read:
+    pos = bisect_left(table, (v_read,))
+    if table[pos][0] == v_read:
         return table[pos][1]
     v0, i0 = table[pos - 1]
     v1, i1 = table[pos]
     frac = (v_read - v0) / (v1 - v0)
     return i0 + frac * (i1 - i0)
+
+
+def element_values(
+    profile: TechnologyProfile, toggles: FactorToggles, v_read: float
+) -> tuple[float, float, float]:
+    """(r_line, r_t, i_leak) with toggled-off factors as exact zeros, so
+    that both engines degenerate the same way."""
+    return (
+        profile.r_unit if toggles.line_resistance else 0.0,
+        profile.r_transistor if toggles.transistor_resistance else 0.0,
+        leakage_at(profile, v_read) if toggles.leakage else 0.0,
+    )
+
+
+def _worst_case_drive(v_read: float, i_leak: float, r_line: float, n):
+    # Segment j of the worst-case path carries the leakage of the n-j cells
+    # beyond it: n(n-1)/2 in all, correctly rounded and free of overflow.
+    return v_read - i_leak * r_line * (n * (n - 1.0) / 2)
+
+
+def _largest_readable_n(v_read: float, i_leak: float, r_line: float) -> int:
+    n = int((1 + math.sqrt(1 + 8 * v_read / (i_leak * r_line))) / 2)
+    while _worst_case_drive(v_read, i_leak, r_line, n) <= 0:
+        n -= 1
+    while _worst_case_drive(v_read, i_leak, r_line, n + 1) > 0:
+        n += 1
+    return n
+
+
+def _require(name: str, values, ok, bound: str) -> None:
+    if not ok.all():
+        bad = np.asarray(values)[~np.asarray(ok)]
+        raise ValueError(f"{name} must be {bound}, got {bad.flat[0]!r}")
+
+
+# np.where and ndarray.all that also take the Python scalars of sense_point.
+def _where(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _all(ok) -> bool:
+    return bool(ok.all() if isinstance(ok, np.ndarray) else ok)
+
+
+def _sense(profile, r_on, ratio_ideal, n, v_read, toggles, engine):
+    """sense_grid's kernel, on valid inputs: r_on and n are float arrays
+    of one shape, or Python scalars as sense_point passes them."""
+    r_line, r_t, i_leak = element_values(profile, toggles, v_read)
+    r_off = ratio_ideal * r_on
+    leak_total = (n - 1.0) * i_leak
+    if engine == "lumped":
+        series = r_t + n * r_line
+        drive, path_on, path_off = v_read, r_on + series, r_off + series
+    elif engine == "oracle":
+        drive = _worst_case_drive(v_read, i_leak, r_line, n)
+        if not _all(drive > 0):
+            bound = _largest_readable_n(v_read, i_leak, r_line)
+            raise SolverError(
+                f"column of n={int(np.asarray(n)[np.asarray(drive <= 0)].min())}"
+                f" cells cannot be read at V_read={v_read:g} V: leakage IR drop"
+                f" on the worst-case path reaches the read voltage; the largest"
+                f" readable column has n={bound}"
+            )
+        line = n * r_line
+        path_on, path_off = (r_on + r_t) + line, (r_off + r_t) + line
+    else:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    i_on = drive / path_on + leak_total
+    i_off = drive / path_off + leak_total
+    if not _all(i_off > 0):
+        raise SolverError(
+            f"off-state current underflows to 0 (r_off up to {np.max(r_off):g} ohm)"
+        )
+    ratio = i_on / i_off
+    if engine == "lumped":
+        # Without leakage, the better-conditioned quotient of the paths,
+        # exactly ideal when no non-ideality is on.
+        resistive = _where(series == 0.0, ratio_ideal, path_off / path_on)
+        ratio = _where(leak_total == 0.0, resistive, ratio)
+    margin = ratio / ratio_ideal
+    if not _all(abs(margin) < math.inf):  # isfinite, also for Python floats
+        raise SolverError(
+            f"sensing margin is not finite (r_on down to {np.min(r_on):g} ohm)"
+        )
+    return i_on, i_off, ratio, margin
+
+
+def sense_grid(
+    profile: TechnologyProfile,
+    r_on,
+    ratio_ideal: float,
+    n_cells,
+    v_read: float,
+    toggles: FactorToggles = FactorToggles(),
+    engine: str = "lumped",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Worst-case (i_on, i_off, ratio, margin) over a grid of R_on and n.
+
+    r_on and n_cells broadcast against each other (an R_on row against an
+    n column gives the whole grid) into float64 result arrays.
+    engine="lumped" is the model of the module docstring; without leakage
+    its ratio is the better-conditioned quotient of series resistances,
+    exactly ideal when no non-ideality is on.  engine="oracle" is the
+    oracle module's ladder in closed form for the worst-case cell, in the
+    operation order of oracle.solve_column (the two agree bit for bit):
+
+        I_state = (V - I_leak*r*n(n-1)/2) / ((R_state + R_T) + n*r) + (n-1)*I_leak
+
+    Raises SolverError where that drive term is not positive (leakage IR
+    drop eats the read voltage), the off-state current underflows to 0 or
+    the margin is not finite, ValueError for invalid inputs or a point
+    outside the SenseResult invariants.
+    """
+    _require("v_read", v_read, np.isfinite(v_read) & (v_read > 0), "finite and > 0")
+    _require("ratio_ideal", ratio_ideal, np.isfinite(ratio_ideal) & (ratio_ideal >= 1),
+             "finite and >= 1")
+    r_on, n = np.broadcast_arrays(np.asarray(r_on, dtype=float), np.asarray(n_cells))
+    _require("r_on", r_on, np.isfinite(r_on) & (r_on > 0), "finite and > 0")
+    _require("n_cells", n, np.array(n.dtype.kind in "iu"), "integers")
+    _require("n_cells", n, n >= 1, ">= 1")
+    # Overflow and underflow are reported as SolverError, not as warnings; n is
+    # converted as Python's int * float does, exactly below 2**53.
+    with np.errstate(all="ignore"):
+        grid = _sense(profile, r_on, ratio_ideal, n.astype(float), v_read, toggles, engine)
+    i_on, i_off, ratio, margin = grid
+    ok = (i_off > 0) & (i_on >= i_off) & (ratio >= 1.0)
+    ok &= (margin > 0.0) & (margin <= 1.0 + 1e-9)
+    if not ok.all():
+        # Rebuilding the first offending point raises the message of the
+        # invariant it breaks.
+        at = int(np.argmin(ok))
+        SenseResult(*(float(a.flat[at]) for a in grid))
+    return grid
+
+
+def sense_results(i_on, i_off, ratio, margin) -> tuple[SenseResult, ...]:
+    """One SenseResult per point of sense_grid's arrays, in C order."""
+    columns = (np.ravel(a).tolist() for a in (i_on, i_off, ratio, margin))
+    return tuple(map(SenseResult, *columns))
+
+
+def sense_point(
+    profile: TechnologyProfile, cell: CellSpec, setup: ReadSetup, engine: str = "lumped"
+) -> SenseResult:
+    """sense_grid for one cell and read condition, already validated by
+    CellSpec and ReadSetup; SenseResult checks the result."""
+    return SenseResult(*_sense(
+        profile, cell.r_on, cell.ratio_ideal, setup.n_cells, setup.v_read, setup.toggles,
+        engine,
+    ))
 
 
 def read_currents(
@@ -246,32 +388,9 @@ def read_currents(
     """Worst-case sensed currents and effective ratio for one read condition.
 
     I_on and I_off share the series term R_T + n*r and the accumulated
-    leakage (n-1)*I_Tleak; toggled-off factors contribute zero.  When the
-    leakage term is zero the on/off ratio reduces algebraically to a
-    quotient of series resistances, which is evaluated directly: it is
-    better conditioned than the current quotient and makes the
-    no-non-ideality case return the ideal ratio exactly.
+    leakage (n-1)*I_Tleak; toggled-off factors contribute zero.
     """
-    r_line = profile.r_unit if setup.include_line_resistance else 0.0
-    r_t = profile.r_transistor if setup.include_transistor_resistance else 0.0
-    i_leak = leakage_at(profile, setup.v_read) if setup.include_leakage else 0.0
-
-    series = r_t + setup.n_cells * r_line
-    leak_total = (setup.n_cells - 1) * i_leak
-    i_on = setup.v_read / (cell.r_on + series) + leak_total
-    i_off = setup.v_read / (cell.r_off + series) + leak_total
-
-    if leak_total == 0.0:
-        if series == 0.0:
-            ratio = cell.ratio_ideal
-        else:
-            ratio = (cell.r_off + series) / (cell.r_on + series)
-    else:
-        ratio = i_on / i_off
-    margin = ratio / cell.ratio_ideal
-    return SenseResult(
-        i_on=i_on, i_off=i_off, ratio_effective=ratio, margin_normalized=margin
-    )
+    return sense_point(profile, cell, setup)
 
 
 def effective_ratio(

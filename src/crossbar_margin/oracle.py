@@ -5,6 +5,10 @@ term, this module solves the actual distributed ladder, playing the role
 a transistor-level circuit simulator plays during technology
 characterization.  Comparing the two quantifies the lumping error.
 
+oracle_margin evaluates the ladder's closed form for the worst-case cell
+(model.sense_grid); solve_column, the Kirchhoff residuals and the test
+suite's dense reference are the checks of that closed form.
+
 Geometry
 --------
 The bit line is driven by an ideal source at one end and the source line
@@ -49,14 +53,12 @@ from .model import (
     CellSpec,
     ReadSetup,
     SenseResult,
+    SolverError,
     TechnologyProfile,
-    leakage_at,
+    element_values,
     read_currents,
+    sense_point,
 )
-
-
-class SolverError(RuntimeError):
-    """The network has no finite solution for the given element values."""
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,7 @@ def build_column(
     if state not in ("on", "off"):
         raise ValueError(f'state must be "on" or "off", got {state!r}')
     r_memristor = cell.r_on if state == "on" else cell.r_off
-    r_t = profile.r_transistor if setup.include_transistor_resistance else 0.0
-    r_segment = profile.r_unit if setup.include_line_resistance else 0.0
-    i_leak = leakage_at(profile, setup.v_read) if setup.include_leakage else 0.0
+    r_segment, r_t, i_leak = element_values(profile, setup.toggles, setup.v_read)
     return ColumnNetwork(
         n_cells=setup.n_cells,
         r_segment=r_segment,
@@ -260,20 +260,10 @@ def kvl_loop_residual(net: ColumnNetwork, sol: NetworkSolution) -> float:
 def oracle_margin(
     profile: TechnologyProfile, cell: CellSpec, setup: ReadSetup
 ) -> SenseResult:
-    """Sensing margin from two distributed solves (on state, off state).
-
-    The selected cell sits at the far end of the column, the worst case.
-    """
-    sol_on = solve_column(build_column(profile, cell, setup, "on"))
-    sol_off = solve_column(build_column(profile, cell, setup, "off"))
-    i_on, i_off = sol_on.i_sensed, sol_off.i_sensed
-    ratio = i_on / i_off
-    return SenseResult(
-        i_on=i_on,
-        i_off=i_off,
-        ratio_effective=ratio,
-        margin_normalized=ratio / cell.ratio_ideal,
-    )
+    """Sensing margin of the distributed network, worst-case cell: the
+    closed form of two solve_column calls (on, off state), bit for bit.
+    Raises SolverError past the longest column that can still be read."""
+    return sense_point(profile, cell, setup, "oracle")
 
 
 @dataclass(frozen=True)
@@ -281,8 +271,8 @@ class ComparisonRow:
     """One lumped-versus-distributed comparison point.
 
     relative_gap = |margin_lumped - margin_oracle| / margin_oracle.
-    Solver failures are flagged through ``error`` (margins become NaN)
-    rather than dropping the row.
+    Solver failures are flagged through ``error`` (a margin that could
+    not be computed is NaN) rather than dropping the row.
     """
 
     r_on: float
@@ -304,24 +294,13 @@ def compare_lumped_distributed(
     rows = []
     for cell in cell_grid:
         for setup in setup_grid:
-            lumped = read_currents(profile, cell, setup).margin_normalized
+            lumped = oracle = float("nan")
+            error = None
             try:
+                lumped = read_currents(profile, cell, setup).margin_normalized
                 oracle = oracle_margin(profile, cell, setup).margin_normalized
             except SolverError as exc:
-                rows.append(
-                    ComparisonRow(
-                        r_on=cell.r_on,
-                        ratio_ideal=cell.ratio_ideal,
-                        n_cells=setup.n_cells,
-                        v_read=setup.v_read,
-                        margin_lumped=lumped,
-                        margin_oracle=float("nan"),
-                        relative_gap=float("nan"),
-                        error=str(exc),
-                    )
-                )
-                continue
-            gap = abs(lumped - oracle) / oracle
+                error = str(exc)
             rows.append(
                 ComparisonRow(
                     r_on=cell.r_on,
@@ -330,7 +309,8 @@ def compare_lumped_distributed(
                     v_read=setup.v_read,
                     margin_lumped=lumped,
                     margin_oracle=oracle,
-                    relative_gap=gap,
+                    relative_gap=abs(lumped - oracle) / oracle,
+                    error=error,
                 )
             )
     return rows

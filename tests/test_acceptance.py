@@ -15,6 +15,7 @@ import pytest
 
 from crossbar_margin import (
     CellSpec,
+    FactorToggles,
     ReadSetup,
     TechnologyProfile,
     argmax_resistance,
@@ -61,9 +62,7 @@ def test_criterion_01_reduction_identity():
             setup = ReadSetup(
                 v_read=float(rng.uniform(0.01, 2.0)),
                 n_cells=int(rng.integers(1, 8193)),
-                include_line_resistance=False,
-                include_transistor_resistance=False,
-                include_leakage=False,
+                toggles=FactorToggles.all_off(),
             )
             assert effective_ratio(PROFILE, cell, setup) == ideal_ratio(cell)
 
@@ -166,7 +165,7 @@ def test_criterion_07_monotonicity_suite():
                 assert margins[1] <= margins[0] + 1e-12
 
         # line-drop only: strictly increasing in r_on
-        strict_off = {"include_leakage": False}
+        strict_off = {"toggles": FactorToggles(leakage=False)}
         for _ in range(1000):
             k = float(rng.uniform(1.5, 500))
             n = int(rng.integers(1, 8193))
@@ -176,8 +175,7 @@ def test_criterion_07_monotonicity_suite():
 
         # leakage only: strictly decreasing in r_on
         leak_only = {
-            "include_line_resistance": False,
-            "include_transistor_resistance": False,
+            "toggles": FactorToggles(line_resistance=False, transistor_resistance=False)
         }
         for _ in range(1000):
             k = float(rng.uniform(1.5, 500))

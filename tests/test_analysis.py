@@ -245,7 +245,7 @@ class TestAblationSeries:
             ablation_series(
                 profile22,
                 CellSpec(1e4, 10),
-                ReadSetup(0.2, 1024, include_leakage=False),
+                ReadSetup(0.2, 1024, FactorToggles(leakage=False)),
             )
 
 

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crossbar_margin
 from crossbar_margin.cli import run_cli
 from crossbar_margin.profile_io import dump_profile, load_bundled_profile
 
@@ -50,6 +55,12 @@ class TestMarginCommand:
         assert run_cli(args) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["margin_normalized"] == 1.0
+
+    def test_oracle_past_breakdown_names_the_bound(self, capsys):
+        args = ["margin", "--ron", "20e3", "--k", "10", "--n", "65536", "--vread", "0.2"]
+        assert run_cli(args + ["--engine", "oracle"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "n=63246" in err
 
     def test_out_of_range_voltage_fails_cleanly(self, capsys):
         args = ["margin", "--ron", "20e3", "--k", "10", "--n", "512", "--vread", "0.9"]
@@ -187,3 +198,14 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "crossbar-margin" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(crossbar_margin.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossbar_margin", "margin", "--ron", "20e3",
+         "--k", "10", "--n", "512", "--vread", "0.2", "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["margin_normalized"] == pytest.approx(0.86737, abs=1e-5)

@@ -1,0 +1,30 @@
+"""Golden outputs: the preset studies and the validation table, byte for byte.
+
+The expected sha256 digests live in perfbench/golden_digests.json, which
+the benchmark checks too; this test reads them and never rewrites them.
+A refactor that changes any number in fig3..fig6 or in
+``validate --grid full --csv`` fails here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from crossbar_margin.cli import run_cli
+
+GOLDEN_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "golden_digests.json"
+
+
+def test_figures_and_validation_match_golden_digests(tmp_path, capsys):
+    golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+    for command in ("fig3", "fig4", "fig5", "fig6"):
+        assert run_cli([command, "--outdir", str(tmp_path)]) == 0
+    csv_path = tmp_path / "validate.csv"
+    assert run_cli(["validate", "--grid", "full", "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(golden)
+    for name in written:
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == golden[name], f"{name} differs from its golden digest"

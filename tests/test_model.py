@@ -7,19 +7,24 @@ implementation is checked against an independent numeric route.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from crossbar_margin import (
     CellSpec,
+    FactorToggles,
     LeakageRangeError,
     ReadSetup,
     SenseResult,
+    SolverError,
     TechnologyProfile,
     effective_ratio,
     ideal_ratio,
     leakage_at,
     read_currents,
+    sense_grid,
 )
+from crossbar_margin.model import sense_point
 
 REL = 1e-12
 
@@ -98,7 +103,7 @@ class TestReadCurrents:
 
     def test_all_factors_disabled_reduces_exactly(self, profile22):
         cell = CellSpec(20e3, 10)
-        setup = ReadSetup(0.2, 512, False, False, False)
+        setup = ReadSetup(0.2, 512, FactorToggles.all_off())
         res = read_currents(profile22, cell, setup)
         assert res.ratio_effective == ideal_ratio(cell)
         assert res.margin_normalized == 1.0
@@ -115,6 +120,56 @@ class TestReadCurrents:
     def test_leakage_required_inside_table(self, profile22):
         with pytest.raises(LeakageRangeError):
             read_currents(profile22, CellSpec(20e3, 10), ReadSetup(0.8, 16))
+
+
+class TestSenseGrid:
+    def test_r_on_row_broadcasts_against_n_column(self, profile22):
+        r_on = np.array([1e4, 5e4, 1e6])
+        n = np.array([[1], [64], [4096]])
+        for engine in ("lumped", "oracle"):
+            grid = sense_grid(profile22, r_on, 10.0, n, 0.2, engine=engine)
+            assert all(a.shape == (3, 3) and a.dtype == np.float64 for a in grid)
+            for row, n_row in zip(grid[3], n[:, 0]):
+                assert row.tolist() == sense_grid(
+                    profile22, r_on, 10.0, int(n_row), 0.2, engine=engine
+                )[3].tolist()
+
+    @pytest.mark.parametrize(
+        "r_on, n_cells, engine",
+        [(-1.0, 4, "lumped"), (float("nan"), 4, "lumped"), (1e4, 0, "lumped"),
+         (1e4, 4.0, "lumped"), (1e4, 4, "spice")],
+    )
+    def test_invalid_inputs_rejected(self, profile22, r_on, n_cells, engine):
+        with pytest.raises(ValueError):
+            sense_grid(profile22, r_on, 10.0, n_cells, 0.2, engine=engine)
+
+    def test_non_finite_margin_is_solver_error(self, profile22):
+        # R_on this small overflows both currents; with leakage on their
+        # quotient is inf/inf, in the array and in the scalar view alike.
+        leak_only = FactorToggles(False, False, True)
+        with pytest.raises(SolverError, match="not finite"):
+            sense_grid(profile22, [5e-324, 1e4], 10.0, 4, 0.2, leak_only)
+        with pytest.raises(SolverError, match="not finite"):
+            read_currents(profile22, CellSpec(5e-324, 10), ReadSetup(0.2, 4, leak_only))
+
+    def test_ideal_margin_survives_infinite_currents(self, profile22):
+        ideal = FactorToggles.all_off()
+        res = read_currents(profile22, CellSpec(5e-324, 10), ReadSetup(0.2, 4, ideal))
+        assert res.i_on == float("inf") and res.margin_normalized == 1.0
+        grid = sense_grid(profile22, [5e-324, 1e4], 10.0, 4, 0.2, ideal)
+        assert grid[3].tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("engine", ["lumped", "oracle"])
+    def test_vanishing_off_current_is_solver_error(self, profile22, engine):
+        # R_off = k * R_on overflows, so without leakage I_off is exactly 0.
+        setup = ReadSetup(0.2, 4, FactorToggles(leakage=False))
+        with pytest.raises(SolverError, match="underflows"):
+            sense_point(profile22, CellSpec(1e306, 1e3), setup, engine)
+        with pytest.raises(SolverError, match="underflows"):
+            sense_grid(profile22, [1e4, 1e306], 1e3, 4, 0.2, setup.toggles, engine)
+        # With leakage the off current stays positive, as at any R_off.
+        grid = sense_grid(profile22, [1e4, 1e306], 1e3, 4, 0.2, engine=engine)
+        assert grid[1][1] == 3 * leakage_at(profile22, 0.2)
 
 
 class TestEffectiveRatio:

@@ -32,7 +32,7 @@ def synthetic_profile(r_unit, r_transistor, i_leak):
 @given(r_on=r_on_values, k=ratio_values, n=n_values, v=v_values)
 def test_reduction_identity_is_exact(profile22, r_on, k, n, v):
     cell = CellSpec(r_on=r_on, ratio_ideal=k)
-    setup = ReadSetup(v, n, False, False, False)
+    setup = ReadSetup(v, n, FactorToggles.all_off())
     assert effective_ratio(profile22, cell, setup) == ideal_ratio(cell)
     assert read_currents(profile22, cell, setup).margin_normalized == 1.0
 
@@ -62,7 +62,7 @@ def test_margin_non_increasing_in_column_length(profile22, r_on, k, v, n_pair):
 @given(r_on=r_on_values, k=ratio_values, n=n_values, v1=v_values, v2=v_values)
 def test_voltage_independent_without_leakage(profile22, r_on, k, n, v1, v2):
     cell = CellSpec(r_on=r_on, ratio_ideal=k)
-    setups = [ReadSetup(v, n, True, True, False) for v in (v1, v2)]
+    setups = [ReadSetup(v, n, FactorToggles(leakage=False)) for v in (v1, v2)]
     ratios = [effective_ratio(profile22, cell, s) for s in setups]
     assert ratios[0] == ratios[1]
 
@@ -86,7 +86,7 @@ def test_ir_only_margin_increases_with_resistance(profile22, k, n, pair):
     # without leakage the series term hurts low-resistance cells most
     r_lo, factor = pair
     r_hi = r_lo * factor
-    setup = ReadSetup(0.2, n, True, True, False)
+    setup = ReadSetup(0.2, n, FactorToggles(leakage=False))
     m_lo = read_currents(profile22, CellSpec(r_lo, k), setup).margin_normalized
     m_hi = read_currents(profile22, CellSpec(r_hi, k), setup).margin_normalized
     assert m_hi > m_lo
@@ -103,7 +103,7 @@ def test_leakage_only_margin_decreases_with_resistance(profile22, k, n, pair):
     # with only leakage active, higher resistance starves the off current
     r_lo, factor = pair
     r_hi = r_lo * factor
-    setup = ReadSetup(0.2, n, False, False, True)
+    setup = ReadSetup(0.2, n, FactorToggles(False, False, True))
     m_lo = read_currents(profile22, CellSpec(r_lo, k), setup).margin_normalized
     m_hi = read_currents(profile22, CellSpec(r_hi, k), setup).margin_normalized
     assert m_hi < m_lo
@@ -133,7 +133,7 @@ def test_margin_non_increasing_in_each_non_ideality(r_on, k, n, base, factor, wh
 
 def test_toggle_helpers_roundtrip():
     toggles = FactorToggles(line_resistance=True, transistor_resistance=False, leakage=True)
-    setup = ReadSetup.from_toggles(0.2, 64, toggles)
+    setup = ReadSetup(0.2, 64, toggles)
     assert setup.toggles == toggles
     assert FactorToggles.all_on().describe() == "r+R_T+I_Tleak"
     assert FactorToggles.all_off().describe() == "ideal"

@@ -6,6 +6,8 @@ nodal-analysis solve (tests/nodal_reference.py) and against closed-form
 limits.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from crossbar_margin import (
     CellSpec,
     ColumnNetwork,
+    FactorToggles,
     ReadSetup,
     SolverError,
     build_column,
@@ -22,8 +25,10 @@ from crossbar_margin import (
     kvl_loop_residual,
     oracle_margin,
     read_currents,
+    sense_grid,
     solve_column,
 )
+from crossbar_margin.analysis import DEFAULT_R_ON_GRID
 from nodal_reference import dense_nodal_solution
 
 REL = 1e-12
@@ -58,7 +63,7 @@ class TestBuildColumn:
         net = build_column(
             profile22,
             CellSpec(20e3, 10),
-            ReadSetup(0.2, 4, include_leakage=False),
+            ReadSetup(0.2, 4, FactorToggles(leakage=False)),
             "on",
         )
         assert net.i_leak_per_cell == 0.0
@@ -127,7 +132,7 @@ class TestSolveColumn:
             net = build_column(
                 profile22,
                 CellSpec(20e3, 10),
-                ReadSetup(0.2, n, include_leakage=False),
+                ReadSetup(0.2, n, FactorToggles(leakage=False)),
                 "on",
             )
             sol = solve_column(net)
@@ -144,7 +149,7 @@ class TestSolveColumn:
         net = build_column(
             profile22,
             CellSpec(20e3, 10),
-            ReadSetup(0.2, 64, include_line_resistance=False),
+            ReadSetup(0.2, 64, FactorToggles(line_resistance=False)),
             "on",
         )
         sol = solve_column(net)
@@ -243,7 +248,7 @@ class TestPhysicsChecks:
 class TestOracleMargin:
     def test_ideal_network_margin_is_unity(self, profile22):
         res = oracle_margin(
-            profile22, CellSpec(20e3, 10), ReadSetup(0.2, 64, False, False, False)
+            profile22, CellSpec(20e3, 10), ReadSetup(0.2, 64, FactorToggles.all_off())
         )
         assert res.margin_normalized == pytest.approx(1.0, abs=1e-12)
 
@@ -276,7 +281,7 @@ class TestCompareLumpedDistributed:
         rows = compare_lumped_distributed(
             profile22,
             [CellSpec(20e3, 10)],
-            [ReadSetup(0.2, 64, False, False, False)],
+            [ReadSetup(0.2, 64, FactorToggles.all_off())],
         )
         (row,) = rows
         assert row.margin_lumped == 1.0
@@ -287,16 +292,70 @@ class TestCompareLumpedDistributed:
     def test_zero_line_resistance_gap_is_exactly_zero(self, profile22):
         cells = [CellSpec(r, 10) for r in (10e3, 1e6)]
         setups = [
-            ReadSetup(0.2, n, include_line_resistance=False) for n in (4, 256)
+            ReadSetup(0.2, n, FactorToggles(line_resistance=False)) for n in (4, 256)
         ]
         rows = compare_lumped_distributed(profile22, cells, setups)
         assert all(row.relative_gap == 0.0 for row in rows)
 
     def test_solver_failure_flagged_not_dropped(self, profile22):
         cells = [CellSpec(5e-324, 10), CellSpec(20e3, 10)]
-        setups = [ReadSetup(0.2, 8, False, False, False)]
+        setups = [ReadSetup(0.2, 8, FactorToggles.all_off())]
         rows = compare_lumped_distributed(profile22, cells, setups)
         assert len(rows) == 2
         assert rows[0].error is not None
         assert np.isnan(rows[0].margin_oracle)
         assert rows[1].error is None
+
+
+TOGGLE_SETS = [FactorToggles(*bits) for bits in itertools.product((True, False), repeat=3)]
+
+
+class TestClosedFormEqualsLadder:
+    """sense_grid's oracle engine is the ladder solution, bit for bit.
+
+    The two-solve route (build_column + solve_column per state and R_on)
+    is the reference; the closed form must reproduce its sensed currents
+    exactly, well past the sizes the dense-reference property test reaches.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1024, 16384])
+    @pytest.mark.parametrize("toggles", TOGGLE_SETS, ids=lambda t: t.describe())
+    def test_currents_equal_solve_column(self, profile22, n, toggles):
+        setup = ReadSetup(0.2, n, toggles)
+        i_on, i_off, _, _ = sense_grid(
+            profile22, DEFAULT_R_ON_GRID, 10.0, n, 0.2, toggles, "oracle"
+        )
+        for r_on, got_on, got_off in zip(DEFAULT_R_ON_GRID, i_on, i_off):
+            cell = CellSpec(r_on, 10.0)
+            for state, got in (("on", got_on), ("off", got_off)):
+                want = solve_column(build_column(profile22, cell, setup, state)).i_sensed
+                assert got == want, (r_on, state)
+
+
+class TestLeakageBreakdown:
+    """Past n(n-1)/2 * I_leak * r >= V_read the worst-case cell cannot be read."""
+
+    def test_oracle_raises_named_solver_error(self, profile22):
+        with pytest.raises(SolverError) as err:
+            oracle_margin(profile22, CellSpec(20e3, 10), ReadSetup(0.2, 65536))
+        assert "n=65536" in str(err.value)
+        assert "n=63246" in str(err.value)
+
+    def test_bound_is_the_last_readable_column(self, profile22):
+        cell = CellSpec(20e3, 10)
+        assert oracle_margin(profile22, cell, ReadSetup(0.2, 63246)).margin_normalized > 0
+        with pytest.raises(SolverError):
+            oracle_margin(profile22, cell, ReadSetup(0.2, 63247))
+
+    def test_comparison_flags_the_row(self, profile22):
+        rows = compare_lumped_distributed(
+            profile22,
+            [CellSpec(20e3, 10)],
+            [ReadSetup(0.2, 1024), ReadSetup(0.2, 65536)],
+        )
+        assert [row.error is None for row in rows] == [True, False]
+        assert "63246" in rows[1].error
+        assert np.isnan(rows[1].margin_oracle)
+        assert rows[1].margin_lumped == read_currents(
+            profile22, CellSpec(20e3, 10), ReadSetup(0.2, 65536)
+        ).margin_normalized
