@@ -1,16 +1,18 @@
 """Design-space studies built on the column model and the network oracle.
 
 Everything here is orchestration over model.sense_grid: each curve or
-pre-sweep is one array evaluation instead of one model call per point;
-only the optimal-range bisection, which needs one point at a time, calls
-the scalar view read_currents.  Both evaluate the same kernel, so sweep
-results are bit-identical to point evaluations.  Results are always
-assembled in grid order.
+pre-sweep is one array evaluation instead of one model call per point,
+and a MarginCurve carries that call's arrays as they are, one entry per
+x, already checked by sense_grid.  Only the optimal-range bisection,
+which needs one point at a time, calls the scalar view read_currents.
+Both evaluate the same kernel, so curve values are bit-identical to
+point evaluations.  Results are always assembled in grid order.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,11 +23,9 @@ from .model import (
     CellSpec,
     FactorToggles,
     ReadSetup,
-    SenseResult,
     TechnologyProfile,
     read_currents,
     sense_grid,
-    sense_results,
 )
 
 # Default grids mirror the usual presentation of this design space:
@@ -73,8 +73,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class MarginCurve:
-    """Ordered (x, y) samples with the full sense result behind each point.
+    """Ordered (x, y) samples with the sense_grid arrays behind them.
 
+    sensed is the (i_on, i_off, ratio_effective, margin_normalized)
+    arrays of the sense_grid call behind the curve, one entry per x.
     y_kind is "margin" for normalized-margin curves (values in (0, 1])
     and "delta" for margin-difference curves, which may touch zero.
     """
@@ -82,13 +84,13 @@ class MarginCurve:
     label: str
     x: tuple[float, ...]
     y: tuple[float, ...]
-    results: tuple[SenseResult, ...]
+    sensed: tuple[np.ndarray, ...]
     meta: dict[str, Any] = field(default_factory=dict)
     y_kind: str = "margin"
 
     def __post_init__(self) -> None:
-        if len(self.x) != len(self.y) or len(self.x) != len(self.results):
-            raise ValueError("x, y and results must have equal length")
+        if len(self.y) != len(self.x) or any(len(a) != len(self.x) for a in self.sensed):
+            raise ValueError("x, y and the sensed arrays must have equal length")
         if not self.x:
             raise ValueError("curve must contain at least one point")
         if any(b <= a for a, b in zip(self.x, self.x[1:])):
@@ -105,14 +107,7 @@ def margin_curve(
     label: str, x, grid: tuple[np.ndarray, ...], meta: dict[str, Any]
 ) -> MarginCurve:
     """Margin curve over x from the arrays of one sense_grid call."""
-    results = sense_results(*grid)
-    return MarginCurve(
-        label=label,
-        x=tuple(x),
-        y=tuple(r.margin_normalized for r in results),
-        results=results,
-        meta=meta,
-    )
+    return MarginCurve(label, tuple(x), tuple(grid[3].tolist()), grid, meta)
 
 
 def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]:
@@ -120,24 +115,24 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
 
     Slices iterate in that nesting order, so the output ordering is
     deterministic for a given spec.  A point failure (for example a read
-    voltage outside the leakage table) drops the affected slice; the
-    sweep itself fails, re-raising the first error, only when no slice
-    survives.
+    voltage outside the leakage table) drops the affected slice, with a
+    warning naming the slice and the error; the sweep itself fails,
+    re-raising the first error, only when no slice survives.
     """
     curves = []
-    errors: list[Exception] = []
+    dropped: list[tuple[str, Exception]] = []
     for toggles in spec.toggles:
         for v_read in spec.v_read_grid:
             for n in spec.n_grid:
+                label = f"{toggles.describe()}, V={v_read:g}V, n={n}"
                 try:
                     grid = sense_grid(
                         profile, spec.r_on_grid, spec.ratio_ideal, n, v_read,
                         toggles, spec.engine,
                     )
                 except Exception as exc:
-                    errors.append(exc)
+                    dropped.append((label, exc))
                     continue
-                label = f"{toggles.describe()}, V={v_read:g}V, n={n}"
                 meta = {
                     "n_cells": n,
                     "v_read": v_read,
@@ -146,8 +141,10 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
                     "engine": spec.engine,
                 }
                 curves.append(margin_curve(label, spec.r_on_grid, grid, meta))
-    if not curves and errors:
-        raise errors[0]
+    if not curves:
+        raise dropped[0][1]
+    for label, exc in dropped:
+        warnings.warn(f"sweep slice {label} dropped: {exc}", stacklevel=2)
     return curves
 
 
@@ -298,7 +295,7 @@ def compensation_curve(
     Leakage is re-evaluated at each voltage from the profile table, so the
     gain reflects both the stronger read current and the higher leakage.
     Without the leakage factor the margin is voltage-independent and the
-    gain is identically zero.  The attached sense results are those at
+    gain is identically zero.  The attached sensed arrays are those at
     the raised voltage.
     """
     base = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_base, toggles)
@@ -307,7 +304,7 @@ def compensation_curve(
         label=f"margin gain {v_base:g}V->{v_alt:g}V",
         x=tuple(r_on_grid),
         y=tuple((alt[3] - base[3]).tolist()),
-        results=sense_results(*alt),
+        sensed=alt,
         meta={
             "n_cells": n_cells,
             "v_base": v_base,

@@ -2,8 +2,9 @@
 
 Subcommands: margin, sweep, ablate, optimal-range, compensate, validate,
 and the preset studies fig3..fig6.  Exit codes: 0 success, 1 computation
-or validation failure, 2 usage error.  Resistances and currents are plain
-ohms / amperes (scientific notation welcome, e.g. --ron 20e3).
+or validation failure, 2 usage error; a sweep reports each slice it drops
+on stderr and exits 0 while one survives.  Resistances and currents are
+plain ohms / amperes (scientific notation welcome, e.g. --ron 20e3).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -139,20 +141,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         toggles=(_toggles(args),),
         engine=args.engine,
     )
-    curves = sweep_grid(spec, profile)
+    with warnings.catch_warnings(record=True) as dropped:
+        warnings.simplefilter("always")
+        curves = sweep_grid(spec, profile)
+    for warning in dropped:
+        print(f"warning: {warning.message}", file=sys.stderr)
     rows = [
         (
             curve.meta["toggles"].describe(),
             curve.meta["v_read"],
             curve.meta["n_cells"],
-            r_on,
-            res.i_on,
-            res.i_off,
-            res.ratio_effective,
-            res.margin_normalized,
+            *point,
         )
         for curve in curves
-        for r_on, res in zip(curve.x, curve.results)
+        for point in zip(curve.x, *curve.sensed)
     ]
     table = ResultTable(
         header=(
@@ -459,3 +461,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

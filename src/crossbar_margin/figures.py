@@ -63,10 +63,9 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
             for r_on in r_ons
         ]
         rows += [
-            (key, r_on, n, V_READ_DEFAULT,
-             res.i_on, res.i_off, res.ratio_effective, res.margin_normalized)
+            (key, r_on, n, V_READ_DEFAULT, *sensed)
             for r_on, curve in zip(r_ons, curves)
-            for n, res in zip(DEFAULT_N_GRID, curve.results)
+            for n, *sensed in zip(DEFAULT_N_GRID, *curve.sensed)
         ]
         svg_path = outdir / f"fig3{key}.svg"
         render_plot(

@@ -365,12 +365,6 @@ def sense_grid(
     return grid
 
 
-def sense_results(i_on, i_off, ratio, margin) -> tuple[SenseResult, ...]:
-    """One SenseResult per point of sense_grid's arrays, in C order."""
-    columns = (np.ravel(a).tolist() for a in (i_on, i_off, ratio, margin))
-    return tuple(map(SenseResult, *columns))
-
-
 def sense_point(
     profile: TechnologyProfile, cell: CellSpec, setup: ReadSetup, engine: str = "lumped"
 ) -> SenseResult:

@@ -220,25 +220,19 @@ def kcl_residuals(net: ColumnNetwork, sol: NetworkSolution) -> np.ndarray:
     single branch current.  Entries cover the n bit-line nodes followed
     by the n-1 source-line nodes.
     """
-    n = net.n_cells
-    sel = net.selected_index
-    i_leak = net.i_leak_per_cell
+    n, sel = net.n_cells, net.selected_index
     f_bl, f_sl = sol.bl_segment_currents, sol.sl_segment_currents
-
-    residuals = np.zeros(2 * n - 1)
-    scales = np.zeros(2 * n - 1)
-    for j in range(1, n + 1):
-        inflow = f_bl[j - 1]
-        outflow_line = f_bl[j] if j < n else 0.0
-        extraction = sol.i_selected_cell if j == sel else i_leak
-        residuals[j - 1] = inflow - outflow_line - extraction
-        scales[j - 1] = max(abs(inflow), abs(outflow_line), abs(extraction))
-    for j in range(1, n):
-        inflow_line = f_sl[j - 2] if j > 1 else 0.0
-        injection = sol.i_selected_cell if j == sel else i_leak
-        outflow = f_sl[j - 1]
-        residuals[n + j - 1] = inflow_line + injection - outflow
-        scales[n + j - 1] = max(abs(inflow_line), abs(injection), abs(outflow))
+    # Cell j carries its current from bit-line node j to source-line node j;
+    # a line current past either end of a line is 0.
+    cell = np.full(n, net.i_leak_per_cell)
+    cell[sel - 1] = sol.i_selected_cell
+    bl_out = np.concatenate((f_bl[1:], [0.0]))
+    sl_in = np.concatenate(([0.0], f_sl))[: n - 1]
+    residuals = np.concatenate((f_bl - bl_out - cell, sl_in + cell[: n - 1] - f_sl))
+    scales = np.concatenate((
+        np.maximum(np.maximum(abs(f_bl), abs(bl_out)), abs(cell)),
+        np.maximum(np.maximum(abs(sl_in), abs(cell[: n - 1])), abs(f_sl)),
+    ))
     scales = np.maximum(scales, np.finfo(float).tiny)
     return np.abs(residuals) / scales
 
@@ -251,8 +245,8 @@ def kvl_loop_residual(net: ColumnNetwork, sol: NetworkSolution) -> float:
     sensitive to single-ulp defects.
     """
     n, sel, r = net.n_cells, net.selected_index, net.r_segment
-    drops = [r * f for f in sol.bl_segment_currents[:sel]]
-    drops += [r * f for f in sol.sl_segment_currents[sel - 1 : n - 1]]
+    drops = (r * sol.bl_segment_currents[:sel]).tolist()
+    drops += (r * sol.sl_segment_currents[sel - 1 : n - 1]).tolist()
     drops.append(sol.i_selected_cell * net.r_cell_on_path)
     return abs(math.fsum(drops) - net.v_drive) / abs(net.v_drive)
 

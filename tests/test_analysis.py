@@ -12,6 +12,7 @@ from crossbar_margin import (
     MarginCurve,
     NonUnimodalError,
     ReadSetup,
+    SenseResult,
     SweepSpec,
     ablation_series,
     argmax_resistance,
@@ -19,6 +20,7 @@ from crossbar_margin import (
     find_optimal_range,
     read_currents,
     read_power_ratio,
+    sense_grid,
     sweep_grid,
 )
 from crossbar_margin.analysis import DEFAULT_R_ON_GRID, _check_quasi_concave
@@ -46,9 +48,9 @@ class TestSweepGrid:
         assert len(curves) == 4  # toggles x v x n
         for curve in curves:
             setup = ReadSetup(curve.meta["v_read"], curve.meta["n_cells"])
-            for r_on, res in zip(curve.x, curve.results):
+            for r_on, *point in zip(curve.x, *curve.sensed):
                 direct = read_currents(profile22, CellSpec(r_on, 10.0), setup)
-                assert res == direct
+                assert SenseResult(*map(float, point)) == direct
 
     def test_slice_order_deterministic(self, profile22):
         spec = SweepSpec(
@@ -125,8 +127,8 @@ class TestSweepGrid:
             engine="oracle",
         )
         (curve,) = sweep_grid(spec, profile22)
-        for r_on, res in zip(curve.x, curve.results):
-            assert res == oracle_margin(
+        for r_on, *point in zip(curve.x, *curve.sensed):
+            assert SenseResult(*map(float, point)) == oracle_margin(
                 profile22, CellSpec(r_on, 10.0), ReadSetup(0.2, 64)
             )
 
@@ -137,8 +139,13 @@ class TestSweepGrid:
             v_read_grid=(0.2, 0.7),  # 0.7 V is outside the leakage table
             ratio_ideal=10.0,
         )
-        curves = sweep_grid(spec, profile22)
+        with pytest.warns(UserWarning) as dropped:
+            curves = sweep_grid(spec, profile22)
         assert [c.meta["v_read"] for c in curves] == [0.2]
+        (warning,) = dropped
+        message = str(warning.message)
+        assert message.startswith("sweep slice r+R_T+I_Tleak, V=0.7V, n=64 dropped: ")
+        assert "read voltage 0.7 V outside leakage table range" in message
 
     def test_total_failure_raises(self, profile22):
         spec = SweepSpec(
@@ -170,30 +177,33 @@ class TestSweepGrid:
 
 
 class TestMarginCurve:
-    def _res(self, profile):
-        return read_currents(profile, CellSpec(1e4, 10), ReadSetup(0.2, 4))
+    def _sensed(self, profile, points=2):
+        return sense_grid(profile, (1e4,) * points, 10, 4, 0.2)
 
     def test_x_must_increase(self, profile22):
-        res = self._res(profile22)
+        sensed = self._sensed(profile22)
         with pytest.raises(ValueError):
-            MarginCurve("c", (2.0, 1.0), (0.5, 0.5), (res, res))
+            MarginCurve("c", (2.0, 1.0), (0.5, 0.5), sensed)
 
     def test_margin_bounds_enforced(self, profile22):
-        res = self._res(profile22)
+        sensed = self._sensed(profile22)
         with pytest.raises(ValueError):
-            MarginCurve("c", (1.0, 2.0), (0.0, 0.5), (res, res))
+            MarginCurve("c", (1.0, 2.0), (0.0, 0.5), sensed)
         with pytest.raises(ValueError):
-            MarginCurve("c", (1.0, 2.0), (0.5, 1.5), (res, res))
+            MarginCurve("c", (1.0, 2.0), (0.5, 1.5), sensed)
 
     def test_delta_curves_may_touch_zero(self, profile22):
-        res = self._res(profile22)
-        curve = MarginCurve("c", (1.0, 2.0), (0.0, -0.1), (res, res), y_kind="delta")
+        sensed = self._sensed(profile22)
+        curve = MarginCurve("c", (1.0, 2.0), (0.0, -0.1), sensed, y_kind="delta")
         assert curve.y == (0.0, -0.1)
 
     def test_length_mismatch(self, profile22):
-        res = self._res(profile22)
         with pytest.raises(ValueError):
-            MarginCurve("c", (1.0, 2.0), (0.5,), (res,))
+            MarginCurve("c", (1.0, 2.0), (0.5,), self._sensed(profile22, 1))
+
+    def test_sensed_length_mismatch(self, profile22):
+        with pytest.raises(ValueError):
+            MarginCurve("c", (1.0, 2.0), (0.5, 0.5), self._sensed(profile22, 3))
 
 
 class TestAblationSeries:
@@ -207,7 +217,7 @@ class TestAblationSeries:
         assert [label for label, _ in series] == ["baseline", "-R_T", "-r", "-I_Tleak"]
         baseline = dict(series)["baseline"]
         direct = read_currents(profile22, CellSpec(1e4, 10), ReadSetup(0.2, 1024))
-        assert baseline.results[0] == direct
+        assert SenseResult(*(float(a[0]) for a in baseline.sensed)) == direct
 
     def test_without_leakage_margin_approaches_unity(self, profile22):
         series = dict(

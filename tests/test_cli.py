@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import crossbar_margin
+from crossbar_margin import CellSpec, ReadSetup, oracle_margin, read_currents
 from crossbar_margin.cli import run_cli
 from crossbar_margin.profile_io import dump_profile, load_bundled_profile
 
@@ -135,6 +137,41 @@ class TestSweepCommand:
         assert len(lines) == 1 + 2 * 10
         assert svg_path.read_text(encoding="utf-8").count("<polyline") == 2
 
+    @pytest.mark.parametrize(
+        "engine, direct", [("lumped", read_currents), ("oracle", oracle_margin)]
+    )
+    def test_csv_currents_equal_point_calls(self, tmp_path, capsys, engine, direct):
+        csv_path = tmp_path / "s.csv"
+        args = [
+            "sweep", "--k", "10", "--n", "64", "1024", "--vread", "0.2", "0.4",
+            "--ron-points", "10", "--engine", engine, "--csv", str(csv_path),
+        ]
+        assert run_cli(args) == 0
+        with csv_path.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2 * 2 * 10
+        profile = load_bundled_profile()
+        for row in rows:
+            setup = ReadSetup(float(row["v_read_v"]), int(row["n_cells"]))
+            res = direct(profile, CellSpec(float(row["r_on_ohm"]), 10.0), setup)
+            # The CSV writes floats with repr, so equal text is equal bits.
+            assert row["i_on_a"] == repr(res.i_on)
+            assert row["i_off_a"] == repr(res.i_off)
+            assert row["ratio_effective"] == repr(res.ratio_effective)
+            assert row["margin_normalized"] == repr(res.margin_normalized)
+
+    def test_dropped_slice_reported_on_stderr(self, capsys):
+        args = ["sweep", "--k", "10", "--n", "256", "--vread", "0.1", "0.2"]
+        assert run_cli(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "warning: sweep slice r+R_T+I_Tleak, V=0.1V, n=256 dropped: "
+            "read voltage 0.1 V outside leakage table range"
+        )
+        assert captured.err.count("\n") == 1
+        assert "V=0.2V, n=256: margin" in captured.out
+        assert "V=0.1V" not in captured.out
+
     def test_summary_without_files(self, capsys):
         args = ["sweep", "--k", "10", "--n", "64", "--ron-points", "5"]
         assert run_cli(args) == 0
@@ -202,10 +239,12 @@ class TestUsageErrors:
 
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(crossbar_margin.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "crossbar_margin", "margin", "--ron", "20e3",
-         "--k", "10", "--n", "512", "--vread", "0.2", "--json"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["margin_normalized"] == pytest.approx(0.86737, abs=1e-5)
+    for module in ("crossbar_margin", "crossbar_margin.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "margin", "--ron", "20e3",
+             "--k", "10", "--n", "512", "--vread", "0.2", "--json"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        margin = json.loads(proc.stdout)["margin_normalized"]
+        assert margin == pytest.approx(0.86737, abs=1e-5)

@@ -6,6 +6,7 @@ nodal-analysis solve (tests/nodal_reference.py) and against closed-form
 limits.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -29,6 +30,7 @@ from crossbar_margin import (
     solve_column,
 )
 from crossbar_margin.analysis import DEFAULT_R_ON_GRID
+from kirchhoff_reference import kcl_residuals_loop, kvl_loop_residual_loop
 from nodal_reference import dense_nodal_solution
 
 REL = 1e-12
@@ -243,6 +245,30 @@ class TestPhysicsChecks:
                     profile22, CellSpec(20e3, 10), ReadSetup(0.2, n), "on", sel
                 )
                 assert kvl_loop_residual(net, solve_column(net)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1024])
+    def test_residuals_bit_identical_to_node_loops(self, profile22, n):
+        for bits in itertools.product((True, False), repeat=3):
+            setup = ReadSetup(0.2, n, FactorToggles(*bits))
+            positions = sorted({s for s in (1, 2, n // 2, n - 1, n) if 1 <= s <= n})
+            for r_on, state, sel in itertools.product((1e4, 1e6, 1e8), ("on", "off"), positions):
+                net = build_column(profile22, CellSpec(r_on, 10), setup, state, sel)
+                sol = solve_column(net)
+                got = kcl_residuals(net, sol)
+                assert got.tobytes() == kcl_residuals_loop(net, sol).tobytes()
+                assert kvl_loop_residual(net, sol) == kvl_loop_residual_loop(net, sol)
+
+    def test_kcl_flags_exactly_the_perturbed_nodes(self, profile22):
+        n = 64
+        net = build_column(profile22, CellSpec(20e3, 10), ReadSetup(0.2, n), "on")
+        sol = solve_column(net)
+        f_bl = sol.bl_segment_currents.copy()
+        f_sl = sol.sl_segment_currents.copy()
+        f_bl[10] *= 1 + 1e-9  # enters bit-line node 11, leaves node 10
+        f_sl[20] *= 1 + 1e-9  # leaves source-line node 21, enters node 22
+        bad = dataclasses.replace(sol, bl_segment_currents=f_bl, sl_segment_currents=f_sl)
+        flagged = np.flatnonzero(kcl_residuals(net, bad) > 1e-12)
+        assert flagged.tolist() == [9, 10, n + 20, n + 21]
 
 
 class TestOracleMargin:

@@ -5,20 +5,18 @@ import csv
 import pytest
 
 from crossbar_margin import (
-    CellSpec,
     MarginCurve,
-    ReadSetup,
     ResultTable,
-    read_currents,
     render_plot,
+    sense_grid,
     write_csv,
 )
 from crossbar_margin.svg import TOP
 
 
 def make_curve(profile, label, xs, ys, y_kind="margin"):
-    res = read_currents(profile, CellSpec(1e4, 10), ReadSetup(0.2, 4))
-    return MarginCurve(label, tuple(xs), tuple(ys), tuple(res for _ in xs), y_kind=y_kind)
+    sensed = sense_grid(profile, (1e4,) * len(xs), 10, 4, 0.2)
+    return MarginCurve(label, tuple(xs), tuple(ys), sensed, y_kind=y_kind)
 
 
 class TestResultTable:
@@ -113,10 +111,7 @@ class TestRenderPlot:
                 "bad",
                 (0.0, 1.0),
                 (0.1, 0.2),
-                tuple(
-                    read_currents(profile22, CellSpec(1e4, 10), ReadSetup(0.2, 4))
-                    for _ in range(2)
-                ),
+                sense_grid(profile22, (1e4, 1e4), 10, 4, 0.2),
             )
         ]
         with pytest.raises(ValueError):
