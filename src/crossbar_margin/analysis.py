@@ -12,6 +12,7 @@ point evaluations.  Results are always assembled in grid order.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Any
@@ -93,14 +94,21 @@ class MarginCurve:
             raise ValueError("x, y and the sensed arrays must have equal length")
         if not self.x:
             raise ValueError("curve must contain at least one point")
-        if any(b <= a for a, b in zip(self.x, self.x[1:])):
-            raise ValueError("x values must be strictly increasing")
+        if not all(map(operator.lt, self.x, self.x[1:])):  # NaN fails this too
+            a, b = next((a, b) for a, b in zip(self.x, self.x[1:]) if not a < b)
+            raise ValueError(f"x values must be strictly increasing, got {a} then {b}")
+        for v in (self.x[0], self.x[-1]):
+            if not math.isfinite(v):
+                raise ValueError(f"x values must be finite, got {v}")
         if self.y_kind not in ("margin", "delta"):
             raise ValueError(f'y_kind must be "margin" or "delta", got {self.y_kind!r}')
         if self.y_kind == "margin":
             for v in self.y:
                 if not (0.0 < v <= 1.0 + 1e-12):
                     raise ValueError(f"margin values must lie in (0, 1], got {v}")
+        elif not all(map(math.isfinite, self.y)):
+            v = next(v for v in self.y if not math.isfinite(v))
+            raise ValueError(f"delta values must be finite, got {v}")
 
 
 def margin_curve(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +19,8 @@ class ResultTable:
     def __post_init__(self) -> None:
         if not self.header:
             raise ValueError("header must not be empty")
+        if not all(isinstance(h, str) for h in self.header):
+            raise ValueError(f"header cells must be strings, got {self.header!r}")
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
         for i, row in enumerate(self.rows):
             if len(row) != len(self.header):
@@ -33,7 +35,7 @@ def format_cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -42,11 +44,28 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# The fields csv.writer quotes (QUOTE_MINIMAL, "\n" line terminator).
+_needs_quotes = re.compile('[,"\n]').search
+
+
+def _quote(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
+
+
+def _format_column(cells: tuple) -> map | list[str]:
+    """format_cell over one column, by one C-level map where the types allow."""
+    kinds = set(map(type, cells))
+    if all(issubclass(kind, float) for kind in kinds):
+        return map(repr, map(float, cells))
+    if kinds == {int}:
+        return map(str, cells)
+    return [_quote(format_cell(cell)) for cell in cells]
+
+
 def write_csv(table: ResultTable, path: str | Path) -> None:
-    """RFC-4180-style CSV: UTF-8, LF endings, header first, deterministic bytes."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(table.header)
-        for row in table.rows:
-            writer.writerow([format_cell(cell) for cell in row])
+    """RFC-4180-style CSV: UTF-8, LF endings, header first, deterministic bytes,
+    the same bytes as csv.writer fed format_cell cell by cell."""
+    columns = map(_format_column, zip(*table.rows))
+    lines = [",".join(map(_quote, table.header)), *map(",".join, zip(*columns))]
+    text = "\n".join([line or '""' for line in lines]) + "\n"  # csv's "" for one empty cell
+    Path(path).write_text(text, encoding="utf-8", newline="")

@@ -205,6 +205,23 @@ class TestMarginCurve:
         with pytest.raises(ValueError):
             MarginCurve("c", (1.0, 2.0), (0.5, 0.5), self._sensed(profile22, 3))
 
+    @pytest.mark.parametrize(
+        "x, y, named",
+        [
+            ((1.0, 2.0, 3.0), (0.0, math.nan, 0.1), "nan"),
+            ((1.0, 2.0, 3.0), (0.0, 0.1, -math.inf), "-inf"),
+            ((1.0, math.nan, 3.0), (0.0, 0.1, 0.2), "nan"),
+            ((math.nan, 2.0, 3.0), (0.0, 0.1, 0.2), "nan"),
+            ((1.0, 2.0, math.inf), (0.0, 0.1, 0.2), "inf"),
+            ((-math.inf, 2.0, 3.0), (0.0, 0.1, 0.2), "-inf"),
+            ((math.nan,), (0.5,), "nan"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, profile22, x, y, named):
+        sensed = self._sensed(profile22, len(x))
+        with pytest.raises(ValueError, match=f"got.*{named}"):
+            MarginCurve("d", x, y, sensed, y_kind="delta")
+
 
 class TestAblationSeries:
     def test_labels_and_baseline(self, profile22):

@@ -1,9 +1,21 @@
 """Tests for CSV emission and the SVG renderer."""
 
 import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
+import numpy as np
 import pytest
+from csv_reference import write_csv_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from svg_reference import render_plot_reference
 
+import crossbar_margin
 from crossbar_margin import (
     MarginCurve,
     ResultTable,
@@ -11,7 +23,8 @@ from crossbar_margin import (
     sense_grid,
     write_csv,
 )
-from crossbar_margin.svg import TOP
+from crossbar_margin.results import format_cell
+from crossbar_margin.svg import TOP, escape
 
 
 def make_curve(profile, label, xs, ys, y_kind="margin"):
@@ -53,6 +66,82 @@ class TestResultTable:
         write_csv(table, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert b"\r" not in p1.read_bytes()
+
+    def test_header_cells_must_be_strings(self):
+        with pytest.raises(ValueError, match="header cells must be strings"):
+            ResultTable(header=("a", 1.5), rows=())
+
+
+class TestFormatCell:
+    def test_numpy_bools_read_like_python_bools(self):
+        assert format_cell(np.bool_(True)) == format_cell(True) == "true"
+        assert format_cell(np.bool_(False)) == format_cell(False) == "false"
+
+
+TEXT = st.text(st.sampled_from('ab ,"\r\n\t&é'), max_size=5)
+CELL_KINDS = {
+    "none": st.none(),
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    "int": st.integers(),
+    "np.int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "float": st.floats(),  # nan, +-inf and -0.0 included
+    "np.float64": st.floats().map(np.float64),
+    "str": TEXT,
+}
+COLUMN_KINDS = [
+    *CELL_KINDS.values(),
+    st.one_of(CELL_KINDS["float"], CELL_KINDS["np.float64"]),
+    st.one_of(*CELL_KINDS.values()),
+]
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(1, 4))
+    length = draw(st.integers(0, 6))
+    header = draw(st.lists(TEXT, min_size=width, max_size=width))
+    columns = [
+        draw(st.lists(draw(st.sampled_from(COLUMN_KINDS)), min_size=length, max_size=length))
+        for _ in range(width)
+    ]
+    return ResultTable(header=tuple(header), rows=tuple(zip(*columns)))
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reference")
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables())
+@example(table=ResultTable(header=("",), rows=(("",), (None,), ("a\rb",))))
+@example(table=ResultTable(header=("x", "y"), rows=()))
+@example(table=ResultTable(header=("x", "y"), rows=(("", None), (-0.0, np.nan))))
+def test_write_csv_matches_cell_by_cell_reference(out_dir, table):
+    write_csv(table, out_dir / "columns.csv")
+    write_csv_reference(table, out_dir / "cells.csv")
+    assert (out_dir / "columns.csv").read_bytes() == (out_dir / "cells.csv").read_bytes()
+
+
+@given(st.text())
+@example("a & <b> >> &amp;")
+def test_escape_matches_saxutils(text):
+    assert escape(text) == sax_escape(text)
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    unwanted = ("xml.sax", "urllib.request", "http.client", "email")
+    code = (
+        "import sys, json, crossbar_margin.cli; "
+        f"print(json.dumps([m for m in {unwanted!r} if m in sys.modules]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(crossbar_margin.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 class TestRenderPlot:
@@ -124,3 +213,40 @@ class TestRenderPlot:
         path = tmp_path / "d.svg"
         render_plot(curves, path)
         assert path.exists()
+
+
+LABEL = st.text(st.sampled_from("ab&<> "), min_size=1, max_size=4)
+
+
+@st.composite
+def plots(draw):
+    x_log = draw(st.booleans())
+    x_values = st.floats(1e-3, 1e9) if x_log else st.floats(-1e6, 1e6)
+    curves = []
+    for _ in range(draw(st.integers(1, 4))):
+        xs = sorted(draw(st.lists(x_values, min_size=1, max_size=12, unique=True)))
+        ys = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(xs), max_size=len(xs)))
+        sensed = (np.zeros(len(xs)),) * 4
+        curves.append(MarginCurve(draw(LABEL), tuple(xs), tuple(ys), sensed, y_kind="delta"))
+    labels = [c.label for c in curves]
+    pinned = st.none() | st.floats(-3.0, 3.0)  # pinned bounds clamp the data
+    kwargs = dict(
+        title=draw(LABEL),
+        x_label=draw(LABEL),
+        y_label=draw(LABEL),
+        x_log=x_log,
+        y_min=draw(pinned),
+        y_max=draw(pinned),
+        marker_labels=draw(st.lists(st.sampled_from(labels), max_size=2)),
+        dash_labels=draw(st.lists(st.sampled_from(labels), max_size=2)),
+    )
+    return curves, kwargs
+
+
+@settings(max_examples=200, deadline=None)
+@given(plot=plots())
+def test_render_plot_matches_point_by_point_reference(out_dir, plot):
+    curves, kwargs = plot
+    render_plot(curves, out_dir / "columns.svg", **kwargs)
+    render_plot_reference(curves, out_dir / "points.svg", **kwargs)
+    assert (out_dir / "columns.svg").read_bytes() == (out_dir / "points.svg").read_bytes()
