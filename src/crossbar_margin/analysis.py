@@ -43,6 +43,22 @@ class NonUnimodalError(ValueError):
     """Margin-versus-resistance curve is not quasi-concave."""
 
 
+def _check_grid(name: str, grid) -> None:
+    """Reject a grid that is empty, not strictly increasing or not finite.
+
+    A NaN anywhere fails the order check, so between finite ends every
+    value is finite.
+    """
+    if len(grid) == 0:
+        raise ValueError(f"{name} must be non-empty")
+    if not all(map(operator.lt, grid, grid[1:])):
+        a, b = next((a, b) for a, b in zip(grid, grid[1:]) if not a < b)
+        raise ValueError(f"{name} must be strictly increasing, got {a} then {b}")
+    for v in (grid[0], grid[-1]):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A margin sweep: resistance grid crossed with sizes, voltages, toggles."""
@@ -61,11 +77,7 @@ class SweepSpec:
             self, "v_read_grid", tuple(float(v) for v in self.v_read_grid)
         )
         for name in ("r_on_grid", "n_grid", "v_read_grid"):
-            grid = getattr(self, name)
-            if not grid:
-                raise ValueError(f"{name} must be non-empty")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError(f"{name} must be sorted strictly ascending")
+            _check_grid(name, getattr(self, name))
         if not self.toggles:
             raise ValueError("toggles must contain at least one combination")
         if self.engine not in ENGINES:
@@ -92,14 +104,7 @@ class MarginCurve:
     def __post_init__(self) -> None:
         if len(self.y) != len(self.x) or any(len(a) != len(self.x) for a in self.sensed):
             raise ValueError("x, y and the sensed arrays must have equal length")
-        if not self.x:
-            raise ValueError("curve must contain at least one point")
-        if not all(map(operator.lt, self.x, self.x[1:])):  # NaN fails this too
-            a, b = next((a, b) for a, b in zip(self.x, self.x[1:]) if not a < b)
-            raise ValueError(f"x values must be strictly increasing, got {a} then {b}")
-        for v in (self.x[0], self.x[-1]):
-            if not math.isfinite(v):
-                raise ValueError(f"x values must be finite, got {v}")
+        _check_grid("x", self.x)
         if self.y_kind not in ("margin", "delta"):
             raise ValueError(f'y_kind must be "margin" or "delta", got {self.y_kind!r}')
         if self.y_kind == "margin":
@@ -231,10 +236,12 @@ def find_optimal_range(
     log space to 1 % relative resolution.  The returned endpoints lie on
     the inside of their brackets, so the margin at both endpoints is at
     or above the threshold.  Returns None when even the peak falls short.
-    An interval clipped by the grid edge is returned as-is.
+    An interval clipped by the grid edge is returned as-is.  r_on_grid
+    must be non-empty, strictly increasing and finite.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    _check_grid("r_on_grid", r_on_grid)
 
     margins = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_read)[3].tolist()
     _check_quasi_concave(r_on_grid, margins)
@@ -282,9 +289,9 @@ def argmax_resistance(
     """Grid resistance with the highest margin; ties go to the lower value.
 
     The tie rule favors read speed and is fixed so results are reproducible.
+    r_on_grid must be non-empty, strictly increasing and finite.
     """
-    if not r_on_grid:
-        raise ValueError("r_on_grid must be non-empty")
+    _check_grid("r_on_grid", r_on_grid)
     margins = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_read)[3]
     return r_on_grid[int(np.argmax(margins))]
 

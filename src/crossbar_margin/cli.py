@@ -19,17 +19,24 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    COARSE_R_ON_GRID,
     DEFAULT_N_GRID,
+    VALIDATION_N_GRID,
     NonUnimodalError,
     SweepSpec,
     argmax_resistance,
-    compensation_curve,
     ablation_series,
+    compensation_curve,
     find_optimal_range,
     read_power_ratio,
     sweep_grid,
 )
-from .figures import FIGURE_WRITERS
+from .figures import (
+    FIGURE_WRITERS,
+    MARGIN_VS_R_ON,
+    render_ablation_svg,
+    write_ablation_csv,
+)
 from .model import (
     ENGINES,
     CellSpec,
@@ -45,9 +52,10 @@ from .profile_io import ProfileError, load_bundled_profile, load_profile
 from .results import ResultTable, write_csv
 from .svg import render_plot
 
+# (R_on grid, n grid) per --grid choice; "full" is fig4's network grid.
 VALIDATION_GRIDS = {
-    "full": {"r_points": 20, "n_grid": (256, 512, 1024, 2048, 4096)},
-    "quick": {"r_points": 8, "n_grid": (256, 1024)},
+    "full": (COARSE_R_ON_GRID, VALIDATION_N_GRID),
+    "quick": (tuple(float(x) for x in np.logspace(4.0, 8.0, 8)), (256, 1024)),
 }
 
 
@@ -71,12 +79,10 @@ def _add_toggle_args(parser: argparse.ArgumentParser) -> None:
         )
 
 
-def _add_ron_grid_args(parser: argparse.ArgumentParser, points: int = 200) -> None:
+def _add_ron_grid_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ron-min", type=float, default=1e4, help="grid start (ohm)")
     parser.add_argument("--ron-max", type=float, default=1e8, help="grid end (ohm)")
-    parser.add_argument(
-        "--ron-points", type=int, default=points, help="log-spaced grid size"
-    )
+    parser.add_argument("--ron-points", type=int, default=200, help="log-spaced grid size")
 
 
 def _ron_grid(args: argparse.Namespace) -> tuple[float, ...]:
@@ -177,10 +183,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             curves,
             args.svg,
             title=f"Sensing margin vs R_on (k={args.k:g})",
-            x_label="R_on (ohm)",
-            y_label="normalized margin",
-            y_min=0.0,
-            y_max=1.0,
+            **MARGIN_VS_R_ON,
         )
         print(f"wrote {args.svg} ({len(curves)} curves)")
     if not args.csv and not args.svg:
@@ -194,31 +197,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     profile = _load(args)
+    grid = _ron_grid(args)
     setup = ReadSetup(v_read=args.vread, n_cells=args.n)
-    series = ablation_series(
-        profile, CellSpec(r_on=args.ron_min, ratio_ideal=args.k), setup, _ron_grid(args)
-    )
+    series = ablation_series(profile, CellSpec(r_on=grid[0], ratio_ideal=args.k), setup, grid)
     if args.csv:
-        rows = [
-            (label, r_on, margin)
-            for label, curve in series
-            for r_on, margin in zip(curve.x, curve.y)
-        ]
-        write_csv(
-            ResultTable(header=("variant", "r_on_ohm", "margin_normalized"), rows=tuple(rows)),
-            args.csv,
-        )
-        print(f"wrote {args.csv} ({len(rows)} rows)")
+        n_rows = write_ablation_csv(series, args.csv)
+        print(f"wrote {args.csv} ({n_rows} rows)")
     if args.svg:
-        render_plot(
-            [curve for _, curve in series],
-            args.svg,
-            title=f"Non-ideality ablation (k={args.k:g}, n={args.n})",
-            x_label="R_on (ohm)",
-            y_label="normalized margin",
-            y_min=0.0,
-            y_max=1.0,
-        )
+        render_ablation_svg(series, args.svg)
         print(f"wrote {args.svg}")
     if not args.csv and not args.svg:
         for label, curve in series:
@@ -287,12 +273,9 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     profile = _load(args)
-    preset = VALIDATION_GRIDS[args.grid]
-    r_grid = tuple(
-        float(x) for x in np.logspace(4.0, 8.0, preset["r_points"])
-    )
+    r_grid, n_grid = VALIDATION_GRIDS[args.grid]
     cells = [CellSpec(r_on=r, ratio_ideal=args.k) for r in r_grid]
-    setups = [ReadSetup(v_read=args.vread, n_cells=n) for n in preset["n_grid"]]
+    setups = [ReadSetup(v_read=args.vread, n_cells=n) for n in n_grid]
     rows = compare_lumped_distributed(profile, cells, setups)
     failed = [row for row in rows if row.error is not None]
     clean = [row for row in rows if row.error is None]
@@ -326,7 +309,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"wrote {args.csv} ({len(rows)} rows)")
     print(
         f"lumped model vs distributed network: {len(rows)} points "
-        f"({preset['r_points']} R_on x {len(preset['n_grid'])} n), "
+        f"({len(r_grid)} R_on x {len(n_grid)} n), "
         f"k={args.k:g}, V_read={args.vread:g} V"
     )
     if failed:

@@ -38,6 +38,8 @@ from .svg import render_plot
 
 V_READ_DEFAULT = 0.2
 RATIO_DEFAULT = 10.0
+# The axes of every margin-versus-R_on plot.
+MARGIN_VS_R_ON = dict(x_label="R_on (ohm)", y_label="normalized margin", y_min=0.0, y_max=1.0)
 
 
 def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
@@ -111,68 +113,65 @@ def _margin_vs_r(
 def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     """Margin versus on-resistance; panel (a) overlays the network solver."""
     outdir = Path(outdir)
+    model = ("lumped", "", DEFAULT_R_ON_GRID)
+    # The network solver is drawn as markers on the coarse grid.
+    network = ("oracle", " (network)", COARSE_R_ON_GRID)
+    panels = [
+        ("a", RATIO_DEFAULT, (model, network),
+         "Sensing margin vs R_on (k=10), model lines, network points"),
+        ("b", 100.0, (model,), "Sensing margin vs R_on (k=100)"),
+    ]
     written = []
-
-    model_curves = [
-        _margin_vs_r(profile, f"n={n}", RATIO_DEFAULT, n, DEFAULT_R_ON_GRID)
-        for n in VALIDATION_N_GRID
-    ]
-    oracle_curves = [
-        _margin_vs_r(
-            profile, f"n={n} (network)", RATIO_DEFAULT, n, COARSE_R_ON_GRID,
-            engine="oracle",
+    for key, ratio, layers, title in panels:
+        curves = [
+            _margin_vs_r(profile, f"n={n}{suffix}", ratio, n, grid, engine=engine)
+            for engine, suffix, grid in layers
+            for n in VALIDATION_N_GRID
+        ]
+        rows = [
+            (curve.meta["engine"], curve.meta["n_cells"], r_on, margin)
+            for curve in curves
+            for r_on, margin in zip(curve.x, curve.y)
+        ]
+        csv_path, svg_path = outdir / f"fig4{key}.csv", outdir / f"fig4{key}.svg"
+        write_csv(
+            ResultTable(header=("engine", "n_cells", "r_on_ohm", "margin_normalized"), rows=tuple(rows)),
+            csv_path,
         )
-        for n in VALIDATION_N_GRID
-    ]
-    rows = [
-        (curve.meta["engine"], curve.meta["n_cells"], r_on, margin)
-        for curve in model_curves + oracle_curves
-        for r_on, margin in zip(curve.x, curve.y)
-    ]
-    csv_a = outdir / "fig4a.csv"
-    write_csv(
-        ResultTable(header=("engine", "n_cells", "r_on_ohm", "margin_normalized"), rows=tuple(rows)),
-        csv_a,
-    )
-    svg_a = outdir / "fig4a.svg"
-    render_plot(
-        model_curves + oracle_curves,
-        svg_a,
-        title="Sensing margin vs R_on (k=10), model lines, network points",
-        x_label="R_on (ohm)",
-        y_label="normalized margin",
-        y_min=0.0,
-        y_max=1.0,
-        marker_labels=[c.label for c in oracle_curves],
-    )
-    written += [csv_a, svg_a]
-
-    k100_curves = [
-        _margin_vs_r(profile, f"n={n}", 100.0, n, DEFAULT_R_ON_GRID)
-        for n in VALIDATION_N_GRID
-    ]
-    rows = [
-        ("lumped", curve.meta["n_cells"], r_on, margin)
-        for curve in k100_curves
-        for r_on, margin in zip(curve.x, curve.y)
-    ]
-    csv_b = outdir / "fig4b.csv"
-    write_csv(
-        ResultTable(header=("engine", "n_cells", "r_on_ohm", "margin_normalized"), rows=tuple(rows)),
-        csv_b,
-    )
-    svg_b = outdir / "fig4b.svg"
-    render_plot(
-        k100_curves,
-        svg_b,
-        title="Sensing margin vs R_on (k=100)",
-        x_label="R_on (ohm)",
-        y_label="normalized margin",
-        y_min=0.0,
-        y_max=1.0,
-    )
-    written += [csv_b, svg_b]
+        render_plot(
+            curves,
+            svg_path,
+            title=title,
+            marker_labels=[c.label for c in curves if c.meta["engine"] == "oracle"],
+            **MARGIN_VS_R_ON,
+        )
+        written += [csv_path, svg_path]
     return written
+
+
+def write_ablation_csv(series: list[tuple[str, MarginCurve]], path: str | Path) -> int:
+    """The ablation table, one (variant, r_on_ohm, margin) row per point; returns the row count."""
+    rows = [
+        (label, r_on, margin)
+        for label, curve in series
+        for r_on, margin in zip(curve.x, curve.y)
+    ]
+    write_csv(
+        ResultTable(header=("variant", "r_on_ohm", "margin_normalized"), rows=tuple(rows)),
+        path,
+    )
+    return len(rows)
+
+
+def render_ablation_svg(series: list[tuple[str, MarginCurve]], path: str | Path) -> None:
+    """The ablation plot, one margin curve per variant of ablation_series."""
+    meta = series[0][1].meta
+    render_plot(
+        [curve for _, curve in series],
+        path,
+        title=f"Non-ideality ablation (k={meta['ratio_ideal']:g}, n={meta['n_cells']})",
+        **MARGIN_VS_R_ON,
+    )
 
 
 def write_fig5(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
@@ -182,26 +181,9 @@ def write_fig5(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     series = ablation_series(
         profile, CellSpec(r_on=1e4, ratio_ideal=RATIO_DEFAULT), setup
     )
-    rows = [
-        (label, r_on, margin)
-        for label, curve in series
-        for r_on, margin in zip(curve.x, curve.y)
-    ]
-    csv_path = outdir / "fig5.csv"
-    write_csv(
-        ResultTable(header=("variant", "r_on_ohm", "margin_normalized"), rows=tuple(rows)),
-        csv_path,
-    )
-    svg_path = outdir / "fig5.svg"
-    render_plot(
-        [curve for _, curve in series],
-        svg_path,
-        title="Non-ideality ablation (k=10, n=1024)",
-        x_label="R_on (ohm)",
-        y_label="normalized margin",
-        y_min=0.0,
-        y_max=1.0,
-    )
+    csv_path, svg_path = outdir / "fig5.csv", outdir / "fig5.svg"
+    write_ablation_csv(series, csv_path)
+    render_ablation_svg(series, svg_path)
     return [csv_path, svg_path]
 
 
@@ -231,11 +213,8 @@ def write_fig6(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
         margin_curves,
         svg_margins,
         title="Sensing margin vs R_on at three read voltages (n=1024)",
-        x_label="R_on (ohm)",
-        y_label="normalized margin",
-        y_min=0.0,
-        y_max=1.0,
         dash_labels=["V_read=0.4V", "V_read=0.6V"],
+        **MARGIN_VS_R_ON,
     )
     svg_gain = outdir / "fig6.svg"
     render_plot(

@@ -24,6 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .model import TechnologyProfile
+from .results import write_text
 
 PROFILE_KEYS = ("node", "r_unit_ohm", "r_transistor_ohm", "leakage")
 LEAKAGE_KEYS = ("v_read_v", "i_leak_a")
@@ -113,9 +114,7 @@ def load_profile(path: str | Path) -> TechnologyProfile:
 
 def dump_profile(profile: TechnologyProfile, path: str | Path) -> None:
     """Write a profile as formatted JSON that load_profile reads back identically."""
-    Path(path).write_text(
-        json.dumps(profile_to_dict(profile), indent=2) + "\n", encoding="utf-8"
-    )
+    write_text(path, json.dumps(profile_to_dict(profile), indent=2) + "\n")
 
 
 def bundled_profile_names() -> list[str]:

@@ -26,6 +26,10 @@ from crossbar_margin import (
 from crossbar_margin.analysis import DEFAULT_R_ON_GRID, _check_quasi_concave
 
 
+# Grids every R_on search rejects: descending, empty, and holding NaN.
+BAD_GRIDS = [DEFAULT_R_ON_GRID[::-1], (), (1e4, math.nan, 1e6)]
+
+
 def margin_reference(profile, r_on, k, n, v):
     """Inline evaluation of the worst-case column margin, kept separate
     from the package implementation on purpose."""
@@ -163,6 +167,10 @@ class TestSweepGrid:
         with pytest.raises(ValueError):
             SweepSpec(
                 r_on_grid=(1e5, 1e4), n_grid=(64,), v_read_grid=(0.2,), ratio_ideal=10
+            )
+        with pytest.raises(ValueError, match="r_on_grid must be strictly increasing"):
+            SweepSpec(
+                r_on_grid=(1e4, math.nan), n_grid=(64,), v_read_grid=(0.2,), ratio_ideal=10
             )
         with pytest.raises(ValueError):
             SweepSpec(
@@ -329,6 +337,11 @@ class TestFindOptimalRange:
         with pytest.raises(ValueError):
             find_optimal_range(profile22, 10.0, 1024, 0.2, 1.0)
 
+    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=["descending", "empty", "nan"])
+    def test_grid_validation(self, profile22, grid):
+        with pytest.raises(ValueError, match="r_on_grid"):
+            find_optimal_range(profile22, 10.0, 1024, 0.2, 0.8, grid)
+
     def test_quasi_concavity_guard(self):
         _check_quasi_concave((1.0, 2.0, 3.0), [0.2, 0.5, 0.4])  # single peak: fine
         _check_quasi_concave((1.0, 2.0, 3.0), [0.3, 0.3, 0.3])  # plateau: fine
@@ -363,8 +376,13 @@ class TestArgmaxResistance:
         assert argmax_resistance(profile22, 1.0, 64, 0.2, grid) == 1e4
 
     def test_empty_grid_rejected(self, profile22):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="r_on_grid must be non-empty"):
             argmax_resistance(profile22, 10.0, 64, 0.2, ())
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=["descending", "empty", "nan"])
+    def test_grid_validation(self, profile22, grid):
+        with pytest.raises(ValueError, match="r_on_grid"):
+            argmax_resistance(profile22, 10.0, 1024, 0.2, grid)
 
 
 class TestCompensationCurve:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_golden import GOLDEN_DIGESTS
 
 import crossbar_margin
 from crossbar_margin import CellSpec, ReadSetup, oracle_margin, read_currents
@@ -195,6 +197,22 @@ class TestAblateCommand:
         for label in ("baseline", "-R_T", "-r", "-I_Tleak"):
             assert label in text
         assert svg_path.read_text(encoding="utf-8").count("<polyline") == 4
+
+    def test_fig5_arguments_reproduce_fig5_bytes(self, tmp_path, capsys):
+        golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+        csv_path, svg_path = tmp_path / "fig5.csv", tmp_path / "fig5.svg"
+        args = [
+            "ablate", "--k", "10", "--n", "1024", "--csv", str(csv_path), "--svg", str(svg_path),
+        ]
+        assert run_cli(args) == 0
+        assert capsys.readouterr().out == f"wrote {csv_path} (800 rows)\nwrote {svg_path}\n"
+        for path in (csv_path, svg_path):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[path.name]
+
+    def test_bad_grid_names_the_flag(self, capsys):
+        assert run_cli(["ablate", "--k", "10", "--n", "64", "--ron-min", "-5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need 0 < --ron-min < --ron-max")
 
 
 class TestFigureCommands:

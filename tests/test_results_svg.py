@@ -124,6 +124,17 @@ def test_write_csv_matches_cell_by_cell_reference(out_dir, table):
     assert (out_dir / "columns.csv").read_bytes() == (out_dir / "cells.csv").read_bytes()
 
 
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.builds("{}\r{}".format, TEXT, TEXT), st.floats()), max_size=4))
+@example([("a\rb", 1.0)])
+def test_text_cells_holding_cr_round_trip_through_csv_reader(out_dir, rows):
+    path = out_dir / "cr.csv"
+    write_csv(ResultTable(header=("label", "v"), rows=tuple(rows)), path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        read_back = list(csv.reader(handle))
+    assert read_back == [["label", "v"], *([text, repr(v)] for text, v in rows)]
+
+
 @given(st.text())
 @example("a & <b> >> &amp;")
 def test_escape_matches_saxutils(text):
@@ -159,6 +170,20 @@ class TestRenderPlot:
         assert "alpha" in text and "beta" in text
         assert "1e4" in text and "1e6" in text  # decade ticks
         assert "demo" in text
+
+    def test_rewrite_leaves_no_stale_bytes(self, tmp_path, profile22):
+        # Both writers overwrite a file in place and cut it to the new length.
+        xs, ys = (1e4, 1e5, 1e6), (0.3, 0.8, 0.5)
+        long_curves = [make_curve(profile22, f"c{i}", xs, ys) for i in range(3)]
+        path, fresh = tmp_path / "chart.svg", tmp_path / "fresh.svg"
+        render_plot(long_curves, path)
+        render_plot(long_curves[:1], path)
+        render_plot(long_curves[:1], fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        csv_path = tmp_path / "t.csv"
+        write_csv(ResultTable(("v",), tuple((float(i),) for i in range(50))), csv_path)
+        write_csv(ResultTable(("v",), ((1.0,),)), csv_path)
+        assert csv_path.read_bytes() == b"v\n1.0\n"
 
     def test_labels_escaped(self, tmp_path, profile22):
         curves = [make_curve(profile22, "a & <b>", (1.0, 2.0), (0.5, 0.6))]
