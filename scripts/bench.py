@@ -7,6 +7,7 @@ Imports the package from src/ of the checkout this file lives in, so the
 same script times any commit it is copied into.  Five layers:
 
   model     one read_currents point; sense_grid over the default R_on x n grid
+            and, per engine, over one R_on row at n = 1024
   oracle    oracle_margin, solve_column and kcl_residuals as n grows
   analysis  find_optimal_range, sweep_grid and ablation_series
   figures   each figure writer whole, and its write_csv and render_plot
@@ -116,6 +117,9 @@ def model_cases(profile):
     n = np.asarray(DEFAULT_N_GRID)[None, :]
     yield "model.read_currents", lambda: read_currents(profile, cell, setup)
     yield "model.sense_grid", lambda: sense_grid(profile, r_on, K, n, V_READ)
+    for engine in ("lumped", "oracle"):  # one margin curve, the call behind each sweep slice
+        yield f"model.sense_grid.row.{engine}", lambda e=engine: sense_grid(
+            profile, DEFAULT_R_ON_GRID, K, 1024, V_READ, engine=e)
 
 
 def oracle_cases(profile):

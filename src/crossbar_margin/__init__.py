@@ -28,8 +28,6 @@ from .model import (
     ReadSetup,
     SenseResult,
     TechnologyProfile,
-    effective_ratio,
-    ideal_ratio,
     leakage_at,
     read_currents,
     sense_grid,
@@ -85,9 +83,7 @@ __all__ = [
     "compare_lumped_distributed",
     "compensation_curve",
     "dump_profile",
-    "effective_ratio",
     "find_optimal_range",
-    "ideal_ratio",
     "kcl_residuals",
     "kvl_loop_residual",
     "leakage_at",

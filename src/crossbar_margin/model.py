@@ -199,16 +199,6 @@ class SenseResult:
             )
 
 
-def ideal_ratio(cell: CellSpec) -> float:
-    """On/off ratio with every non-ideality absent.
-
-    Because r_off is defined as ratio_ideal * r_on, the quotient
-    r_off / r_on is ratio_ideal by construction; returning it directly is
-    the exact value, free of division round-off.
-    """
-    return cell.ratio_ideal
-
-
 def leakage_at(profile: TechnologyProfile, v_read: float) -> float:
     """Off-transistor leakage current at the given read voltage.
 
@@ -267,7 +257,7 @@ def _require(name: str, values, ok, bound: str) -> None:
 
 # np.where and ndarray.all that also take the Python scalars of sense_point.
 def _where(cond, a, b):
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+    return (a if cond else b) if isinstance(cond, bool) else np.where(cond, a, b)
 
 
 def _all(ok) -> bool:
@@ -276,7 +266,8 @@ def _all(ok) -> bool:
 
 def _sense(profile, r_on, ratio_ideal, n, v_read, toggles, engine):
     """sense_grid's kernel, on valid inputs: r_on and n are float arrays
-    of one shape, or Python scalars as sense_point passes them."""
+    that broadcast against each other, or Python scalars as sense_point
+    passes them."""
     r_line, r_t, i_leak = element_values(profile, toggles, v_read)
     r_off = ratio_ideal * r_on
     leak_total = (n - 1.0) * i_leak
@@ -304,7 +295,7 @@ def _sense(profile, r_on, ratio_ideal, n, v_read, toggles, engine):
             f"off-state current underflows to 0 (r_off up to {np.max(r_off):g} ohm)"
         )
     ratio = i_on / i_off
-    if engine == "lumped":
+    if engine == "lumped" and not _all(leak_total > 0.0):
         # Without leakage, the better-conditioned quotient of the paths,
         # exactly ideal when no non-ideality is on.
         resistive = _where(series == 0.0, ratio_ideal, path_off / path_on)
@@ -329,7 +320,8 @@ def sense_grid(
     """Worst-case (i_on, i_off, ratio, margin) over a grid of R_on and n.
 
     r_on and n_cells broadcast against each other (an R_on row against an
-    n column gives the whole grid) into float64 result arrays.
+    n column gives the whole grid); the four results are float64 ndarrays
+    of the broadcast shape, 0-d when both inputs are scalars.
     engine="lumped" is the model of the module docstring; without leakage
     its ratio is the better-conditioned quotient of series resistances,
     exactly ideal when no non-ideality is on.  engine="oracle" is the
@@ -343,25 +335,42 @@ def sense_grid(
     the margin is not finite, ValueError for invalid inputs or a point
     outside the SenseResult invariants.
     """
-    _require("v_read", v_read, np.isfinite(v_read) & (v_read > 0), "finite and > 0")
-    _require("ratio_ideal", ratio_ideal, np.isfinite(ratio_ideal) & (ratio_ideal >= 1),
-             "finite and >= 1")
-    r_on, n = np.broadcast_arrays(np.asarray(r_on, dtype=float), np.asarray(n_cells))
-    _require("r_on", r_on, np.isfinite(r_on) & (r_on > 0), "finite and > 0")
-    _require("n_cells", n, np.array(n.dtype.kind in "iu"), "integers")
-    _require("n_cells", n, n >= 1, ">= 1")
+    # A few reductions on whole arrays imply the element-wise checks (NaN
+    # fails every comparison); those run only where a reduction fails, to
+    # raise the error that names the first offending value.
+    fast = (isinstance(v_read, float) and isinstance(ratio_ideal, float)
+            and 0 < v_read < math.inf and 1 <= ratio_ideal < math.inf)
+    if fast:
+        r_on, n = np.asarray(r_on, dtype=float), np.asarray(n_cells)
+        # The kernel broadcasts as it computes; a mismatch raises here, as it
+        # does in np.broadcast_arrays below.
+        shape = np.broadcast_shapes(r_on.shape, n.shape) if n.ndim else r_on.shape
+        fast = (math.prod(shape) > 0 and n.dtype.kind in "iu" and n.min() >= 1
+                and 0 < r_on.min() and r_on.max() < math.inf)
+    if not fast:
+        _require("v_read", v_read, np.isfinite(v_read) & (v_read > 0), "finite and > 0")
+        _require("ratio_ideal", ratio_ideal, np.isfinite(ratio_ideal) & (ratio_ideal >= 1),
+                 "finite and >= 1")
+        r_on, n = np.broadcast_arrays(np.asarray(r_on, dtype=float), np.asarray(n_cells))
+        _require("r_on", r_on, np.isfinite(r_on) & (r_on > 0), "finite and > 0")
+        _require("n_cells", n, np.array(n.dtype.kind in "iu"), "integers")
+        _require("n_cells", n, n >= 1, ">= 1")
     # Overflow and underflow are reported as SolverError, not as warnings; n is
     # converted as Python's int * float does, exactly below 2**53.
     with np.errstate(all="ignore"):
         grid = _sense(profile, r_on, ratio_ideal, n.astype(float), v_read, toggles, engine)
+    if r_on.ndim == n.ndim == 0:  # numpy arithmetic on 0-d arrays returns scalars
+        grid = tuple(np.asarray(a, dtype=float) for a in grid)
     i_on, i_off, ratio, margin = grid
-    ok = (i_off > 0) & (i_on >= i_off) & (ratio >= 1.0)
-    ok &= (margin > 0.0) & (margin <= 1.0 + 1e-9)
-    if not ok.all():
-        # Rebuilding the first offending point raises the message of the
-        # invariant it breaks.
-        at = int(np.argmin(ok))
-        SenseResult(*(float(a.flat[at]) for a in grid))
+    if not (fast and i_off.min() > 0 and ratio.min() >= 1.0 and margin.min() > 0.0
+            and margin.max() <= 1.0 + 1e-9 and (i_on >= i_off).all()):
+        ok = (i_off > 0) & (i_on >= i_off) & (ratio >= 1.0)
+        ok &= (margin > 0.0) & (margin <= 1.0 + 1e-9)
+        if not ok.all():
+            # Rebuilding the first offending point raises the message of the
+            # invariant it breaks.
+            at = int(np.argmin(ok))
+            SenseResult(*(float(a.flat[at]) for a in grid))
     return grid
 
 
@@ -385,10 +394,3 @@ def read_currents(
     leakage (n-1)*I_Tleak; toggled-off factors contribute zero.
     """
     return sense_point(profile, cell, setup)
-
-
-def effective_ratio(
-    profile: TechnologyProfile, cell: CellSpec, setup: ReadSetup
-) -> float:
-    """On/off current ratio actually seen by the sense circuit."""
-    return read_currents(profile, cell, setup).ratio_effective

@@ -22,9 +22,7 @@ from crossbar_margin import (
     build_column,
     compare_lumped_distributed,
     compensation_curve,
-    effective_ratio,
     find_optimal_range,
-    ideal_ratio,
     kcl_residuals,
     load_bundled_profile,
     read_currents,
@@ -64,7 +62,7 @@ def test_criterion_01_reduction_identity():
                 n_cells=int(rng.integers(1, 8193)),
                 toggles=FactorToggles.all_off(),
             )
-            assert effective_ratio(PROFILE, cell, setup) == ideal_ratio(cell)
+            assert read_currents(PROFILE, cell, setup).ratio_effective == cell.ratio_ideal
 
 
 def test_criterion_02_margin_anchor_512():

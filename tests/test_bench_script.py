@@ -31,6 +31,8 @@ def test_bench_script_reports_every_layer(tmp_path):
         assert "compute_median_s" in cases[f"figures.{fig}"]
     for name in ("interp_start", "import_numpy", "import_package", "margin_wall"):
         assert f"cli.{name}" in cases
+    for engine in ("lumped", "oracle"):
+        assert f"model.sense_grid.row.{engine}" in cases
     gaps = record["accuracy"]["gap_max_pct"]
     assert list(gaps) == ["64", "128", "256", "512", "1024", "2048", "4096", "8192", "16384"]
     assert 0.0 <= gaps["1024"] < gaps["16384"] < 5.0

@@ -6,9 +6,12 @@ implementation is checked against an independent numeric route.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossbar_margin import (
     CellSpec,
@@ -18,15 +21,57 @@ from crossbar_margin import (
     SenseResult,
     SolverError,
     TechnologyProfile,
-    effective_ratio,
-    ideal_ratio,
     leakage_at,
     read_currents,
     sense_grid,
 )
-from crossbar_margin.model import sense_point
+from crossbar_margin import model
+from crossbar_margin.model import ENGINES, sense_point
+import sense_grid_reference as reference
 
 REL = 1e-12
+
+NAN, INF = float("nan"), float("inf")
+# Input classes of the reference comparison: valid values, the float limits
+# (5e-324 overflows the currents, 1e306 underflows I_off without leakage),
+# non-finite and non-positive values, and n across breakdown at 0.2 V, where
+# the largest readable column has n = 63 246.
+R_ON_CASES = (2e4, 3e5, 1e8, 5e-324, 1e300, 1e306, NAN, INF, -INF, -1.0, 0.0)
+N_CASES = (1, 2, 1024, 63246, 63247, 0, -3)
+V_READ_CASES = (0.2, 0.35, 0.6, 0.1, 0.0, -0.2, NAN, INF, 1, np.float64(0.4))
+K_CASES = (10.0, 1.0, 1e3, 0.5, NAN, INF, 10, np.float64(5.0))
+
+r_on_inputs = st.one_of(
+    st.sampled_from(R_ON_CASES),
+    st.floats(1e2, 1e9),
+    st.lists(st.one_of(st.sampled_from(R_ON_CASES), st.floats(1e2, 1e9)), max_size=5),
+    st.lists(st.floats(1e2, 1e9), min_size=1, max_size=5).map(np.array),
+)
+n_inputs = st.one_of(
+    st.sampled_from(N_CASES),
+    st.integers(1, 70000),
+    st.just(4.0),
+    st.lists(st.sampled_from(N_CASES), min_size=1, max_size=3).map(np.array),
+    st.lists(st.integers(1, 70000), min_size=1, max_size=3).map(
+        lambda n: np.array(n)[:, None]),
+)
+toggle_inputs = st.builds(FactorToggles, st.booleans(), st.booleans(), st.booleans())
+
+
+def assert_matches_reference(*args):
+    """sense_grid(*args) returns sense_grid_reference's arrays, bit for bit,
+    as float64 ndarrays, or raises its exception with the same message."""
+    try:
+        want = reference.sense_grid_reference(*args)
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            sense_grid(*args)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    for w, g in zip(want, sense_grid(*args)):
+        w = np.asarray(w, dtype=float)
+        assert type(g) is np.ndarray and g.dtype == np.float64
+        assert (g.shape, g.tobytes()) == (w.shape, w.tobytes())
 
 
 def exact_margin(profile, r_on, k, n, v, line=True, transistor=True, leak=True):
@@ -46,13 +91,13 @@ class TestIdealRatio:
     def test_quotient_of_derived_off_state(self):
         cell = CellSpec(r_on=20e3, ratio_ideal=10)
         assert cell.r_off == 200e3
-        assert ideal_ratio(cell) == 10.0
+        assert cell.ratio_ideal == 10.0
 
     def test_degenerate_equal_state_cell(self):
-        assert ideal_ratio(CellSpec(r_on=10e3, ratio_ideal=1)) == 1.0
+        assert CellSpec(r_on=10e3, ratio_ideal=1).ratio_ideal == 1.0
 
     def test_high_ratio(self):
-        assert ideal_ratio(CellSpec(r_on=100e3, ratio_ideal=100)) == 100.0
+        assert CellSpec(r_on=100e3, ratio_ideal=100).ratio_ideal == 100.0
 
 
 class TestLeakageAt:
@@ -105,7 +150,7 @@ class TestReadCurrents:
         cell = CellSpec(20e3, 10)
         setup = ReadSetup(0.2, 512, FactorToggles.all_off())
         res = read_currents(profile22, cell, setup)
-        assert res.ratio_effective == ideal_ratio(cell)
+        assert res.ratio_effective == cell.ratio_ideal
         assert res.margin_normalized == 1.0
 
     def test_ratio_consistent_with_currents(self, profile22):
@@ -171,30 +216,76 @@ class TestSenseGrid:
         grid = sense_grid(profile22, [1e4, 1e306], 1e3, 4, 0.2, engine=engine)
         assert grid[1][1] == 3 * leakage_at(profile22, 0.2)
 
+    def test_matches_reference_on_every_input_class(self, profile22):
+        rows = ([], [1e4, 5e4, 1e6], [1e4, INF, 1e6], [[1e4], [2e5]])
+        ns = (*N_CASES, 4.0, np.array([[1], [64], [4096]]), np.array([1, 64]),
+              np.array([[2, 3, 4]]), np.zeros((0, 1), dtype=int))
+        toggles = [FactorToggles(*bits) for bits in product((True, False), repeat=3)]
+        for r_on, n, t, engine in product((*R_ON_CASES, *rows), ns, toggles, ENGINES):
+            assert_matches_reference(profile22, r_on, 10.0, n, 0.2, t, engine)
+
+    @settings(max_examples=500, deadline=None)
+    @given(r_on=r_on_inputs, k=st.sampled_from(K_CASES), n=n_inputs,
+           v=st.sampled_from(V_READ_CASES), toggles=toggle_inputs,
+           engine=st.sampled_from((*ENGINES, "spice")))
+    def test_matches_reference(self, profile22, r_on, k, n, v, toggles, engine):
+        assert_matches_reference(profile22, r_on, k, n, v, toggles, engine)
+
+    @pytest.mark.parametrize(
+        "at, value", [(0, 1e-12), (1, 0.0), (2, 0.5), (3, 1.5), (3, -0.1)]
+    )
+    def test_invariant_breach_raises_the_reference_error(
+        self, profile22, monkeypatch, at, value
+    ):
+        # No valid input makes the kernel break a SenseResult invariant, so
+        # both kernels are patched to break one at the second point.
+        def breach(kernel):
+            def patched(*args):
+                grid = [np.array(a, dtype=float) for a in kernel(*args)]
+                grid[at][1] = value
+                return tuple(grid)
+            return patched
+
+        monkeypatch.setattr(model, "_sense", breach(model._sense))
+        monkeypatch.setattr(reference, "_sense", breach(reference._sense))
+        with pytest.raises(ValueError, match="must"):
+            reference.sense_grid_reference(profile22, [1e4, 5e4, 1e6], 10.0, 1024, 0.2)
+        assert_matches_reference(profile22, [1e4, 5e4, 1e6], 10.0, 1024, 0.2)
+
+    @pytest.mark.parametrize("toggles", [FactorToggles(), FactorToggles.all_off()])
+    @pytest.mark.parametrize("k", [10.0, 10])
+    def test_scalar_inputs_give_0d_float64_arrays(self, profile22, toggles, k):
+        grid = sense_grid(profile22, 3e5, k, 1024, 0.2, toggles)
+        for a in grid:
+            assert (type(a), a.dtype, a.shape) == (np.ndarray, np.float64, ())
+        assert float(grid[3]) == read_currents(
+            profile22, CellSpec(3e5, k), ReadSetup(0.2, 1024, toggles)
+        ).margin_normalized
+
 
 class TestEffectiveRatio:
     def test_single_cell_is_series_resistance_quotient(self, profile22):
         # one cell: no leakage neighbors, ratio of the two series paths
-        ratio = effective_ratio(
+        ratio = read_currents(
             profile22, CellSpec(20e3, 10), ReadSetup(v_read=0.2, n_cells=1)
-        )
+        ).ratio_effective
         expected = (200e3 + 1700 + 2.5) / (20e3 + 1700 + 2.5)
         assert ratio == pytest.approx(expected, rel=REL)
         assert ratio == pytest.approx(9.294, abs=1e-3)
 
     def test_leakage_dominated_limit(self, profile22):
         # enormous cell resistance: both currents sink to the leakage floor
-        ratio = effective_ratio(
+        ratio = read_currents(
             profile22, CellSpec(100e6, 10), ReadSetup(v_read=0.2, n_cells=4096)
-        )
+        ).ratio_effective
         assert 1.0 < ratio < 1.05
         _, _, expected, _ = exact_margin(profile22, 100e6, 10, 4096, 0.2)
         assert ratio == pytest.approx(expected, rel=REL)
 
     def test_middle_of_optimal_band(self, profile22):
-        ratio = effective_ratio(
+        ratio = read_currents(
             profile22, CellSpec(50e3, 10), ReadSetup(v_read=0.2, n_cells=1024)
-        )
+        ).ratio_effective
         assert ratio == pytest.approx(8.5178, abs=5e-4)
 
 

@@ -8,8 +8,6 @@ from crossbar_margin import (
     FactorToggles,
     ReadSetup,
     TechnologyProfile,
-    effective_ratio,
-    ideal_ratio,
     read_currents,
 )
 
@@ -33,7 +31,7 @@ def synthetic_profile(r_unit, r_transistor, i_leak):
 def test_reduction_identity_is_exact(profile22, r_on, k, n, v):
     cell = CellSpec(r_on=r_on, ratio_ideal=k)
     setup = ReadSetup(v, n, FactorToggles.all_off())
-    assert effective_ratio(profile22, cell, setup) == ideal_ratio(cell)
+    assert read_currents(profile22, cell, setup).ratio_effective == cell.ratio_ideal
     assert read_currents(profile22, cell, setup).margin_normalized == 1.0
 
 
@@ -63,7 +61,7 @@ def test_margin_non_increasing_in_column_length(profile22, r_on, k, v, n_pair):
 def test_voltage_independent_without_leakage(profile22, r_on, k, n, v1, v2):
     cell = CellSpec(r_on=r_on, ratio_ideal=k)
     setups = [ReadSetup(v, n, FactorToggles(leakage=False)) for v in (v1, v2)]
-    ratios = [effective_ratio(profile22, cell, s) for s in setups]
+    ratios = [read_currents(profile22, cell, s).ratio_effective for s in setups]
     assert ratios[0] == ratios[1]
 
 
