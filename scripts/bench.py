@@ -9,7 +9,8 @@ same script times any commit it is copied into.  Five layers:
   model     one read_currents point; sense_grid over the default R_on x n grid
             and, per engine, over one R_on row at n = 1024
   oracle    oracle_margin, solve_column and kcl_residuals as n grows
-  analysis  find_optimal_range, sweep_grid and ablation_series
+  analysis  find_optimal_range, argmax_resistance, sweep_grid, ablation_series
+            and compensation_curve, and margin_curve alone on one sense_grid row
   figures   each figure writer whole, and its write_csv and render_plot
             calls replayed on the same arguments, apart from curve compute;
             validate --grid full --csv, in process
@@ -50,8 +51,10 @@ from crossbar_margin import (  # noqa: E402
     ReadSetup,
     SweepSpec,
     ablation_series,
+    argmax_resistance,
     build_column,
     compare_lumped_distributed,
+    compensation_curve,
     find_optimal_range,
     kcl_residuals,
     load_bundled_profile,
@@ -62,7 +65,7 @@ from crossbar_margin import (  # noqa: E402
     sweep_grid,
 )
 from crossbar_margin import figures, results, svg  # noqa: E402
-from crossbar_margin.analysis import DEFAULT_N_GRID, DEFAULT_R_ON_GRID  # noqa: E402
+from crossbar_margin.analysis import DEFAULT_N_GRID, DEFAULT_R_ON_GRID, margin_curve  # noqa: E402
 from crossbar_margin.cli import run_cli  # noqa: E402
 
 LOOP_SECONDS = 0.05
@@ -136,9 +139,15 @@ def oracle_cases(profile):
 def analysis_cases(profile):
     spec = SweepSpec(DEFAULT_R_ON_GRID, DEFAULT_N_GRID, (V_READ,), K)
     cell, setup = CellSpec(r_on=1e4, ratio_ideal=K), ReadSetup(v_read=V_READ, n_cells=1024)
+    row = sense_grid(profile, DEFAULT_R_ON_GRID, K, 1024, V_READ)
     yield "analysis.find_optimal_range", lambda: find_optimal_range(profile, K, 1024, V_READ, 0.8)
+    yield "analysis.argmax_resistance", lambda: argmax_resistance(
+        profile, K, 1024, V_READ, DEFAULT_R_ON_GRID)
     yield "analysis.sweep_grid", lambda: sweep_grid(spec, profile)
     yield "analysis.ablation_series", lambda: ablation_series(profile, cell, setup)
+    yield "analysis.compensation_curve", lambda: compensation_curve(
+        profile, K, 1024, V_READ, 0.4)
+    yield "analysis.margin_curve", lambda: margin_curve("margin", DEFAULT_R_ON_GRID, row, {})
 
 
 def figure_cases(profile, outdir):

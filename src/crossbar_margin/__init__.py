@@ -12,7 +12,6 @@ from .analysis import (
     DEFAULT_R_ON_GRID,
     VALIDATION_N_GRID,
     MarginCurve,
-    NonUnimodalError,
     SweepSpec,
     ablation_series,
     argmax_resistance,
@@ -68,7 +67,6 @@ __all__ = [
     "LeakageRangeError",
     "MarginCurve",
     "NetworkSolution",
-    "NonUnimodalError",
     "ProfileError",
     "ReadSetup",
     "ResultTable",

@@ -1,12 +1,21 @@
 """Design-space studies built on the column model and the network oracle.
 
-Everything here is orchestration over model.sense_grid: each curve or
-pre-sweep is one array evaluation instead of one model call per point,
-and a MarginCurve carries that call's arrays as they are, one entry per
-x, already checked by sense_grid.  Only the optimal-range bisection,
-which needs one point at a time, calls the scalar view read_currents.
-Both evaluate the same kernel, so curve values are bit-identical to
-point evaluations.  Results are always assembled in grid order.
+Each curve is one model.sense_grid evaluation over an R_on grid that the
+study checks once, at entry, and converts to one float64 array; a
+MarginCurve carries that call's arrays as they are, one entry per x, in
+grid order.
+
+The optimal R_on band needs no sweep at all.  With S = R_T + n*r,
+L = (n-1)*I_leak, drive V, fabricated ratio k and threshold t, the lumped
+margin reaches t exactly where
+
+    a*R**2 + b*R + c >= 0,    a = (1 - t*k)*L*k,
+                              b = (1 - t*k)*L*S*(k + 1) + V*k*(1 - t),
+                              c = (1 - t*k)*S*(L*S + V),
+
+one interval of R for t*k > 1 and L > 0 (then a < 0), around the peak
+R* = sqrt(S*(S + V/L)/k): line and transistor resistance (S) set the
+lower end, leakage (L) the upper one.
 """
 
 from __future__ import annotations
@@ -25,8 +34,9 @@ from .model import (
     FactorToggles,
     ReadSetup,
     TechnologyProfile,
-    read_currents,
+    element_values,
     sense_grid,
+    sense_point,
 )
 
 # Default grids mirror the usual presentation of this design space:
@@ -37,10 +47,6 @@ DEFAULT_R_ON_GRID: tuple[float, ...] = tuple(
 COARSE_R_ON_GRID: tuple[float, ...] = tuple(float(x) for x in np.logspace(4.0, 8.0, 20))
 DEFAULT_N_GRID: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096)
 VALIDATION_N_GRID: tuple[int, ...] = (256, 512, 1024, 2048, 4096)
-
-
-class NonUnimodalError(ValueError):
-    """Margin-versus-resistance curve is not quasi-concave."""
 
 
 def _check_grid(name: str, grid) -> None:
@@ -107,20 +113,38 @@ class MarginCurve:
         _check_grid("x", self.x)
         if self.y_kind not in ("margin", "delta"):
             raise ValueError(f'y_kind must be "margin" or "delta", got {self.y_kind!r}')
-        if self.y_kind == "margin":
-            for v in self.y:
-                if not (0.0 < v <= 1.0 + 1e-12):
-                    raise ValueError(f"margin values must lie in (0, 1], got {v}")
-        elif not all(map(math.isfinite, self.y)):
-            v = next(v for v in self.y if not math.isfinite(v))
-            raise ValueError(f"delta values must be finite, got {v}")
+        _check_y(np.asarray(self.y, dtype=float), self.y_kind)
+
+
+def _check_y(y: np.ndarray, y_kind: str) -> None:
+    """Margins must lie in (0, 1] (to 1e-12), deltas must be finite."""
+    ok = (y > 0.0) & (y <= 1.0 + 1e-12) if y_kind == "margin" else np.isfinite(y)
+    if not ok.all():
+        rule = "lie in (0, 1]" if y_kind == "margin" else "be finite"
+        raise ValueError(f"{y_kind} values must {rule}, got {float(y[np.argmin(ok)])}")
+
+
+def _curve(label, x, y: np.ndarray, sensed, meta, y_kind) -> MarginCurve:
+    """MarginCurve(label, x, y, sensed, meta, y_kind) for x a grid its
+    caller has checked and sensed arrays as long as x, so only y is checked."""
+    if len(x) != len(y):
+        return MarginCurve(label, x, tuple(y.tolist()), sensed, meta, y_kind)  # raises
+    _check_y(y, y_kind)
+    curve = object.__new__(MarginCurve)
+    curve.__dict__.update(label=label, x=x, y=tuple(y.tolist()), sensed=sensed,
+                          meta=meta, y_kind=y_kind)
+    return curve
 
 
 def margin_curve(
     label: str, x, grid: tuple[np.ndarray, ...], meta: dict[str, Any]
 ) -> MarginCurve:
-    """Margin curve over x from the arrays of one sense_grid call."""
-    return MarginCurve(label, tuple(x), tuple(grid[3].tolist()), grid, meta)
+    """Margin curve over x from the arrays of one sense_grid call.
+
+    x is not checked again: it must be a grid its caller has checked
+    (SweepSpec, a study's entry, the figure module's grids).
+    """
+    return _curve(label, tuple(x), grid[3], grid, meta, "margin")
 
 
 def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]:
@@ -134,14 +158,14 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     """
     curves = []
     dropped: list[tuple[str, Exception]] = []
+    r_on = np.asarray(spec.r_on_grid)
     for toggles in spec.toggles:
         for v_read in spec.v_read_grid:
             for n in spec.n_grid:
                 label = f"{toggles.describe()}, V={v_read:g}V, n={n}"
                 try:
                     grid = sense_grid(
-                        profile, spec.r_on_grid, spec.ratio_ideal, n, v_read,
-                        toggles, spec.engine,
+                        profile, r_on, spec.ratio_ideal, n, v_read, toggles, spec.engine
                     )
                 except Exception as exc:
                     dropped.append((label, exc))
@@ -172,10 +196,13 @@ def ablation_series(
     The setup must have every factor enabled; each variant then switches
     a single factor off, showing which non-ideality owns which flank of
     the margin curve.  The swept resistance replaces cell.r_on point by
-    point; cell.ratio_ideal is kept.
+    point; cell.ratio_ideal is kept.  r_on_grid must be non-empty,
+    strictly increasing and finite.
     """
     if setup.toggles != FactorToggles.all_on():
         raise ValueError("ablation baseline requires all factors enabled")
+    _check_grid("r_on_grid", r_on_grid)
+    r_on = np.asarray(r_on_grid, dtype=float)
     variants = [
         ("baseline", setup.toggles),
         ("-R_T", FactorToggles(transistor_resistance=False)),
@@ -184,9 +211,7 @@ def ablation_series(
     ]
     series = []
     for label, toggles in variants:
-        grid = sense_grid(
-            profile, r_on_grid, cell.ratio_ideal, setup.n_cells, setup.v_read, toggles
-        )
+        grid = sense_grid(profile, r_on, cell.ratio_ideal, setup.n_cells, setup.v_read, toggles)
         meta = {
             "n_cells": setup.n_cells,
             "v_read": setup.v_read,
@@ -198,27 +223,7 @@ def ablation_series(
     return series
 
 
-def _check_quasi_concave(
-    grid: tuple[float, ...], margins: list[float]
-) -> None:
-    # Classify each step with a small relative tolerance so float noise on
-    # a plateau is not mistaken for a second mode.
-    tol = 1e-12
-    seen_drop = False
-    for a, b in zip(margins, margins[1:]):
-        if b > a * (1.0 + tol):
-            if seen_drop:
-                maxima = [
-                    grid[i]
-                    for i in range(1, len(margins) - 1)
-                    if margins[i] > margins[i - 1] and margins[i] >= margins[i + 1]
-                ]
-                raise NonUnimodalError(
-                    "margin vs r_on is not quasi-concave; local maxima near "
-                    + ", ".join(f"{r:.4g} ohm" for r in maxima)
-                )
-        elif b < a * (1.0 - tol):
-            seen_drop = True
+_NUDGE_ULPS = (0, *(2**i for i in range(31)))  # find_optimal_range's inward steps
 
 
 def find_optimal_range(
@@ -229,54 +234,54 @@ def find_optimal_range(
     threshold: float,
     r_on_grid: tuple[float, ...] = DEFAULT_R_ON_GRID,
 ) -> tuple[float, float] | None:
-    """Maximal contiguous r_on interval whose margin stays at or above threshold.
+    """Maximal r_on interval within the grid's span whose margin stays at
+    or above threshold: the band of the module docstring, exactly.
 
-    A dense pre-sweep over r_on_grid verifies the curve is quasi-concave
-    (single peak); each flank crossing is then located by bisection in
-    log space to 1 % relative resolution.  The returned endpoints lie on
-    the inside of their brackets, so the margin at both endpoints is at
-    or above the threshold.  Returns None when even the peak falls short.
-    An interval clipped by the grid edge is returned as-is.  r_on_grid
-    must be non-empty, strictly increasing and finite.
+    Its ends are the roots q/a and c/q, q = -(b + sqrt(b**2 - 4*a*c))/2,
+    and the margin peaks between them at R* = sqrt(S*(S + V/L)/k).
+    Without leakage (n = 1) there is no upper end; for threshold*k <= 1
+    every r_on qualifies.  The band is clipped to the grid's ends, and
+    each end is moved inward by the fewest of 0, 1, 2, 4, ... 2**30 ulps
+    at which the model reads margin >= threshold.  None when the peak
+    falls short (b**2 < 4*a*c), the band misses the grid's span or
+    rounding keeps an end below threshold.  r_on_grid must be non-empty,
+    strictly increasing and finite; only its ends are used.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     _check_grid("r_on_grid", r_on_grid)
-
-    margins = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_read)[3].tolist()
-    _check_quasi_concave(r_on_grid, margins)
-    if max(margins) < threshold:
-        return None
-
-    above = [m >= threshold for m in margins]
-    first = above.index(True)
-    last = len(above) - 1 - above[::-1].index(True)
-
     setup = ReadSetup(v_read=v_read, n_cells=n_cells)
-
-    def margin(r_on: float) -> float:
-        return read_currents(profile, CellSpec(r_on, ratio_ideal), setup).margin_normalized
-
-    def bisect_flank(lo: float, hi: float, rising: bool) -> float:
-        # Invariant: the threshold crossing stays inside (lo, hi); on a
-        # rising flank hi is above threshold, on a falling flank lo is.
-        while hi / lo > 1.01:
-            mid = math.sqrt(lo * hi)
-            if (margin(mid) >= threshold) == rising:
-                hi = mid
-            else:
-                lo = mid
-        return hi if rising else lo
-
-    if first == 0:
-        r_low = r_on_grid[0]
-    else:
-        r_low = bisect_flank(r_on_grid[first - 1], r_on_grid[first], rising=True)
-    if last == len(r_on_grid) - 1:
-        r_high = r_on_grid[-1]
-    else:
-        r_high = bisect_flank(r_on_grid[last], r_on_grid[last + 1], rising=False)
-    return r_low, r_high
+    CellSpec(r_on_grid[0], ratio_ideal)  # validates k and the grid's lower end
+    r_line, r_t, i_leak = element_values(profile, setup.toggles, v_read)
+    k, t = ratio_ideal, threshold
+    s, leak, g = r_t + n_cells * r_line, (n_cells - 1.0) * i_leak, 1.0 - t * k
+    a = g * leak * k
+    b = g * leak * s * (k + 1) + v_read * k * (1 - t)
+    c = g * s * (leak * s + v_read)
+    if a < 0:  # t*k > 1 with leakage: margin >= t between the roots
+        disc = b * b - 4 * a * c
+        if disc < 0:  # the peak falls short; b < 0 gives two roots below 0
+            return None
+        q = -(b + math.sqrt(disc)) / 2
+        lo, hi = c / q, q / a
+    else:  # b > 0 and the quadratic term vanishes or helps: R >= -c/b
+        lo, hi = -c / b, math.inf
+    ends = [max(lo, r_on_grid[0]), min(hi, r_on_grid[-1])]
+    if not ends[0] <= ends[1]:
+        return None
+    # Rounding blurs the model's crossing over a few ulps: move each end
+    # inward, lo first and never past the other end, by the fewest ulps
+    # at which the model reads margin >= t.
+    for i in (0, 1):
+        r, toward = ends[i], ends[1 - i]
+        step = math.copysign(math.ulp(r), toward - r)
+        for ulps in _NUDGE_ULPS:
+            ends[i] = (min if step > 0 else max)(r + ulps * step, toward)
+            if sense_point(profile, CellSpec(ends[i], k), setup).margin_normalized >= t:
+                break
+        else:
+            return None
+    return ends[0], ends[1]
 
 
 def argmax_resistance(
@@ -311,23 +316,16 @@ def compensation_curve(
     gain reflects both the stronger read current and the higher leakage.
     Without the leakage factor the margin is voltage-independent and the
     gain is identically zero.  The attached sensed arrays are those at
-    the raised voltage.
+    the raised voltage.  r_on_grid must be non-empty, strictly increasing
+    and finite.
     """
-    base = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_base, toggles)
-    alt = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_alt, toggles)
-    return MarginCurve(
-        label=f"margin gain {v_base:g}V->{v_alt:g}V",
-        x=tuple(r_on_grid),
-        y=tuple((alt[3] - base[3]).tolist()),
-        sensed=alt,
-        meta={
-            "n_cells": n_cells,
-            "v_base": v_base,
-            "v_alt": v_alt,
-            "ratio_ideal": ratio_ideal,
-        },
-        y_kind="delta",
-    )
+    _check_grid("r_on_grid", r_on_grid)
+    r_on = np.asarray(r_on_grid, dtype=float)
+    base = sense_grid(profile, r_on, ratio_ideal, n_cells, v_base, toggles)
+    alt = sense_grid(profile, r_on, ratio_ideal, n_cells, v_alt, toggles)
+    meta = {"n_cells": n_cells, "v_base": v_base, "v_alt": v_alt, "ratio_ideal": ratio_ideal}
+    return _curve(f"margin gain {v_base:g}V->{v_alt:g}V", tuple(r_on_grid),
+                  alt[3] - base[3], alt, meta, "delta")
 
 
 def read_power_ratio(v_alt: float, v_base: float) -> float:

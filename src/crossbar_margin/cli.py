@@ -22,7 +22,6 @@ from .analysis import (
     COARSE_R_ON_GRID,
     DEFAULT_N_GRID,
     VALIDATION_N_GRID,
-    NonUnimodalError,
     SweepSpec,
     argmax_resistance,
     ablation_series,
@@ -41,14 +40,13 @@ from .model import (
     ENGINES,
     CellSpec,
     FactorToggles,
-    LeakageRangeError,
     ReadSetup,
     SolverError,
     sense_grid,
     sense_point,
 )
 from .oracle import compare_lumped_distributed
-from .profile_io import ProfileError, load_bundled_profile, load_profile
+from .profile_io import load_bundled_profile, load_profile
 from .results import ResultTable, write_csv
 from .svg import render_plot
 
@@ -430,14 +428,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ProfileError,
-        LeakageRangeError,
-        NonUnimodalError,
-        SolverError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (SolverError, ValueError, OSError) as exc:  # ProfileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

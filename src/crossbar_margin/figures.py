@@ -22,6 +22,7 @@ from .analysis import (
     DEFAULT_R_ON_GRID,
     VALIDATION_N_GRID,
     MarginCurve,
+    _check_grid,
     ablation_series,
     compensation_curve,
     margin_curve,
@@ -40,6 +41,10 @@ V_READ_DEFAULT = 0.2
 RATIO_DEFAULT = 10.0
 # The axes of every margin-versus-R_on plot.
 MARGIN_VS_R_ON = dict(x_label="R_on (ohm)", y_label="normalized margin", y_min=0.0, y_max=1.0)
+# The x grids of the figures' margin curves, which margin_curve leaves to its caller.
+_check_grid("DEFAULT_N_GRID", DEFAULT_N_GRID)
+_check_grid("DEFAULT_R_ON_GRID", DEFAULT_R_ON_GRID)
+_check_grid("COARSE_R_ON_GRID", COARSE_R_ON_GRID)
 
 
 def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:

@@ -338,9 +338,14 @@ def sense_grid(
     # A few reductions on whole arrays imply the element-wise checks (NaN
     # fails every comparison); those run only where a reduction fails, to
     # raise the error that names the first offending value.
-    fast = (isinstance(v_read, float) and isinstance(ratio_ideal, float)
-            and 0 < v_read < math.inf and 1 <= ratio_ideal < math.inf)
+    # An int a float holds exactly counts as that float (bools and ints of
+    # 2**64 and above keep the element-wise path).
+    v, k = (float(x) if type(x) is int and 0 < x < 2**64 and float(x) == x else x
+            for x in (v_read, ratio_ideal))
+    fast = (isinstance(v, float) and isinstance(k, float)
+            and 0 < v < math.inf and 1 <= k < math.inf)
     if fast:
+        v_read, ratio_ideal = v, k
         r_on, n = np.asarray(r_on, dtype=float), np.asarray(n_cells)
         # The kernel broadcasts as it computes; a mismatch raises here, as it
         # does in np.broadcast_arrays below.

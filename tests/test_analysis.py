@@ -1,16 +1,19 @@
 """Tests for sweeps, ablation, range search and compensation."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crossbar_margin import (
     CellSpec,
     FactorToggles,
     LeakageRangeError,
     MarginCurve,
-    NonUnimodalError,
     ReadSetup,
     SenseResult,
     SweepSpec,
@@ -23,11 +26,40 @@ from crossbar_margin import (
     sense_grid,
     sweep_grid,
 )
-from crossbar_margin.analysis import DEFAULT_R_ON_GRID, _check_quasi_concave
+from crossbar_margin import analysis
+from crossbar_margin.analysis import DEFAULT_R_ON_GRID, margin_curve
+from crossbar_margin.model import leakage_at
+from optimal_range_reference import find_optimal_range_reference
 
 
 # Grids every R_on search rejects: descending, empty, and holding NaN.
 BAD_GRIDS = [DEFAULT_R_ON_GRID[::-1], (), (1e4, math.nan, 1e6)]
+BAD_GRID_IDS = ["descending", "empty", "nan"]
+
+# Wider and ten times denser than the default grid, for band checks.
+DENSE_GRID = tuple(float(x) for x in np.logspace(3.0, 9.0, 2001))
+band_inputs = dict(
+    k=st.floats(1.0, 1e3),
+    n=st.one_of(st.just(1), st.integers(1, 16384)),
+    v=st.floats(0.2, 0.6),
+    t=st.floats(0.01, 0.99),
+)
+
+
+def exact_band(profile, k, n, v, t):
+    """Roots of the band's quadratic (analysis docstring) in rational
+    arithmetic, with the square root taken to 50 digits."""
+    s = Fraction(profile.r_transistor) + n * Fraction(profile.r_unit)
+    leak = (n - 1) * Fraction(leakage_at(profile, v))
+    k, t, v = Fraction(k), Fraction(t), Fraction(v)
+    a = (1 - t * k) * leak * k
+    b = (1 - t * k) * leak * s * (k + 1) + v * k * (1 - t)
+    c = (1 - t * k) * s * (leak * s + v)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c = (Decimal(x.numerator) / x.denominator for x in (a, b, c))
+        root = (b * b - 4 * a * c).sqrt()
+        return float((-b + root) / (2 * a)), float((-b - root) / (2 * a))
 
 
 def margin_reference(profile, r_on, k, n, v):
@@ -230,6 +262,25 @@ class TestMarginCurve:
         with pytest.raises(ValueError, match=f"got.*{named}"):
             MarginCurve("d", x, y, sensed, y_kind="delta")
 
+    @pytest.mark.parametrize("bad, named", [(0.0, "0.0"), (1.5, "1.5"), (math.nan, "nan")])
+    def test_margin_curve_names_the_first_bad_margin(self, profile22, bad, named):
+        sensed = [a.copy() for a in self._sensed(profile22, 3)]
+        good = margin_curve("c", (1.0, 2.0, 3.0), tuple(sensed), {})
+        assert good == MarginCurve("c", (1.0, 2.0, 3.0), good.y, good.sensed, {})
+        sensed[3][1:] = bad, 2.0
+        with pytest.raises(ValueError, match=rf"must lie in \(0, 1\], got {named}$"):
+            margin_curve("c", (1.0, 2.0, 3.0), tuple(sensed), {})
+
+    def test_non_finite_gain_rejected(self, profile22, monkeypatch):
+        def nan_margin(*args):
+            grid = [a.copy() for a in sense_grid(*args)]
+            grid[3][1] = math.nan
+            return tuple(grid)
+
+        monkeypatch.setattr(analysis, "sense_grid", nan_margin)
+        with pytest.raises(ValueError, match="delta values must be finite, got nan"):
+            compensation_curve(profile22, 10.0, 1024, 0.2, 0.4, (1e4, 1e5, 1e6))
+
 
 class TestAblationSeries:
     def test_labels_and_baseline(self, profile22):
@@ -283,14 +334,18 @@ class TestAblationSeries:
                 ReadSetup(0.2, 1024, FactorToggles(leakage=False)),
             )
 
+    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
+    def test_grid_validation(self, profile22, grid):
+        with pytest.raises(ValueError, match="r_on_grid"):
+            ablation_series(profile22, CellSpec(1e4, 10), ReadSetup(0.2, 1024), grid)
+
 
 class TestFindOptimalRange:
     def test_reference_band_at_80_percent(self, profile22):
         span = find_optimal_range(profile22, 10.0, 1024, 0.2, 0.80)
         assert span is not None
         r_low, r_high = span
-        # threshold crossings sit near 17.78 k and 117.17 k; bisection
-        # returns the inside of a <=1 % bracket around each
+        # threshold crossings sit near 17.78 k and 117.17 k
         assert 17700 <= r_low <= 18100
         assert 115800 <= r_high <= 117400
         setup = ReadSetup(0.2, 1024)
@@ -337,17 +392,88 @@ class TestFindOptimalRange:
         with pytest.raises(ValueError):
             find_optimal_range(profile22, 10.0, 1024, 0.2, 1.0)
 
-    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=["descending", "empty", "nan"])
+    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
     def test_grid_validation(self, profile22, grid):
         with pytest.raises(ValueError, match="r_on_grid"):
             find_optimal_range(profile22, 10.0, 1024, 0.2, 0.8, grid)
 
-    def test_quasi_concavity_guard(self):
-        _check_quasi_concave((1.0, 2.0, 3.0), [0.2, 0.5, 0.4])  # single peak: fine
-        _check_quasi_concave((1.0, 2.0, 3.0), [0.3, 0.3, 0.3])  # plateau: fine
-        with pytest.raises(NonUnimodalError) as err:
-            _check_quasi_concave((1.0, 2.0, 3.0, 4.0), [0.2, 0.5, 0.3, 0.6])
-        assert "2" in str(err.value)
+    @settings(max_examples=300, deadline=None)
+    @given(**band_inputs)
+    @example(k=10.0, n=1, v=0.2, t=0.95)  # no leakage: no upper end
+    @example(k=2.0, n=1024, v=0.2, t=0.5)  # t*k = 1: every R_on
+    @example(k=10.0, n=1024, v=0.4, t=0.05)  # t*k < 1
+    @example(k=10.0, n=4096, v=0.2, t=0.99)  # peak below t: empty band
+    def test_band_is_the_superlevel_set_of_a_dense_sweep(self, profile22, k, n, v, t):
+        grid = np.array(DENSE_GRID)
+        above = sense_grid(profile22, grid, k, n, v)[3] >= t
+        span = find_optimal_range(profile22, k, n, v, t, DENSE_GRID)
+        if span is None:
+            assert not above.any()
+            return
+        lo, hi = span
+        assert grid[0] <= lo <= hi <= grid[-1]
+        assert (sense_grid(profile22, [lo, hi], k, n, v)[3] >= t).all()
+        assert ((grid >= lo) & (grid <= hi)).tolist() == above.tolist()
+        # The ends are exact, not a bracket: just beyond one the margin drops.
+        outside = [r for r, clipped in ((lo * (1 - 1e-6), lo == grid[0]),
+                                        (hi * (1 + 1e-6), hi == grid[-1])) if not clipped]
+        assert (sense_grid(profile22, outside, k, n, v)[3] < t).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(**band_inputs)
+    def test_agrees_with_the_bisection_reference(self, profile22, k, n, v, t):
+        want = find_optimal_range_reference(profile22, k, n, v, t, DEFAULT_R_ON_GRID)
+        got = find_optimal_range(profile22, k, n, v, t)
+        if want is None:  # the pre-sweep sees no band narrower than a grid step
+            assert got is None or not any(got[0] <= r <= got[1] for r in DEFAULT_R_ON_GRID)
+            return
+        assert got is not None
+        # The reference returns the inside of a 1 % bracket around each end.
+        assert got[0] <= want[0] <= got[0] * 1.01
+        assert got[1] / 1.01 <= want[1] <= got[1]
+
+    @pytest.mark.parametrize(
+        "k, n, v, t", [(10.0, 1024, 0.2, 0.8), (100.0, 2, 0.2, 0.5), (3.0, 2, 0.2, 0.9)]
+    )
+    def test_ends_match_the_exact_roots(self, profile22, k, n, v, t):
+        # The two n = 2 bands span 4.5 decades: the textbook root formula
+        # loses about 1e-12 of the lower end to cancellation there.
+        want = exact_band(profile22, k, n, v, t)
+        got = find_optimal_range(profile22, k, n, v, t, DENSE_GRID)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "k, n, v", [(0.5, 1024, 0.2), (math.nan, 1024, 0.2), (10.0, 0, 0.2), (10.0, 1024, 0.0)]
+    )
+    def test_invalid_inputs_rejected(self, profile22, k, n, v):
+        with pytest.raises(ValueError):
+            find_optimal_range(profile22, k, n, v, 0.99)
+
+    def test_band_narrower_than_a_grid_step_is_returned(self, profile22):
+        k, n, v = 10.0, 1024, 0.2
+        s = profile22.r_transistor + n * profile22.r_unit
+        leak = (n - 1) * leakage_at(profile22, v)
+        r_star = math.sqrt(s * (s + v / leak) / k)
+        peak = float(sense_grid(profile22, r_star, k, n, v)[3])
+        dense = sense_grid(profile22, DENSE_GRID, k, n, v)[3]
+        assert peak >= dense.max()  # R* is the peak
+        t = (peak + sense_grid(profile22, DEFAULT_R_ON_GRID, k, n, v)[3].max()) / 2
+        assert find_optimal_range_reference(profile22, k, n, v, t, DEFAULT_R_ON_GRID) is None
+        lo, hi = find_optimal_range(profile22, k, n, v, t)
+        assert lo < r_star < hi
+        assert not any(lo <= r <= hi for r in DEFAULT_R_ON_GRID)
+
+    def test_without_leakage_band_has_no_upper_end(self, profile22):
+        # n = 1: the margin rises with R_on, reaching t at (t*k - 1)*S / (k*(1 - t))
+        s = profile22.r_transistor + profile22.r_unit
+        lo, hi = find_optimal_range(profile22, 10.0, 1, 0.2, 0.95)
+        assert lo == pytest.approx(8.5 * s / 0.5, rel=1e-12)
+        assert hi == DEFAULT_R_ON_GRID[-1]
+
+    @pytest.mark.parametrize("k, t", [(2.0, 0.5), (10.0, 0.05)])
+    def test_threshold_at_most_one_over_k_keeps_the_whole_grid(self, profile22, k, t):
+        assert find_optimal_range(profile22, k, 4096, 0.2, t) == (
+            DEFAULT_R_ON_GRID[0], DEFAULT_R_ON_GRID[-1])
 
 
 class TestArgmaxResistance:
@@ -379,7 +505,7 @@ class TestArgmaxResistance:
         with pytest.raises(ValueError, match="r_on_grid must be non-empty"):
             argmax_resistance(profile22, 10.0, 64, 0.2, ())
 
-    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=["descending", "empty", "nan"])
+    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
     def test_grid_validation(self, profile22, grid):
         with pytest.raises(ValueError, match="r_on_grid"):
             argmax_resistance(profile22, 10.0, 1024, 0.2, grid)
@@ -424,6 +550,11 @@ class TestCompensationCurve:
     def test_out_of_table_voltage_propagates(self, profile22):
         with pytest.raises(LeakageRangeError):
             compensation_curve(profile22, 10.0, 1024, 0.2, 0.9)
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
+    def test_grid_validation(self, profile22, grid):
+        with pytest.raises(ValueError, match="r_on_grid"):
+            compensation_curve(profile22, 10.0, 1024, 0.2, 0.4, grid)
 
 
 class TestReadPowerRatio:

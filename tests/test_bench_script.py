@@ -33,6 +33,9 @@ def test_bench_script_reports_every_layer(tmp_path):
         assert f"cli.{name}" in cases
     for engine in ("lumped", "oracle"):
         assert f"model.sense_grid.row.{engine}" in cases
+    for name in ("find_optimal_range", "argmax_resistance", "sweep_grid", "ablation_series",
+                 "compensation_curve", "margin_curve"):
+        assert cases[f"analysis.{name}"]["layer"] == "analysis"
     gaps = record["accuracy"]["gap_max_pct"]
     assert list(gaps) == ["64", "128", "256", "512", "1024", "2048", "4096", "8192", "16384"]
     assert 0.0 <= gaps["1024"] < gaps["16384"] < 5.0

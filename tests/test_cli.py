@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_golden import GOLDEN_DIGESTS
 
 import crossbar_margin
-from crossbar_margin import CellSpec, ReadSetup, oracle_margin, read_currents
+from crossbar_margin import CellSpec, ReadSetup, analysis, cli, oracle_margin, read_currents
+from crossbar_margin.model import sense_grid
 from crossbar_margin.cli import run_cli
 from crossbar_margin.profile_io import dump_profile, load_bundled_profile
 
@@ -95,6 +97,18 @@ class TestOptimalRangeCommand:
         assert run_cli(args) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["r_low_ohm"] is None and payload["r_high_ohm"] is None
+
+    def test_sweeps_the_grid_once(self, capsys, monkeypatch):
+        sizes = []
+
+        def counting(profile, r_on, *args, **kwargs):
+            sizes.append(np.size(r_on))
+            return sense_grid(profile, r_on, *args, **kwargs)
+
+        for module in (analysis, cli):
+            monkeypatch.setattr(module, "sense_grid", counting)
+        assert run_cli(["optimal-range", "--k", "10", "--n", "1024", "--json"]) == 0
+        assert sizes == [200, 1]  # the argmax sweep, then the margin at the peak
 
 
 class TestCompensateCommand:

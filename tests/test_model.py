@@ -252,6 +252,25 @@ class TestSenseGrid:
             reference.sense_grid_reference(profile22, [1e4, 5e4, 1e6], 10.0, 1024, 0.2)
         assert_matches_reference(profile22, [1e4, 5e4, 1e6], 10.0, 1024, 0.2)
 
+    # A profile whose leakage table covers integer read voltages.
+    WIDE = TechnologyProfile("wide", 2.5, 1700.0, ((0.0, 0.0), (1.0, 4e-11), (3.0, 9e-11)))
+
+    @pytest.mark.parametrize("k", [10, 2**53 + 1, 2**63, 2**64, True, 0, -3, 10.0])
+    @pytest.mark.parametrize("v", [1, 2, 2**64, True, 0, 0.5])
+    def test_int_inputs_match_reference(self, k, v):
+        for n in (1024, np.array([1, 64, 4096])):
+            assert_matches_reference(self.WIDE, [1e4, 5e4, 1e6], k, n, v)
+
+    def test_exact_int_inputs_take_the_fast_path(self, monkeypatch):
+        def element_wise(*args):
+            raise AssertionError("element-wise checks ran")
+
+        monkeypatch.setattr(model, "_require", element_wise)
+        for k, v in ((10, 1), (2**63, 2), (10.0, 2), (7, 0.5)):
+            sense_grid(self.WIDE, [1e4, 5e4, 1e6], k, 1024, v)
+        with pytest.raises(AssertionError):  # 2**53 + 1 has no exact float
+            sense_grid(self.WIDE, [1e4, 5e4, 1e6], 2**53 + 1, 1024, 1)
+
     @pytest.mark.parametrize("toggles", [FactorToggles(), FactorToggles.all_off()])
     @pytest.mark.parametrize("k", [10.0, 10])
     def test_scalar_inputs_give_0d_float64_arrays(self, profile22, toggles, k):

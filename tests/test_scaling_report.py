@@ -1,12 +1,17 @@
-"""Smoke test of scripts/scaling_report.py: it runs and prints one row per size."""
+"""Tests of scripts/scaling_report.py: one row and one R_on sweep per size."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import crossbar_margin
+from crossbar_margin import analysis
 from crossbar_margin.analysis import DEFAULT_N_GRID
+from crossbar_margin.model import sense_grid
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scaling_report.py"
 
@@ -20,3 +25,16 @@ def test_scaling_report_prints_one_row_per_column_size():
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [int(row[0]) for row in rows] == list(DEFAULT_N_GRID)
     assert all(row[-1] in ("none", "ohm") for row in rows)  # the band column ends each row
+
+
+def test_scaling_report_sweeps_the_grid_once_per_size(monkeypatch, capsys):
+    sizes = []
+
+    def counting(profile, r_on, *args, **kwargs):
+        sizes.append(np.size(r_on))
+        return sense_grid(profile, r_on, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "sense_grid", counting)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT)])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert sizes == [200] * len(DEFAULT_N_GRID)
