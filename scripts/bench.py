@@ -10,7 +10,10 @@ same script times any commit it is copied into.  Five layers:
             and, per engine, over one R_on row at n = 1024
   oracle    oracle_margin, solve_column and kcl_residuals as n grows
   analysis  find_optimal_range, argmax_resistance, sweep_grid, ablation_series
-            and compensation_curve, and margin_curve alone on one sense_grid row
+            and compensation_curve, and margin_curve alone on one sense_grid row;
+            find_optimal_range, argmax_resistance and margin_curve also as
+            .tuple_grid, on a plain tuple of the default grid's values, which
+            they check on every call where the package's grid is pre-checked
   figures   each figure writer whole, and its write_csv and render_plot
             calls replayed on the same arguments, apart from curve compute;
             validate --grid full --csv, in process
@@ -140,14 +143,20 @@ def analysis_cases(profile):
     spec = SweepSpec(DEFAULT_R_ON_GRID, DEFAULT_N_GRID, (V_READ,), K)
     cell, setup = CellSpec(r_on=1e4, ratio_ideal=K), ReadSetup(v_read=V_READ, n_cells=1024)
     row = sense_grid(profile, DEFAULT_R_ON_GRID, K, 1024, V_READ)
+    plain = tuple(DEFAULT_R_ON_GRID)
     yield "analysis.find_optimal_range", lambda: find_optimal_range(profile, K, 1024, V_READ, 0.8)
+    yield "analysis.find_optimal_range.tuple_grid", lambda: find_optimal_range(
+        profile, K, 1024, V_READ, 0.8, plain)
     yield "analysis.argmax_resistance", lambda: argmax_resistance(
         profile, K, 1024, V_READ, DEFAULT_R_ON_GRID)
+    yield "analysis.argmax_resistance.tuple_grid", lambda: argmax_resistance(
+        profile, K, 1024, V_READ, plain)
     yield "analysis.sweep_grid", lambda: sweep_grid(spec, profile)
     yield "analysis.ablation_series", lambda: ablation_series(profile, cell, setup)
     yield "analysis.compensation_curve", lambda: compensation_curve(
         profile, K, 1024, V_READ, 0.4)
     yield "analysis.margin_curve", lambda: margin_curve("margin", DEFAULT_R_ON_GRID, row, {})
+    yield "analysis.margin_curve.tuple_grid", lambda: margin_curve("margin", plain, row, {})
 
 
 def figure_cases(profile, outdir):

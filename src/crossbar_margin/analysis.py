@@ -1,9 +1,9 @@
 """Design-space studies built on the column model and the network oracle.
 
-Each curve is one model.sense_grid evaluation over an R_on grid that the
-study checks once, at entry, and converts to one float64 array; a
-MarginCurve carries that call's arrays as they are, one entry per x, in
-grid order.
+A Grid is a tuple as_grid has checked (non-empty, strictly increasing,
+finite): the grid constants, SweepSpec's grids, each MarginCurve's x.  A
+study turns any other grid into one at entry, once, and makes each curve
+from one model.sense_grid call, whose arrays it carries, one entry per x.
 
 The optimal R_on band needs no sweep at all.  With S = R_T + n*r,
 L = (n-1)*I_leak, drive V, fabricated ratio k and threshold t, the lumped
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -39,14 +39,12 @@ from .model import (
     sense_point,
 )
 
-# Default grids mirror the usual presentation of this design space:
-# on-resistance swept over four decades, column length in powers of two.
-DEFAULT_R_ON_GRID: tuple[float, ...] = tuple(
-    float(x) for x in np.logspace(4.0, 8.0, 200)
-)
-COARSE_R_ON_GRID: tuple[float, ...] = tuple(float(x) for x in np.logspace(4.0, 8.0, 20))
-DEFAULT_N_GRID: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096)
-VALIDATION_N_GRID: tuple[int, ...] = (256, 512, 1024, 2048, 4096)
+
+class Grid(tuple):
+    """Grid values that as_grid has checked.  Grid(values) checks nothing,
+    so that copy and pickle can rebuild a Grid from its values."""
+
+    __slots__ = ()
 
 
 def _check_grid(name: str, grid) -> None:
@@ -65,86 +63,93 @@ def _check_grid(name: str, grid) -> None:
             raise ValueError(f"{name} must be finite, got {v}")
 
 
+def as_grid(name: str, values) -> Grid:
+    """values as a Grid: a Grid as it is, anything else checked as `name`."""
+    if isinstance(values, Grid):
+        return values
+    grid = Grid(values)
+    _check_grid(name, grid)
+    return grid
+
+
+# Default grids mirror the usual presentation of this design space:
+# on-resistance swept over four decades, column length in powers of two.
+DEFAULT_R_ON_GRID = as_grid("DEFAULT_R_ON_GRID", map(float, np.logspace(4.0, 8.0, 200)))
+COARSE_R_ON_GRID = as_grid("COARSE_R_ON_GRID", map(float, np.logspace(4.0, 8.0, 20)))
+DEFAULT_N_GRID = as_grid("DEFAULT_N_GRID", (64, 128, 256, 512, 1024, 2048, 4096))
+VALIDATION_N_GRID = as_grid("VALIDATION_N_GRID", (256, 512, 1024, 2048, 4096))
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A margin sweep: resistance grid crossed with sizes, voltages, toggles."""
 
-    r_on_grid: tuple[float, ...]
-    n_grid: tuple[int, ...]
-    v_read_grid: tuple[float, ...]
+    r_on_grid: Grid
+    n_grid: Grid
+    v_read_grid: Grid
     ratio_ideal: float
     toggles: tuple[FactorToggles, ...] = (FactorToggles.all_on(),)
     engine: str = "lumped"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r_on_grid", tuple(float(r) for r in self.r_on_grid))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(
-            self, "v_read_grid", tuple(float(v) for v in self.v_read_grid)
-        )
-        for name in ("r_on_grid", "n_grid", "v_read_grid"):
-            _check_grid(name, getattr(self, name))
+        for name, kind in (("r_on_grid", float), ("n_grid", int), ("v_read_grid", float)):
+            grid = getattr(self, name)
+            if not isinstance(grid, Grid):
+                grid = map(kind, grid)
+            object.__setattr__(self, name, as_grid(name, grid))
         if not self.toggles:
             raise ValueError("toggles must contain at least one combination")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MarginCurve:
     """Ordered (x, y) samples with the sense_grid arrays behind them.
 
-    sensed is the (i_on, i_off, ratio_effective, margin_normalized)
-    arrays of the sense_grid call behind the curve, one entry per x.
-    y_kind is "margin" for normalized-margin curves (values in (0, 1])
-    and "delta" for margin-difference curves, which may touch zero.
+    x goes through as_grid and y is stored as a tuple of floats.  sensed
+    is the (i_on, i_off, ratio_effective, margin_normalized) arrays of the
+    sense_grid call behind the curve, one entry per x.  y_kind is "margin"
+    for normalized-margin curves (values in (0, 1]) and "delta" for
+    margin-difference curves, which may touch zero.
     """
 
     label: str
-    x: tuple[float, ...]
+    x: Grid
     y: tuple[float, ...]
     sensed: tuple[np.ndarray, ...]
-    meta: dict[str, Any] = field(default_factory=dict)
-    y_kind: str = "margin"
+    meta: dict[str, Any]
+    y_kind: str
 
-    def __post_init__(self) -> None:
-        if len(self.y) != len(self.x) or any(len(a) != len(self.x) for a in self.sensed):
+    def __init__(self, label: str, x, y, sensed: tuple[np.ndarray, ...],
+                 meta: dict[str, Any] | None = None, y_kind: str = "margin") -> None:
+        x = as_grid("x", x)
+        if {len(y), *map(len, sensed)} != {len(x)}:
             raise ValueError("x, y and the sensed arrays must have equal length")
-        _check_grid("x", self.x)
-        if self.y_kind not in ("margin", "delta"):
-            raise ValueError(f'y_kind must be "margin" or "delta", got {self.y_kind!r}')
-        _check_y(np.asarray(self.y, dtype=float), self.y_kind)
+        if y_kind not in ("margin", "delta"):
+            raise ValueError(f'y_kind must be "margin" or "delta", got {y_kind!r}')
+        y = np.asarray(y, dtype=float)
+        _check_y(y, y_kind)
+        # Frozen: bypass __setattr__, as dataclass's own __init__ does.
+        self.__dict__.update(label=label, x=x, y=tuple(y.tolist()), sensed=sensed,
+                             meta={} if meta is None else meta, y_kind=y_kind)
 
 
 def _check_y(y: np.ndarray, y_kind: str) -> None:
     """Margins must lie in (0, 1] (to 1e-12), deltas must be finite."""
+    if y_kind == "margin" and y.min() > 0.0 and y.max() <= 1.0 + 1e-12:
+        return  # a NaN fails both reductions; the test below names it
     ok = (y > 0.0) & (y <= 1.0 + 1e-12) if y_kind == "margin" else np.isfinite(y)
     if not ok.all():
         rule = "lie in (0, 1]" if y_kind == "margin" else "be finite"
         raise ValueError(f"{y_kind} values must {rule}, got {float(y[np.argmin(ok)])}")
 
 
-def _curve(label, x, y: np.ndarray, sensed, meta, y_kind) -> MarginCurve:
-    """MarginCurve(label, x, y, sensed, meta, y_kind) for x a grid its
-    caller has checked and sensed arrays as long as x, so only y is checked."""
-    if len(x) != len(y):
-        return MarginCurve(label, x, tuple(y.tolist()), sensed, meta, y_kind)  # raises
-    _check_y(y, y_kind)
-    curve = object.__new__(MarginCurve)
-    curve.__dict__.update(label=label, x=x, y=tuple(y.tolist()), sensed=sensed,
-                          meta=meta, y_kind=y_kind)
-    return curve
-
-
 def margin_curve(
     label: str, x, grid: tuple[np.ndarray, ...], meta: dict[str, Any]
 ) -> MarginCurve:
-    """Margin curve over x from the arrays of one sense_grid call.
-
-    x is not checked again: it must be a grid its caller has checked
-    (SweepSpec, a study's entry, the figure module's grids).
-    """
-    return _curve(label, tuple(x), grid[3], grid, meta, "margin")
+    """Margin curve over x from the arrays of one sense_grid call."""
+    return MarginCurve(label, x, grid[3], grid, meta)
 
 
 def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]:
@@ -196,12 +201,11 @@ def ablation_series(
     The setup must have every factor enabled; each variant then switches
     a single factor off, showing which non-ideality owns which flank of
     the margin curve.  The swept resistance replaces cell.r_on point by
-    point; cell.ratio_ideal is kept.  r_on_grid must be non-empty,
-    strictly increasing and finite.
+    point; cell.ratio_ideal is kept.  r_on_grid goes through as_grid.
     """
     if setup.toggles != FactorToggles.all_on():
         raise ValueError("ablation baseline requires all factors enabled")
-    _check_grid("r_on_grid", r_on_grid)
+    r_on_grid = as_grid("r_on_grid", r_on_grid)
     r_on = np.asarray(r_on_grid, dtype=float)
     variants = [
         ("baseline", setup.toggles),
@@ -244,12 +248,14 @@ def find_optimal_range(
     each end is moved inward by the fewest of 0, 1, 2, 4, ... 2**30 ulps
     at which the model reads margin >= threshold.  None when the peak
     falls short (b**2 < 4*a*c), the band misses the grid's span or
-    rounding keeps an end below threshold.  r_on_grid must be non-empty,
-    strictly increasing and finite; only its ends are used.
+    rounding keeps an end below threshold.  r_on_grid goes through
+    as_grid; only its ends are used.  n_cells may be a numpy integer.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    _check_grid("r_on_grid", r_on_grid)
+    r_on_grid = as_grid("r_on_grid", r_on_grid)
+    if isinstance(n_cells, np.integer):  # as sense_grid accepts it
+        n_cells = int(n_cells)
     setup = ReadSetup(v_read=v_read, n_cells=n_cells)
     CellSpec(r_on_grid[0], ratio_ideal)  # validates k and the grid's lower end
     r_line, r_t, i_leak = element_values(profile, setup.toggles, v_read)
@@ -294,9 +300,9 @@ def argmax_resistance(
     """Grid resistance with the highest margin; ties go to the lower value.
 
     The tie rule favors read speed and is fixed so results are reproducible.
-    r_on_grid must be non-empty, strictly increasing and finite.
+    r_on_grid goes through as_grid.
     """
-    _check_grid("r_on_grid", r_on_grid)
+    r_on_grid = as_grid("r_on_grid", r_on_grid)
     margins = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_read)[3]
     return r_on_grid[int(np.argmax(margins))]
 
@@ -316,16 +322,15 @@ def compensation_curve(
     gain reflects both the stronger read current and the higher leakage.
     Without the leakage factor the margin is voltage-independent and the
     gain is identically zero.  The attached sensed arrays are those at
-    the raised voltage.  r_on_grid must be non-empty, strictly increasing
-    and finite.
+    the raised voltage.  r_on_grid goes through as_grid.
     """
-    _check_grid("r_on_grid", r_on_grid)
+    r_on_grid = as_grid("r_on_grid", r_on_grid)
     r_on = np.asarray(r_on_grid, dtype=float)
     base = sense_grid(profile, r_on, ratio_ideal, n_cells, v_base, toggles)
     alt = sense_grid(profile, r_on, ratio_ideal, n_cells, v_alt, toggles)
     meta = {"n_cells": n_cells, "v_base": v_base, "v_alt": v_alt, "ratio_ideal": ratio_ideal}
-    return _curve(f"margin gain {v_base:g}V->{v_alt:g}V", tuple(r_on_grid),
-                  alt[3] - base[3], alt, meta, "delta")
+    return MarginCurve(f"margin gain {v_base:g}V->{v_alt:g}V", r_on_grid,
+                       alt[3] - base[3], alt, meta, "delta")
 
 
 def read_power_ratio(v_alt: float, v_base: float) -> float:

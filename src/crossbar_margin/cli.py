@@ -22,8 +22,10 @@ from .analysis import (
     COARSE_R_ON_GRID,
     DEFAULT_N_GRID,
     VALIDATION_N_GRID,
+    Grid,
     SweepSpec,
     argmax_resistance,
+    as_grid,
     ablation_series,
     compensation_curve,
     find_optimal_range,
@@ -32,6 +34,7 @@ from .analysis import (
 )
 from .figures import (
     FIGURE_WRITERS,
+    MARGIN_GAIN_VS_R_ON,
     MARGIN_VS_R_ON,
     render_ablation_svg,
     write_ablation_csv,
@@ -83,15 +86,12 @@ def _add_ron_grid_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ron-points", type=int, default=200, help="log-spaced grid size")
 
 
-def _ron_grid(args: argparse.Namespace) -> tuple[float, ...]:
+def _ron_grid(args: argparse.Namespace) -> Grid:
     if args.ron_min <= 0 or args.ron_max <= args.ron_min or args.ron_points < 2:
         raise ValueError("need 0 < --ron-min < --ron-max and --ron-points >= 2")
-    return tuple(
-        float(x)
-        for x in np.logspace(
-            np.log10(args.ron_min), np.log10(args.ron_max), args.ron_points
-        )
-    )
+    return as_grid("r_on_grid", map(float, np.logspace(
+        np.log10(args.ron_min), np.log10(args.ron_max), args.ron_points
+    )))
 
 
 def _load(args: argparse.Namespace):
@@ -262,8 +262,7 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
             [curve],
             args.svg,
             title=f"Margin gain {args.vbase:g}V->{args.valt:g}V (n={args.n})",
-            x_label="R_on (ohm)",
-            y_label="margin gain",
+            **MARGIN_GAIN_VS_R_ON,
         )
         print(f"wrote {args.svg}")
     return 0

@@ -22,7 +22,6 @@ from .analysis import (
     DEFAULT_R_ON_GRID,
     VALIDATION_N_GRID,
     MarginCurve,
-    _check_grid,
     ablation_series,
     compensation_curve,
     margin_curve,
@@ -39,12 +38,9 @@ from .svg import render_plot
 
 V_READ_DEFAULT = 0.2
 RATIO_DEFAULT = 10.0
-# The axes of every margin-versus-R_on plot.
+# The axes of every margin-versus-R_on plot, and of every margin-gain plot.
 MARGIN_VS_R_ON = dict(x_label="R_on (ohm)", y_label="normalized margin", y_min=0.0, y_max=1.0)
-# The x grids of the figures' margin curves, which margin_curve leaves to its caller.
-_check_grid("DEFAULT_N_GRID", DEFAULT_N_GRID)
-_check_grid("DEFAULT_R_ON_GRID", DEFAULT_R_ON_GRID)
-_check_grid("COARSE_R_ON_GRID", COARSE_R_ON_GRID)
+MARGIN_GAIN_VS_R_ON = dict(x_label="R_on (ohm)", y_label="margin gain")
 
 
 def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
@@ -61,7 +57,7 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
         curves = [
             margin_curve(
                 f"R_on={r_on:g}",
-                map(float, DEFAULT_N_GRID),
+                DEFAULT_N_GRID,
                 sense_grid(
                     profile, r_on, RATIO_DEFAULT, DEFAULT_N_GRID, V_READ_DEFAULT, toggles
                 ),
@@ -226,8 +222,7 @@ def write_fig6(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
         [gain_04, gain_06],
         svg_gain,
         title="Margin gain from raising the read voltage (n=1024)",
-        x_label="R_on (ohm)",
-        y_label="margin gain",
+        **MARGIN_GAIN_VS_R_ON,
     )
     return [csv_path, svg_margins, svg_gain]
 

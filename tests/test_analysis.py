@@ -1,6 +1,9 @@
 """Tests for sweeps, ablation, range search and compensation."""
 
+import copy
 import math
+import pickle
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -27,7 +30,15 @@ from crossbar_margin import (
     sweep_grid,
 )
 from crossbar_margin import analysis
-from crossbar_margin.analysis import DEFAULT_R_ON_GRID, margin_curve
+from crossbar_margin.analysis import (
+    COARSE_R_ON_GRID,
+    DEFAULT_N_GRID,
+    DEFAULT_R_ON_GRID,
+    VALIDATION_N_GRID,
+    Grid,
+    as_grid,
+    margin_curve,
+)
 from crossbar_margin.model import leakage_at
 from optimal_range_reference import find_optimal_range_reference
 
@@ -216,9 +227,78 @@ class TestSweepGrid:
             )
 
 
+class TestGrid:
+    def test_package_grids_are_grids(self):
+        for grid in (DEFAULT_R_ON_GRID, COARSE_R_ON_GRID, DEFAULT_N_GRID, VALIDATION_N_GRID):
+            assert type(grid) is Grid
+
+    def test_sweep_spec_grids_are_grids(self):
+        spec = SweepSpec((1e4, 1e5), [64.0, 128], (0.2,), 10.0)
+        assert (spec.r_on_grid, spec.n_grid, spec.v_read_grid) == ((1e4, 1e5), (64, 128), (0.2,))
+        assert all(type(g) is Grid for g in (spec.r_on_grid, spec.n_grid, spec.v_read_grid))
+        assert type(spec.n_grid[0]) is int
+        spec = SweepSpec(DEFAULT_R_ON_GRID, DEFAULT_N_GRID, (0.2,), 10.0)
+        assert spec.r_on_grid is DEFAULT_R_ON_GRID and spec.n_grid is DEFAULT_N_GRID
+
+    def test_as_grid_keeps_a_grid_and_checks_anything_else(self):
+        assert as_grid("g", DEFAULT_R_ON_GRID) is DEFAULT_R_ON_GRID
+        grid = as_grid("g", [1.0, 2.0])
+        assert type(grid) is Grid and grid == (1.0, 2.0)
+        for bad, message in [((), "g must be non-empty"),
+                             ((2.0, 1.0), "g must be strictly increasing, got 2.0 then 1.0"),
+                             ((1.0, math.inf), "g must be finite, got inf")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                as_grid("g", bad)
+
+    def test_a_grid_is_not_checked_again(self, profile22, monkeypatch):
+        v_grid = as_grid("v_read_grid", (0.2,))
+
+        def unexpected_check(name, grid):
+            raise AssertionError(f"{name} checked again")
+
+        monkeypatch.setattr(analysis, "_check_grid", unexpected_check)
+        spec = SweepSpec(DEFAULT_R_ON_GRID, DEFAULT_N_GRID, v_grid, 10.0)
+        assert all(c.x is DEFAULT_R_ON_GRID for c in sweep_grid(spec, profile22))
+        series = ablation_series(profile22, CellSpec(1e4, 10), ReadSetup(0.2, 1024))
+        assert all(c.x is DEFAULT_R_ON_GRID for _, c in series)
+        curve = compensation_curve(profile22, 10.0, 1024, 0.2, 0.4)
+        assert curve.x is DEFAULT_R_ON_GRID
+        assert find_optimal_range(profile22, 10.0, 1024, 0.2, 0.8) is not None
+        assert argmax_resistance(profile22, 10.0, 1024, 0.2, DEFAULT_R_ON_GRID) > 0
+        with pytest.raises(AssertionError, match="r_on_grid checked again"):
+            argmax_resistance(profile22, 10.0, 1024, 0.2, tuple(DEFAULT_R_ON_GRID))
+
+    def test_grid_and_curve_survive_pickle_and_deepcopy(self, profile22):
+        curve = compensation_curve(profile22, 10.0, 1024, 0.2, 0.4, COARSE_R_ON_GRID)
+        for clone in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)):
+            assert type(clone) is MarginCurve and type(clone.x) is Grid
+            assert (clone.label, clone.x, clone.y, clone.meta, clone.y_kind) == (
+                curve.label, curve.x, curve.y, curve.meta, curve.y_kind)
+            assert all(np.array_equal(a, b) for a, b in zip(clone.sensed, curve.sensed))
+        for clone in (pickle.loads(pickle.dumps(DEFAULT_N_GRID)), copy.deepcopy(DEFAULT_N_GRID)):
+            assert type(clone) is Grid and clone == DEFAULT_N_GRID
+
+
 class TestMarginCurve:
     def _sensed(self, profile, points=2):
         return sense_grid(profile, (1e4,) * points, 10, 4, 0.2)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ((3e5, 2e5, 1e5), "x must be strictly increasing, got 300000.0 then 200000.0"),
+            ((1e4, math.nan, 1e6), "x must be strictly increasing, got 10000.0 then nan"),
+            ((), "x must be non-empty"),
+        ],
+        ids=["descending", "nan", "empty"],
+    )
+    def test_x_checked_on_every_path(self, profile22, x, message):
+        sensed = sense_grid(profile22, np.full(len(x), 2e5), 10.0, 64, 0.2)
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=match):
+            margin_curve("m", x, sensed, {})
+        with pytest.raises(ValueError, match=match):
+            MarginCurve("m", x, sensed[3], sensed)
 
     def test_x_must_increase(self, profile22):
         sensed = self._sensed(profile22)
@@ -448,6 +528,13 @@ class TestFindOptimalRange:
     def test_invalid_inputs_rejected(self, profile22, k, n, v):
         with pytest.raises(ValueError):
             find_optimal_range(profile22, k, n, v, 0.99)
+
+    def test_numpy_integer_n_cells_accepted(self, profile22):
+        band = find_optimal_range(profile22, 10.0, 1024, 0.2, 0.8)
+        for n in (np.int64(1024), np.int32(1024), np.uint16(1024)):
+            assert find_optimal_range(profile22, 10.0, n, 0.2, 0.8) == band
+        with pytest.raises(ValueError, match="^n_cells must be an integer, got True$"):
+            find_optimal_range(profile22, 10.0, True, 0.2, 0.8)
 
     def test_band_narrower_than_a_grid_step_is_returned(self, profile22):
         k, n, v = 10.0, 1024, 0.2

@@ -124,6 +124,21 @@ class TestCompensateCommand:
         assert "x4" in out  # quadratic read-power cost
         assert csv_path.exists()
 
+    def test_svg_has_fig6_gain_axes(self, capsys, tmp_path):
+        svg_path = tmp_path / "gain.svg"
+        args = ["compensate", "--k", "10", "--n", "1024", "--valt", "0.4", "--svg", str(svg_path)]
+        assert run_cli(args) == 0
+        assert run_cli(["fig6", "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+        def axis_labels(path):  # the x and y axis titles are the font-size 12 lines
+            return [line for line in path.read_text(encoding="utf-8").splitlines()
+                    if 'font-size="12"' in line]
+
+        assert axis_labels(svg_path) == axis_labels(tmp_path / "fig6.svg")
+        assert [label.split(">")[1] for label in axis_labels(svg_path)] == [
+            "R_on (ohm)</text", "margin gain</text"]
+
 
 class TestValidateCommand:
     def test_quick_grid_passes(self, capsys, tmp_path):
@@ -222,6 +237,11 @@ class TestAblateCommand:
         assert capsys.readouterr().out == f"wrote {csv_path} (800 rows)\nwrote {svg_path}\n"
         for path in (csv_path, svg_path):
             assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[path.name]
+
+    def test_ron_grid_is_a_grid(self):
+        args = cli.build_parser().parse_args(["ablate", "--k", "10", "--n", "64"])
+        grid = cli._ron_grid(args)
+        assert type(grid) is analysis.Grid and grid == analysis.DEFAULT_R_ON_GRID
 
     def test_bad_grid_names_the_flag(self, capsys):
         assert run_cli(["ablate", "--k", "10", "--n", "64", "--ron-min", "-5"]) == 1

@@ -10,14 +10,16 @@ import hashlib
 import json
 from pathlib import Path
 
+from crossbar_margin import analysis
 from crossbar_margin.cli import run_cli
 
 GOLDEN_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "golden_digests.json"
+FIGURES = ("fig3", "fig4", "fig5", "fig6")
 
 
 def test_figures_and_validation_match_golden_digests(tmp_path, capsys):
     golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
-    for command in ("fig3", "fig4", "fig5", "fig6"):
+    for command in FIGURES:
         assert run_cli([command, "--outdir", str(tmp_path)]) == 0
     csv_path = tmp_path / "validate.csv"
     assert run_cli(["validate", "--grid", "full", "--csv", str(csv_path)]) == 0
@@ -28,3 +30,17 @@ def test_figures_and_validation_match_golden_digests(tmp_path, capsys):
     for name in written:
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == golden[name], f"{name} differs from its golden digest"
+
+
+def test_figures_check_no_grid_again(tmp_path, capsys, monkeypatch):
+    """The figures run on the package's Grids, which were checked when built."""
+    def unexpected_check(name, grid):
+        raise AssertionError(f"{name} checked again")
+
+    monkeypatch.setattr(analysis, "_check_grid", unexpected_check)
+    golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+    for command in FIGURES:
+        assert run_cli([command, "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for path in tmp_path.iterdir():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[path.name], path.name
