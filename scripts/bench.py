@@ -8,7 +8,9 @@ same script times any commit it is copied into.  Five layers:
 
   model     one read_currents point; sense_grid over the default R_on x n grid
             and, per engine, over one R_on row at n = 1024
-  oracle    oracle_margin, solve_column and kcl_residuals as n grows
+  oracle    oracle_margin, solve_column and kcl_residuals as n grows, and
+            compare_lumped_distributed over 20 log-spaced cells at n = 64, 1024
+            and 16384 (the oracle-validation workload's shape)
   analysis  find_optimal_range, argmax_resistance, sweep_grid, ablation_series
             and compensation_curve, and margin_curve alone on one sense_grid row;
             find_optimal_range, argmax_resistance and margin_curve also as
@@ -73,6 +75,8 @@ from crossbar_margin.cli import run_cli  # noqa: E402
 
 LOOP_SECONDS = 0.05
 ORACLE_N = (256, 1024, 4096, 16384)
+COMPARE_N = (64, 1024, 16384)
+COMPARE_R_ON = tuple(float(r) for r in np.logspace(4.0, 8.0, 20))
 GAP_N = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
 GAP_R_ON = tuple(float(r) for r in np.logspace(4.0, 8.0, 40))
 K, V_READ = 10.0, 0.2
@@ -137,6 +141,11 @@ def oracle_cases(profile):
         yield f"oracle.oracle_margin.n{n}", lambda s=setup: oracle_margin(profile, cell, s)
         yield f"oracle.solve_column.n{n}", lambda net=net: solve_column(net)
         yield f"oracle.kcl_residuals.n{n}", lambda net=net, sol=sol: kcl_residuals(net, sol)
+    cells = [CellSpec(r_on=r, ratio_ideal=K) for r in COMPARE_R_ON]
+    for n in COMPARE_N:
+        setups = [ReadSetup(v_read=V_READ, n_cells=n)]
+        yield f"oracle.compare_lumped_distributed.n{n}", lambda s=setups: (
+            compare_lumped_distributed(profile, cells, s))
 
 
 def analysis_cases(profile):

@@ -8,13 +8,7 @@ band that keeps the margin above a threshold.
 
 import argparse
 
-from crossbar_margin import (
-    CellSpec,
-    ReadSetup,
-    argmax_resistance,
-    find_optimal_range,
-    read_currents,
-)
+from crossbar_margin import argmax_resistance, find_optimal_range, sense_grid
 from crossbar_margin.analysis import DEFAULT_N_GRID, DEFAULT_R_ON_GRID
 from crossbar_margin.profile_io import load_bundled_profile, load_profile
 
@@ -33,11 +27,7 @@ def main() -> None:
     print(f"{'n':>6} {'m(10k)':>8} {'m(50k)':>8} {'m(100k)':>8} "
           f"{'best R_on':>10} {'band >= ' + format(args.threshold, 'g'):>22}")
     for n in DEFAULT_N_GRID:
-        setup = ReadSetup(v_read=args.vread, n_cells=n)
-        margins = [
-            read_currents(profile, CellSpec(r, args.k), setup).margin_normalized
-            for r in (1e4, 5e4, 1e5)
-        ]
+        margins = sense_grid(profile, (1e4, 5e4, 1e5), args.k, n, args.vread)[3]
         best = argmax_resistance(profile, args.k, n, args.vread, DEFAULT_R_ON_GRID)
         span = find_optimal_range(profile, args.k, n, args.vread, args.threshold)
         band = "none" if span is None else f"{span[0]:.3g} .. {span[1]:.3g} ohm"

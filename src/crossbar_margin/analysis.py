@@ -1,6 +1,6 @@
 """Design-space studies built on the column model and the network oracle.
 
-A Grid is a tuple as_grid has checked (non-empty, strictly increasing,
+A Grid is a tuple checked when built (non-empty, strictly increasing,
 finite): the grid constants, SweepSpec's grids, each MarginCurve's x.  A
 study turns any other grid into one at entry, once, and makes each curve
 from one model.sense_grid call, whose arrays it carries, one entry per x.
@@ -41,10 +41,14 @@ from .model import (
 
 
 class Grid(tuple):
-    """Grid values that as_grid has checked.  Grid(values) checks nothing,
-    so that copy and pickle can rebuild a Grid from its values."""
+    """Grid values, checked (as `name`) when built, also when copy or pickle rebuild one."""
 
     __slots__ = ()
+
+    def __new__(cls, values, name: str = "grid"):
+        grid = super().__new__(cls, values)
+        _check_grid(name, grid)
+        return grid
 
 
 def _check_grid(name: str, grid) -> None:
@@ -64,12 +68,8 @@ def _check_grid(name: str, grid) -> None:
 
 
 def as_grid(name: str, values) -> Grid:
-    """values as a Grid: a Grid as it is, anything else checked as `name`."""
-    if isinstance(values, Grid):
-        return values
-    grid = Grid(values)
-    _check_grid(name, grid)
-    return grid
+    """values as a Grid: a Grid as it is, else Grid(values, name)."""
+    return values if isinstance(values, Grid) else Grid(values, name)
 
 
 # Default grids mirror the usual presentation of this design space:
@@ -92,7 +92,7 @@ class SweepSpec:
     engine: str = "lumped"
 
     def __post_init__(self) -> None:
-        for name, kind in (("r_on_grid", float), ("n_grid", int), ("v_read_grid", float)):
+        for name, kind in (("r_on_grid", float), ("n_grid", _count), ("v_read_grid", float)):
             grid = getattr(self, name)
             if not isinstance(grid, Grid):
                 grid = map(kind, grid)
@@ -101,6 +101,13 @@ class SweepSpec:
             raise ValueError("toggles must contain at least one combination")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+
+
+def _count(n) -> int:
+    """An n_grid value as an int: an int, a numpy integer or an integral float."""
+    if isinstance(n, bool) or not isinstance(n, (int, float, np.integer, np.floating)) or n % 1:
+        raise ValueError(f"n_grid values must be integers, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True, init=False)
@@ -163,7 +170,7 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     """
     curves = []
     dropped: list[tuple[str, Exception]] = []
-    r_on = np.asarray(spec.r_on_grid)
+    r_on = np.fromiter(spec.r_on_grid, float, len(spec.r_on_grid))
     for toggles in spec.toggles:
         for v_read in spec.v_read_grid:
             for n in spec.n_grid:
@@ -206,7 +213,7 @@ def ablation_series(
     if setup.toggles != FactorToggles.all_on():
         raise ValueError("ablation baseline requires all factors enabled")
     r_on_grid = as_grid("r_on_grid", r_on_grid)
-    r_on = np.asarray(r_on_grid, dtype=float)
+    r_on = np.fromiter(r_on_grid, float, len(r_on_grid))
     variants = [
         ("baseline", setup.toggles),
         ("-R_T", FactorToggles(transistor_resistance=False)),
@@ -303,7 +310,8 @@ def argmax_resistance(
     r_on_grid goes through as_grid.
     """
     r_on_grid = as_grid("r_on_grid", r_on_grid)
-    margins = sense_grid(profile, r_on_grid, ratio_ideal, n_cells, v_read)[3]
+    r_on = np.fromiter(r_on_grid, float, len(r_on_grid))
+    margins = sense_grid(profile, r_on, ratio_ideal, n_cells, v_read)[3]
     return r_on_grid[int(np.argmax(margins))]
 
 
@@ -325,7 +333,7 @@ def compensation_curve(
     the raised voltage.  r_on_grid goes through as_grid.
     """
     r_on_grid = as_grid("r_on_grid", r_on_grid)
-    r_on = np.asarray(r_on_grid, dtype=float)
+    r_on = np.fromiter(r_on_grid, float, len(r_on_grid))
     base = sense_grid(profile, r_on, ratio_ideal, n_cells, v_base, toggles)
     alt = sense_grid(profile, r_on, ratio_ideal, n_cells, v_alt, toggles)
     meta = {"n_cells": n_cells, "v_base": v_base, "v_alt": v_alt, "ratio_ideal": ratio_ideal}

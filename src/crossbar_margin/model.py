@@ -319,9 +319,9 @@ def sense_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Worst-case (i_on, i_off, ratio, margin) over a grid of R_on and n.
 
-    r_on and n_cells broadcast against each other (an R_on row against an
-    n column gives the whole grid); the four results are float64 ndarrays
-    of the broadcast shape, 0-d when both inputs are scalars.
+    r_on and n_cells (an R_on row against an n column gives the whole grid)
+    and an array ratio_ideal (element-wise path) broadcast together; the four
+    results are float64 ndarrays of the broadcast shape, 0-d for scalars.
     engine="lumped" is the model of the module docstring; without leakage
     its ratio is the better-conditioned quotient of series resistances,
     exactly ideal when no non-ideality is on.  engine="oracle" is the

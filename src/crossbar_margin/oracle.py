@@ -56,7 +56,7 @@ from .model import (
     SolverError,
     TechnologyProfile,
     element_values,
-    read_currents,
+    sense_grid,
     sense_point,
 )
 
@@ -285,26 +285,28 @@ def compare_lumped_distributed(
     setup_grid: list[ReadSetup] | tuple[ReadSetup, ...],
 ) -> list[ComparisonRow]:
     """Cross product of cells and read setups, one comparison row each."""
-    rows = []
-    for cell in cell_grid:
-        for setup in setup_grid:
-            lumped = oracle = float("nan")
-            error = None
-            try:
-                lumped = read_currents(profile, cell, setup).margin_normalized
-                oracle = oracle_margin(profile, cell, setup).margin_normalized
-            except SolverError as exc:
-                error = str(exc)
-            rows.append(
-                ComparisonRow(
-                    r_on=cell.r_on,
-                    ratio_ideal=cell.ratio_ideal,
-                    n_cells=setup.n_cells,
-                    v_read=setup.v_read,
-                    margin_lumped=lumped,
-                    margin_oracle=oracle,
-                    relative_gap=abs(lumped - oracle) / oracle,
-                    error=error,
-                )
-            )
-    return rows
+    if not cell_grid or not setup_grid:
+        return []
+    r_on, k = np.array([(cell.r_on, cell.ratio_ideal) for cell in cell_grid], dtype=float).T
+    k = float(k[0]) if (k == k[0]).all() else k  # one k keeps sense_grid's fast path
+    columns = [_margins(profile, r_on, k, setup) for setup in setup_grid]
+    return [ComparisonRow(cell.r_on, cell.ratio_ideal, setup.n_cells, setup.v_read, lumped,
+                          oracle, abs(lumped - oracle) / oracle, error)
+            for cell, points in zip(cell_grid, zip(*columns))
+            for setup, (lumped, oracle, error) in zip(setup_grid, points)]
+
+
+def _margins(profile, r_on, k, setup):
+    """(lumped margin, oracle margin, error) per r_on for one setup; after a
+    SolverError cell by cell, with no oracle margin where lumped fails."""
+    args, size = (setup.n_cells, setup.v_read, setup.toggles), len(r_on)
+    lumped, oracle, error = [math.nan] * size, [math.nan] * size, None
+    try:
+        lumped = sense_grid(profile, r_on, k, *args)[3].tolist()
+        oracle = sense_grid(profile, r_on, k, *args, "oracle")[3].tolist()
+    except SolverError as exc:
+        if size > 1:
+            cells = zip(r_on[:, None], np.broadcast_to(k, size)[:, None])
+            return [m for r, ki in cells for m in _margins(profile, r, ki, setup)]
+        error = str(exc)
+    return list(zip(lumped, oracle, [error] * size))

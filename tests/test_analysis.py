@@ -226,6 +226,25 @@ class TestSweepGrid:
                 toggles=(),
             )
 
+    @pytest.mark.parametrize(
+        "n_grid, value",
+        [((64.9, 128), "64.9"), ((64.2, 64.9), "64.2"), ((True, 2), "True"),
+         (("64",), "'64'"), ((math.inf,), "inf"), ((64, math.nan), "nan"),
+         ((np.float32(64.5),), "np.float32(64.5)"), ((Fraction(64),), "Fraction(64, 1)")],
+        ids=["fraction-part", "two-fraction-parts", "bool", "str", "inf", "nan",
+             "float32", "Fraction"],
+    )
+    def test_n_grid_takes_integers_only(self, n_grid, value):
+        message = f"n_grid values must be integers, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec((1e4, 1e5), n_grid, (0.2,), 10.0)
+
+    def test_n_grid_keeps_integral_values(self):
+        n_grid = (np.int64(64), 128.0, np.float32(256.0), np.uint16(512), 2**40)
+        spec = SweepSpec((1e4, 1e5), n_grid, (0.2,), 10.0)
+        assert spec.n_grid == (64, 128, 256, 512, 2**40)
+        assert all(type(n) is int for n in spec.n_grid)
+
 
 class TestGrid:
     def test_package_grids_are_grids(self):
@@ -249,6 +268,16 @@ class TestGrid:
                              ((1.0, math.inf), "g must be finite, got inf")]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 as_grid("g", bad)
+
+    @pytest.mark.parametrize(
+        "values, name, message",
+        [((3e5, 2e5, 1e5), None, "grid must be strictly increasing, got 300000.0 then 200000.0"),
+         ((), "x", "x must be non-empty"),
+         ((1.0, math.nan), "x", "x must be strictly increasing, got 1.0 then nan")],
+    )
+    def test_a_grid_is_checked_when_built(self, values, name, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Grid(values) if name is None else Grid(values, name)
 
     def test_a_grid_is_not_checked_again(self, profile22, monkeypatch):
         v_grid = as_grid("v_read_grid", (0.2,))

@@ -271,6 +271,25 @@ class TestSenseGrid:
         with pytest.raises(AssertionError):  # 2**53 + 1 has no exact float
             sense_grid(self.WIDE, [1e4, 5e4, 1e6], 2**53 + 1, 1024, 1)
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "toggles", [FactorToggles(*bits) for bits in product((True, False), repeat=3)],
+        ids=lambda t: t.describe(),
+    )
+    def test_array_ratio_ideal_equals_per_point(self, profile22, toggles, engine):
+        # One k per R_on takes the element-wise path, point for point.
+        r_on, k = [5e-324, 1e4, 5e4, 1e6, 3e7], [10.0, 10.0, 100.0, 1.0, 2.5]
+        try:
+            grid = sense_grid(profile22, r_on, np.array(k), 1024, 0.2, toggles, engine)
+        except SolverError:  # the ideal oracle overflows at 5e-324 ohm
+            r_on, k = r_on[1:], k[1:]
+            grid = sense_grid(profile22, r_on, np.array(k), 1024, 0.2, toggles, engine)
+        setup = ReadSetup(0.2, 1024, toggles)
+        for i, (r, ki) in enumerate(zip(r_on, k)):
+            want = (read_currents(profile22, CellSpec(r, ki), setup) if engine == "lumped"
+                    else sense_point(profile22, CellSpec(r, ki), setup, engine))
+            assert SenseResult(*(float(a[i]) for a in grid)) == want
+
     @pytest.mark.parametrize("toggles", [FactorToggles(), FactorToggles.all_off()])
     @pytest.mark.parametrize("k", [10.0, 10])
     def test_scalar_inputs_give_0d_float64_arrays(self, profile22, toggles, k):

@@ -20,6 +20,7 @@ from crossbar_margin import (
     FactorToggles,
     ReadSetup,
     SolverError,
+    TechnologyProfile,
     build_column,
     compare_lumped_distributed,
     kcl_residuals,
@@ -29,7 +30,9 @@ from crossbar_margin import (
     sense_grid,
     solve_column,
 )
+from crossbar_margin import model, oracle
 from crossbar_margin.analysis import DEFAULT_R_ON_GRID
+from compare_reference import compare_lumped_distributed as compare_reference
 from kirchhoff_reference import kcl_residuals_loop, kvl_loop_residual_loop
 from nodal_reference import dense_nodal_solution
 
@@ -332,8 +335,87 @@ class TestCompareLumpedDistributed:
         assert np.isnan(rows[0].margin_oracle)
         assert rows[1].error is None
 
+    def test_one_sense_grid_call_per_setup_and_engine(self, profile22, monkeypatch):
+        calls = []
+
+        def counting(profile, r_on, ratio_ideal, n_cells, v_read, toggles, engine="lumped"):
+            calls.append((np.shape(r_on), type(ratio_ideal), n_cells, engine))
+            return sense_grid(profile, r_on, ratio_ideal, n_cells, v_read, toggles, engine)
+
+        def per_point(*args, **kwargs):
+            raise AssertionError("a margin evaluated point by point")
+
+        monkeypatch.setattr(oracle, "sense_grid", counting)
+        for module, name in ((model, "read_currents"), (model, "sense_point"),
+                             (oracle, "sense_point"), (oracle, "oracle_margin")):
+            monkeypatch.setattr(module, name, per_point)
+        cells = [CellSpec(float(r), 10) for r in np.logspace(4, 8, 20)]
+        setups = [ReadSetup(0.2, n) for n in (64, 1024, 16384)]
+        rows = compare_lumped_distributed(profile22, cells, setups)
+        assert len(rows) == 60 and all(row.error is None for row in rows)
+        assert calls == [((20,), float, n, engine)
+                         for n in (64, 1024, 16384) for engine in ("lumped", "oracle")]
+        calls.clear()
+        mixed = [CellSpec(1e4, 10), CellSpec(1e5, 100)]
+        compare_lumped_distributed(profile22, mixed, setups[:1])
+        assert calls == [((2,), np.ndarray, 64, "lumped"), ((2,), np.ndarray, 64, "oracle")]
+
+    def test_empty_grids_evaluate_nothing(self, profile22):
+        out_of_table = [ReadSetup(0.7, 64)]
+        assert compare_lumped_distributed(profile22, [], out_of_table) == []
+        assert compare_lumped_distributed(profile22, [CellSpec(1e4, 10)], []) == []
+
 
 TOGGLE_SETS = [FactorToggles(*bits) for bits in itertools.product((True, False), repeat=3)]
+
+
+# A profile whose leakage is so large that the lumped model's summed
+# leakage overflows (its margin is inf/inf) while the oracle's drive term
+# is already negative: the two engines fail with different messages.
+FLOOD = TechnologyProfile("flood", 1.0, 0.0, ((0.1, 1e308), (0.7, 1e308)))
+
+
+class TestCompareMatchesReference:
+    """compare_lumped_distributed gives the rows of the point-by-point
+    reference (tests/compare_reference.py), or raises its error."""
+
+    R_ON = st.one_of(st.sampled_from([5e-324, 1e300, 1e306, 1e4, 2e5, 1e8]),
+                     st.floats(5e-324, 1e308))
+    K = st.one_of(st.sampled_from([1, 10, 10.0, 100.0, 1e3]), st.floats(1.0, 1e300))
+    SETUP = st.builds(
+        ReadSetup,
+        st.sampled_from([0.1, 0.2, 0.25, 0.4, 0.6, 0.7]),
+        st.one_of(st.sampled_from([1, 2, 64, 63246, 63247, 65536]), st.integers(1, 70000)),
+        st.sampled_from(TOGGLE_SETS),
+    )
+
+    @staticmethod
+    def outcome(compare, profile, cells, setups):
+        try:
+            return [repr(row) for row in compare(profile, cells, setups)]
+        except Exception as exc:  # the same error type and message, if any
+            return type(exc), str(exc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(points=st.lists(st.tuples(R_ON, K), max_size=6), shared_k=st.booleans(),
+           setups=st.lists(SETUP, max_size=4), flood=st.booleans())
+    def test_rows_equal_the_reference(self, profile22, points, shared_k, setups, flood):
+        profile = FLOOD if flood else profile22
+        cells = [CellSpec(r, points[0][1] if shared_k else k) for r, k in points]
+        assert self.outcome(compare_lumped_distributed, profile, cells, setups) == (
+            self.outcome(compare_reference, profile, cells, setups))
+
+    @pytest.mark.parametrize("flood", [False, True])
+    def test_failures_keep_their_row(self, profile22, flood):
+        profile = FLOOD if flood else profile22
+        cells = [CellSpec(5e-324, 10), CellSpec(2e4, 10), CellSpec(1e306, 1e3),
+                 CellSpec(1e5, 100)]
+        setups = [ReadSetup(0.2, n, t) for n in (1, 4, 63246, 63247)
+                  for t in (FactorToggles(), FactorToggles(False, False, True),
+                            FactorToggles(leakage=False), FactorToggles.all_off())]
+        rows = self.outcome(compare_lumped_distributed, profile, cells, setups)
+        assert rows == self.outcome(compare_reference, profile, cells, setups)
+        assert sum("error=None" not in row for row in rows) > 0
 
 
 class TestClosedFormEqualsLadder:
