@@ -12,15 +12,16 @@ same script times any commit it is copied into.  Five layers:
             compare_lumped_distributed over 20 log-spaced cells at n = 64, 1024
             and 16384 (the oracle-validation workload's shape)
   analysis  find_optimal_range, argmax_resistance, sweep_grid, ablation_series
-            and compensation_curve, and margin_curve alone on one sense_grid row;
-            find_optimal_range, argmax_resistance and margin_curve also as
+            and compensation_curve, and MarginCurve alone on one sense_grid row;
+            find_optimal_range, argmax_resistance and MarginCurve also as
             .tuple_grid, on a plain tuple of the default grid's values, which
             they check on every call where the package's grid is pre-checked
   figures   each figure writer whole, and its write_csv and render_plot
             calls replayed on the same arguments, apart from curve compute;
             validate --grid full --csv, in process
-  cli       fresh interpreters: start-up alone, the numpy and package
-            imports, and the wall time of one margin query
+  cli       in process, build_parser, the argparse tree run_cli builds on
+            every call; fresh interpreters: start-up alone, the numpy and
+            package imports, and the wall time of one margin query
 
 Every case is timed R times (timeit, a loop of about 50 ms each; the CLI
 cases one interpreter each) and reported as the median and interquartile
@@ -70,8 +71,8 @@ from crossbar_margin import (  # noqa: E402
     sweep_grid,
 )
 from crossbar_margin import figures, results, svg  # noqa: E402
-from crossbar_margin.analysis import DEFAULT_N_GRID, DEFAULT_R_ON_GRID, margin_curve  # noqa: E402
-from crossbar_margin.cli import run_cli  # noqa: E402
+from crossbar_margin.analysis import DEFAULT_N_GRID, DEFAULT_R_ON_GRID, MarginCurve  # noqa: E402
+from crossbar_margin.cli import build_parser, run_cli  # noqa: E402
 
 LOOP_SECONDS = 0.05
 ORACLE_N = (256, 1024, 4096, 16384)
@@ -164,8 +165,8 @@ def analysis_cases(profile):
     yield "analysis.ablation_series", lambda: ablation_series(profile, cell, setup)
     yield "analysis.compensation_curve", lambda: compensation_curve(
         profile, K, 1024, V_READ, 0.4)
-    yield "analysis.margin_curve", lambda: margin_curve("margin", DEFAULT_R_ON_GRID, row, {})
-    yield "analysis.margin_curve.tuple_grid", lambda: margin_curve("margin", plain, row, {})
+    yield "analysis.MarginCurve", lambda: MarginCurve("margin", DEFAULT_R_ON_GRID, row[3], row, {})
+    yield "analysis.MarginCurve.tuple_grid", lambda: MarginCurve("margin", plain, row[3], row, {})
 
 
 def figure_cases(profile, outdir):
@@ -252,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     cases: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as outdir:
         groups = (model_cases(profile), oracle_cases(profile), analysis_cases(profile),
-                  figure_cases(profile, outdir))
+                  figure_cases(profile, outdir), [("cli.build_parser", build_parser)])
         for group in groups:
             for name, fn in group:
                 cases[name] = time_call(fn, args.repeat)

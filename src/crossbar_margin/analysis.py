@@ -41,11 +41,16 @@ from .model import (
 
 
 class Grid(tuple):
-    """Grid values, checked (as `name`) when built, also when copy or pickle rebuild one."""
+    """Grid values, checked (as `name`) when built, also when copy or pickle rebuild one.
+
+    A Grid passed in comes back as it is, as tuple(t) returns a tuple t.
+    """
 
     __slots__ = ()
 
     def __new__(cls, values, name: str = "grid"):
+        if isinstance(values, Grid):
+            return values
         grid = super().__new__(cls, values)
         _check_grid(name, grid)
         return grid
@@ -67,17 +72,12 @@ def _check_grid(name: str, grid) -> None:
             raise ValueError(f"{name} must be finite, got {v}")
 
 
-def as_grid(name: str, values) -> Grid:
-    """values as a Grid: a Grid as it is, else Grid(values, name)."""
-    return values if isinstance(values, Grid) else Grid(values, name)
-
-
 # Default grids mirror the usual presentation of this design space:
 # on-resistance swept over four decades, column length in powers of two.
-DEFAULT_R_ON_GRID = as_grid("DEFAULT_R_ON_GRID", map(float, np.logspace(4.0, 8.0, 200)))
-COARSE_R_ON_GRID = as_grid("COARSE_R_ON_GRID", map(float, np.logspace(4.0, 8.0, 20)))
-DEFAULT_N_GRID = as_grid("DEFAULT_N_GRID", (64, 128, 256, 512, 1024, 2048, 4096))
-VALIDATION_N_GRID = as_grid("VALIDATION_N_GRID", (256, 512, 1024, 2048, 4096))
+DEFAULT_R_ON_GRID = Grid(map(float, np.logspace(4.0, 8.0, 200)), "DEFAULT_R_ON_GRID")
+COARSE_R_ON_GRID = Grid(map(float, np.logspace(4.0, 8.0, 20)), "COARSE_R_ON_GRID")
+DEFAULT_N_GRID = Grid((64, 128, 256, 512, 1024, 2048, 4096), "DEFAULT_N_GRID")
+VALIDATION_N_GRID = Grid((256, 512, 1024, 2048, 4096), "VALIDATION_N_GRID")
 
 
 @dataclass(frozen=True)
@@ -88,33 +88,36 @@ class SweepSpec:
     n_grid: Grid
     v_read_grid: Grid
     ratio_ideal: float
-    toggles: tuple[FactorToggles, ...] = (FactorToggles.all_on(),)
+    toggles: tuple[FactorToggles, ...] = (FactorToggles(),)
     engine: str = "lumped"
 
     def __post_init__(self) -> None:
-        for name, kind in (("r_on_grid", float), ("n_grid", _count), ("v_read_grid", float)):
+        for name, kind in (("r_on_grid", float), ("n_grid", int), ("v_read_grid", float)):
             grid = getattr(self, name)
             if not isinstance(grid, Grid):
-                grid = map(kind, grid)
-            object.__setattr__(self, name, as_grid(name, grid))
+                grid = (_grid_value(name, kind, v) for v in grid)
+            object.__setattr__(self, name, Grid(grid, name))
         if not self.toggles:
             raise ValueError("toggles must contain at least one combination")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
 
-def _count(n) -> int:
-    """An n_grid value as an int: an int, a numpy integer or an integral float."""
-    if isinstance(n, bool) or not isinstance(n, (int, float, np.integer, np.floating)) or n % 1:
-        raise ValueError(f"n_grid values must be integers, got {n!r}")
-    return int(n)
+def _grid_value(name: str, kind: type, v) -> int | float:
+    """A value of grid `name` as kind (int or float): a Python or numpy number, not a
+    bool or a str.  An int grid takes an integral float too, but no fraction part."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or (
+            kind is int and v % 1):
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"{name} values must be {what}, got {v!r}")
+    return kind(v)
 
 
 @dataclass(frozen=True, init=False)
 class MarginCurve:
     """Ordered (x, y) samples with the sense_grid arrays behind them.
 
-    x goes through as_grid and y is stored as a tuple of floats.  sensed
+    x goes through Grid and y is stored as a tuple of floats.  sensed
     is the (i_on, i_off, ratio_effective, margin_normalized) arrays of the
     sense_grid call behind the curve, one entry per x.  y_kind is "margin"
     for normalized-margin curves (values in (0, 1]) and "delta" for
@@ -130,7 +133,7 @@ class MarginCurve:
 
     def __init__(self, label: str, x, y, sensed: tuple[np.ndarray, ...],
                  meta: dict[str, Any] | None = None, y_kind: str = "margin") -> None:
-        x = as_grid("x", x)
+        x = Grid(x, "x")
         if {len(y), *map(len, sensed)} != {len(x)}:
             raise ValueError("x, y and the sensed arrays must have equal length")
         if y_kind not in ("margin", "delta"):
@@ -150,13 +153,6 @@ def _check_y(y: np.ndarray, y_kind: str) -> None:
     if not ok.all():
         rule = "lie in (0, 1]" if y_kind == "margin" else "be finite"
         raise ValueError(f"{y_kind} values must {rule}, got {float(y[np.argmin(ok)])}")
-
-
-def margin_curve(
-    label: str, x, grid: tuple[np.ndarray, ...], meta: dict[str, Any]
-) -> MarginCurve:
-    """Margin curve over x from the arrays of one sense_grid call."""
-    return MarginCurve(label, x, grid[3], grid, meta)
 
 
 def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]:
@@ -189,7 +185,7 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
                     "ratio_ideal": spec.ratio_ideal,
                     "engine": spec.engine,
                 }
-                curves.append(margin_curve(label, spec.r_on_grid, grid, meta))
+                curves.append(MarginCurve(label, spec.r_on_grid, grid[3], grid, meta))
     if not curves:
         raise dropped[0][1]
     for label, exc in dropped:
@@ -208,11 +204,11 @@ def ablation_series(
     The setup must have every factor enabled; each variant then switches
     a single factor off, showing which non-ideality owns which flank of
     the margin curve.  The swept resistance replaces cell.r_on point by
-    point; cell.ratio_ideal is kept.  r_on_grid goes through as_grid.
+    point; cell.ratio_ideal is kept.  r_on_grid goes through Grid.
     """
-    if setup.toggles != FactorToggles.all_on():
+    if setup.toggles != FactorToggles():
         raise ValueError("ablation baseline requires all factors enabled")
-    r_on_grid = as_grid("r_on_grid", r_on_grid)
+    r_on_grid = Grid(r_on_grid, "r_on_grid")
     r_on = np.fromiter(r_on_grid, float, len(r_on_grid))
     variants = [
         ("baseline", setup.toggles),
@@ -230,7 +226,7 @@ def ablation_series(
             "ratio_ideal": cell.ratio_ideal,
             "removed": label if label != "baseline" else "",
         }
-        series.append((label, margin_curve(label, r_on_grid, grid, meta)))
+        series.append((label, MarginCurve(label, r_on_grid, grid[3], grid, meta)))
     return series
 
 
@@ -256,11 +252,11 @@ def find_optimal_range(
     at which the model reads margin >= threshold.  None when the peak
     falls short (b**2 < 4*a*c), the band misses the grid's span or
     rounding keeps an end below threshold.  r_on_grid goes through
-    as_grid; only its ends are used.  n_cells may be a numpy integer.
+    Grid; only its ends are used.  n_cells may be a numpy integer.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    r_on_grid = as_grid("r_on_grid", r_on_grid)
+    r_on_grid = Grid(r_on_grid, "r_on_grid")
     if isinstance(n_cells, np.integer):  # as sense_grid accepts it
         n_cells = int(n_cells)
     setup = ReadSetup(v_read=v_read, n_cells=n_cells)
@@ -307,9 +303,9 @@ def argmax_resistance(
     """Grid resistance with the highest margin; ties go to the lower value.
 
     The tie rule favors read speed and is fixed so results are reproducible.
-    r_on_grid goes through as_grid.
+    r_on_grid goes through Grid.
     """
-    r_on_grid = as_grid("r_on_grid", r_on_grid)
+    r_on_grid = Grid(r_on_grid, "r_on_grid")
     r_on = np.fromiter(r_on_grid, float, len(r_on_grid))
     margins = sense_grid(profile, r_on, ratio_ideal, n_cells, v_read)[3]
     return r_on_grid[int(np.argmax(margins))]
@@ -322,20 +318,18 @@ def compensation_curve(
     v_base: float,
     v_alt: float,
     r_on_grid: tuple[float, ...] = DEFAULT_R_ON_GRID,
-    toggles: FactorToggles = FactorToggles.all_on(),
 ) -> MarginCurve:
     """Margin improvement from raising the read voltage, per r_on point.
 
     Leakage is re-evaluated at each voltage from the profile table, so the
     gain reflects both the stronger read current and the higher leakage.
-    Without the leakage factor the margin is voltage-independent and the
-    gain is identically zero.  The attached sensed arrays are those at
-    the raised voltage.  r_on_grid goes through as_grid.
+    The attached sensed arrays are those at the raised voltage.  r_on_grid
+    goes through Grid.
     """
-    r_on_grid = as_grid("r_on_grid", r_on_grid)
+    r_on_grid = Grid(r_on_grid, "r_on_grid")
     r_on = np.fromiter(r_on_grid, float, len(r_on_grid))
-    base = sense_grid(profile, r_on, ratio_ideal, n_cells, v_base, toggles)
-    alt = sense_grid(profile, r_on, ratio_ideal, n_cells, v_alt, toggles)
+    base = sense_grid(profile, r_on, ratio_ideal, n_cells, v_base)
+    alt = sense_grid(profile, r_on, ratio_ideal, n_cells, v_alt)
     meta = {"n_cells": n_cells, "v_base": v_base, "v_alt": v_alt, "ratio_ideal": ratio_ideal}
     return MarginCurve(f"margin gain {v_base:g}V->{v_alt:g}V", r_on_grid,
                        alt[3] - base[3], alt, meta, "delta")

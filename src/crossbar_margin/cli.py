@@ -25,7 +25,6 @@ from .analysis import (
     Grid,
     SweepSpec,
     argmax_resistance,
-    as_grid,
     ablation_series,
     compensation_curve,
     find_optimal_range,
@@ -45,6 +44,7 @@ from .model import (
     FactorToggles,
     ReadSetup,
     SolverError,
+    TechnologyProfile,
     sense_grid,
     sense_point,
 )
@@ -89,23 +89,16 @@ def _add_ron_grid_args(parser: argparse.ArgumentParser) -> None:
 def _ron_grid(args: argparse.Namespace) -> Grid:
     if args.ron_min <= 0 or args.ron_max <= args.ron_min or args.ron_points < 2:
         raise ValueError("need 0 < --ron-min < --ron-max and --ron-points >= 2")
-    return as_grid("r_on_grid", map(float, np.logspace(
+    return Grid(map(float, np.logspace(
         np.log10(args.ron_min), np.log10(args.ron_max), args.ron_points
-    )))
-
-
-def _load(args: argparse.Namespace):
-    if args.profile is None:
-        return load_bundled_profile()
-    return load_profile(args.profile)
+    )), "r_on_grid")
 
 
 def _toggles(args: argparse.Namespace) -> FactorToggles:
     return FactorToggles(*(getattr(args, f.name) for f in fields(FactorToggles)))
 
 
-def _cmd_margin(args: argparse.Namespace) -> int:
-    profile = _load(args)
+def _cmd_margin(profile: TechnologyProfile, args: argparse.Namespace) -> int:
     cell = CellSpec(r_on=args.ron, ratio_ideal=args.k)
     setup = ReadSetup(v_read=args.vread, n_cells=args.n, toggles=_toggles(args))
     result = sense_point(profile, cell, setup, args.engine)
@@ -135,8 +128,7 @@ def _cmd_margin(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    profile = _load(args)
+def _cmd_sweep(profile: TechnologyProfile, args: argparse.Namespace) -> int:
     spec = SweepSpec(
         r_on_grid=_ron_grid(args),
         n_grid=tuple(sorted(set(args.n))),
@@ -193,8 +185,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    profile = _load(args)
+def _cmd_ablate(profile: TechnologyProfile, args: argparse.Namespace) -> int:
     grid = _ron_grid(args)
     setup = ReadSetup(v_read=args.vread, n_cells=args.n)
     series = ablation_series(profile, CellSpec(r_on=grid[0], ratio_ideal=args.k), setup, grid)
@@ -210,8 +201,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_optimal_range(args: argparse.Namespace) -> int:
-    profile = _load(args)
+def _cmd_optimal_range(profile: TechnologyProfile, args: argparse.Namespace) -> int:
     grid = _ron_grid(args)
     span = find_optimal_range(
         profile, args.k, args.n, args.vread, args.threshold, grid
@@ -240,8 +230,7 @@ def _cmd_optimal_range(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compensate(args: argparse.Namespace) -> int:
-    profile = _load(args)
+def _cmd_compensate(profile: TechnologyProfile, args: argparse.Namespace) -> int:
     curve = compensation_curve(
         profile, args.k, args.n, args.vbase, args.valt, _ron_grid(args)
     )
@@ -268,8 +257,7 @@ def _cmd_compensate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    profile = _load(args)
+def _cmd_validate(profile: TechnologyProfile, args: argparse.Namespace) -> int:
     r_grid, n_grid = VALIDATION_GRIDS[args.grid]
     cells = [CellSpec(r_on=r, ratio_ideal=args.k) for r in r_grid]
     setups = [ReadSetup(v_read=args.vread, n_cells=n) for n in n_grid]
@@ -326,8 +314,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    profile = _load(args)
+def _cmd_figure(profile: TechnologyProfile, args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = FIGURE_WRITERS[args.command](profile, outdir)
@@ -426,7 +413,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own diagnostics
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        profile = load_bundled_profile() if args.profile is None else load_profile(args.profile)
+        return args.func(profile, args)
     except (SolverError, ValueError, OSError) as exc:  # ProfileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,6 @@ from .analysis import (
     MarginCurve,
     ablation_series,
     compensation_curve,
-    margin_curve,
 )
 from .model import (
     CellSpec,
@@ -54,17 +53,13 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     rows = []
     written = []
     for key, desc, toggles, r_ons in panels:
-        curves = [
-            margin_curve(
-                f"R_on={r_on:g}",
-                DEFAULT_N_GRID,
-                sense_grid(
-                    profile, r_on, RATIO_DEFAULT, DEFAULT_N_GRID, V_READ_DEFAULT, toggles
-                ),
-                meta={"r_on": r_on, "toggles": toggles, "v_read": V_READ_DEFAULT},
+        curves = []
+        for r_on in r_ons:
+            grid = sense_grid(
+                profile, r_on, RATIO_DEFAULT, DEFAULT_N_GRID, V_READ_DEFAULT, toggles
             )
-            for r_on in r_ons
-        ]
+            meta = {"r_on": r_on, "toggles": toggles, "v_read": V_READ_DEFAULT}
+            curves.append(MarginCurve(f"R_on={r_on:g}", DEFAULT_N_GRID, grid[3], grid, meta))
         rows += [
             (key, r_on, n, V_READ_DEFAULT, *sensed)
             for r_on, curve in zip(r_ons, curves)
@@ -77,7 +72,6 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
             title=f"Sensing margin vs column size ({desc})",
             x_label="cells per column",
             y_label="normalized margin",
-            x_log=True,
             y_min=0.0,
             y_max=1.0,
         )
@@ -101,10 +95,12 @@ def _margin_vs_r(
     v_read: float = V_READ_DEFAULT,
     engine: str = "lumped",
 ) -> MarginCurve:
-    return margin_curve(
+    sensed = sense_grid(profile, grid, ratio_ideal, n, v_read, engine=engine)
+    return MarginCurve(
         label,
         grid,
-        sense_grid(profile, grid, ratio_ideal, n, v_read, engine=engine),
+        sensed[3],
+        sensed,
         meta={
             "n_cells": n, "engine": engine, "ratio_ideal": ratio_ideal, "v_read": v_read
         },
@@ -192,14 +188,14 @@ def write_fig6(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     """Read-voltage compensation at n=1024: margins and margin gains."""
     outdir = Path(outdir)
     n = 1024
-    margin_curves = [
+    margins = [
         _margin_vs_r(profile, f"V_read={v:g}V", RATIO_DEFAULT, n, DEFAULT_R_ON_GRID, v)
         for v in (0.2, 0.4, 0.6)
     ]
     gain_04 = compensation_curve(profile, RATIO_DEFAULT, n, 0.2, 0.4, DEFAULT_R_ON_GRID)
     gain_06 = compensation_curve(profile, RATIO_DEFAULT, n, 0.2, 0.6, DEFAULT_R_ON_GRID)
 
-    rows = zip(DEFAULT_R_ON_GRID, *(c.y for c in margin_curves + [gain_04, gain_06]))
+    rows = zip(DEFAULT_R_ON_GRID, *(c.y for c in margins + [gain_04, gain_06]))
     csv_path = outdir / "fig6.csv"
     write_csv(
         ResultTable(
@@ -211,7 +207,7 @@ def write_fig6(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     )
     svg_margins = outdir / "fig6_margins.svg"
     render_plot(
-        margin_curves,
+        margins,
         svg_margins,
         title="Sensing margin vs R_on at three read voltages (n=1024)",
         dash_labels=["V_read=0.4V", "V_read=0.6V"],

@@ -111,8 +111,10 @@ class CellSpec:
     ratio_ideal: float
 
     def __post_init__(self) -> None:
-        _require_finite("r_on", self.r_on)
-        _require_finite("ratio_ideal", self.ratio_ideal)
+        for name, value in (("r_on", self.r_on), ("ratio_ideal", self.ratio_ideal)):
+            if isinstance(value, (bool, np.bool_)):  # bool is an int; True would read as 1
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            _require_finite(name, value)
         if self.r_on <= 0:
             raise ValueError(f"r_on must be > 0, got {self.r_on}")
         if self.ratio_ideal < 1:
@@ -130,14 +132,6 @@ class FactorToggles:
     line_resistance: bool = True
     transistor_resistance: bool = True
     leakage: bool = True
-
-    @classmethod
-    def all_on(cls) -> "FactorToggles":
-        return cls(True, True, True)
-
-    @classmethod
-    def all_off(cls) -> "FactorToggles":
-        return cls(False, False, False)
 
     def describe(self) -> str:
         """Short deterministic label, e.g. ``r+R_T+I_Tleak`` or ``ideal``."""

@@ -3,7 +3,7 @@
 A plotting library would drag in raster backends and embed metadata that
 changes run to run; these charts are plain text, diff cleanly, and are
 cheap to golden-test.  Layout is fixed: plot area on the left, legend
-column on the right, optional log x axis (decade ticks), linear y axis.
+column on the right, log x axis (decade ticks), linear y axis.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def render_plot(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    x_log: bool = True,
     y_min: float | None = None,
     y_max: float | None = None,
     marker_labels: Iterable[str] = (),
@@ -82,12 +81,9 @@ def render_plot(
 
     # every curve's x is strictly increasing: its ends are its extremes
     x_lo, x_hi = min(c.x[0] for c in curves), max(c.x[-1] for c in curves)
-    if x_log:
-        if x_lo <= 0:
-            raise ValueError("log x axis requires positive x values")
-        tx_lo, tx_hi = math.log10(x_lo), math.log10(x_hi)
-    else:
-        tx_lo, tx_hi = x_lo, x_hi
+    if x_lo <= 0:
+        raise ValueError("log x axis requires positive x values")
+    tx_lo, tx_hi = math.log10(x_lo), math.log10(x_hi)
     if tx_hi == tx_lo:
         tx_lo, tx_hi = tx_lo - 0.5, tx_hi + 0.5
 
@@ -104,8 +100,7 @@ def render_plot(
     x_span, y_span = tx_hi - tx_lo, y_max - y_min
 
     def px(xs: Iterable[float]) -> list[float]:
-        ts = map(math.log10, xs) if x_log else xs
-        return [LEFT + (t - tx_lo) / x_span * (RIGHT - LEFT) for t in ts]
+        return [LEFT + (t - tx_lo) / x_span * (RIGHT - LEFT) for t in map(math.log10, xs)]
 
     def py(ys: Iterable[float]) -> list[float]:
         return [BOTTOM - (y - y_min) / y_span * (BOTTOM - TOP) for y in ys]
@@ -128,16 +123,13 @@ def render_plot(
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
 
-    # x ticks
-    if x_log:
-        ticks = [
-            (10.0**d, f"1e{d}")
-            for d in range(math.ceil(tx_lo - 1e-9), math.floor(tx_hi + 1e-9) + 1)
-        ]
-        if not ticks:
-            ticks = [(10.0**tx_lo, f"{10.0 ** tx_lo:g}"), (10.0**tx_hi, f"{10.0 ** tx_hi:g}")]
-    else:
-        ticks = [(t, f"{t:g}") for t in _nice_ticks(tx_lo, tx_hi)]
+    # x ticks, one per decade
+    ticks = [
+        (10.0**d, f"1e{d}")
+        for d in range(math.ceil(tx_lo - 1e-9), math.floor(tx_hi + 1e-9) + 1)
+    ]
+    if not ticks:
+        ticks = [(10.0**tx_lo, f"{10.0 ** tx_lo:g}"), (10.0**tx_hi, f"{10.0 ** tx_hi:g}")]
     for x, (_, label) in zip(px(value for value, _ in ticks), ticks):
         out.append(
             f'<line x1="{x:.2f}" y1="{BOTTOM}" x2="{x:.2f}" y2="{BOTTOM + 5}" '

@@ -33,7 +33,6 @@ def render_plot_reference(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    x_log: bool = True,
     y_min: float | None = None,
     y_max: float | None = None,
     marker_labels: Iterable[str] = (),
@@ -52,12 +51,9 @@ def render_plot_reference(
 
     xs = [x for c in curves for x in c.x]
     ys = [y for c in curves for y in c.y]
-    if x_log:
-        if min(xs) <= 0:
-            raise ValueError("log x axis requires positive x values")
-        tx_lo, tx_hi = math.log10(min(xs)), math.log10(max(xs))
-    else:
-        tx_lo, tx_hi = min(xs), max(xs)
+    if min(xs) <= 0:
+        raise ValueError("log x axis requires positive x values")
+    tx_lo, tx_hi = math.log10(min(xs)), math.log10(max(xs))
     if tx_hi == tx_lo:
         tx_lo, tx_hi = tx_lo - 0.5, tx_hi + 0.5
 
@@ -72,8 +68,7 @@ def render_plot_reference(
         y_max = y_min + 1.0
 
     def px(x: float) -> float:
-        t = math.log10(x) if x_log else x
-        return LEFT + (t - tx_lo) / (tx_hi - tx_lo) * (RIGHT - LEFT)
+        return LEFT + (math.log10(x) - tx_lo) / (tx_hi - tx_lo) * (RIGHT - LEFT)
 
     def py(y: float) -> float:
         return BOTTOM - (y - y_min) / (y_max - y_min) * (BOTTOM - TOP)
@@ -97,15 +92,12 @@ def render_plot_reference(
     )
 
     # x ticks
-    if x_log:
-        ticks = [
-            (10.0**d, f"1e{d}")
-            for d in range(math.ceil(tx_lo - 1e-9), math.floor(tx_hi + 1e-9) + 1)
-        ]
-        if not ticks:
-            ticks = [(10.0**tx_lo, f"{10.0 ** tx_lo:g}"), (10.0**tx_hi, f"{10.0 ** tx_hi:g}")]
-    else:
-        ticks = [(t, f"{t:g}") for t in _nice_ticks(tx_lo, tx_hi)]
+    ticks = [
+        (10.0**d, f"1e{d}")
+        for d in range(math.ceil(tx_lo - 1e-9), math.floor(tx_hi + 1e-9) + 1)
+    ]
+    if not ticks:
+        ticks = [(10.0**tx_lo, f"{10.0 ** tx_lo:g}"), (10.0**tx_hi, f"{10.0 ** tx_hi:g}")]
     for value, label in ticks:
         x = px(value)
         out.append(

@@ -60,7 +60,7 @@ def test_criterion_01_reduction_identity():
             setup = ReadSetup(
                 v_read=float(rng.uniform(0.01, 2.0)),
                 n_cells=int(rng.integers(1, 8193)),
-                toggles=FactorToggles.all_off(),
+                toggles=FactorToggles(False, False, False),
             )
             assert read_currents(PROFILE, cell, setup).ratio_effective == cell.ratio_ideal
 

@@ -36,8 +36,6 @@ from crossbar_margin.analysis import (
     DEFAULT_R_ON_GRID,
     VALIDATION_N_GRID,
     Grid,
-    as_grid,
-    margin_curve,
 )
 from crossbar_margin.model import leakage_at
 from optimal_range_reference import find_optimal_range_reference
@@ -105,7 +103,7 @@ class TestSweepGrid:
             n_grid=(64, 128),
             v_read_grid=(0.2, 0.4),
             ratio_ideal=10.0,
-            toggles=(FactorToggles.all_on(), FactorToggles.all_off()),
+            toggles=(FactorToggles(), FactorToggles(False, False, False)),
         )
         labels = [c.label for c in sweep_grid(spec, profile22)]
         assert labels == [
@@ -158,7 +156,7 @@ class TestSweepGrid:
             n_grid=(64, 4096),
             v_read_grid=(0.2,),
             ratio_ideal=10.0,
-            toggles=(FactorToggles.all_off(),),
+            toggles=(FactorToggles(False, False, False),),
         )
         for curve in sweep_grid(spec, profile22):
             assert all(y == 1.0 for y in curve.y)
@@ -239,6 +237,27 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepSpec((1e4, 1e5), n_grid, (0.2,), 10.0)
 
+    @pytest.mark.parametrize(
+        "r_on_grid, v_read_grid, name, value",
+        [((True, 1e4, 1e5), (0.2,), "r_on_grid", "True"),
+         ((1e4, "1e5"), (0.2,), "r_on_grid", "'1e5'"),
+         ((np.True_, 2.0), (0.2,), "r_on_grid", "np.True_"),
+         ((Fraction(10_000), 1e5), (0.2,), "r_on_grid", "Fraction(10000, 1)"),
+         ((1e4, 1e5), ("0.2",), "v_read_grid", "'0.2'"),
+         ((1e4, 1e5), (0.2, True), "v_read_grid", "True")],
+        ids=["r_on-bool", "r_on-str", "r_on-numpy-bool", "r_on-Fraction", "v_read-str",
+             "v_read-bool"],
+    )
+    def test_float_grids_take_numbers_only(self, r_on_grid, v_read_grid, name, value):
+        message = f"{name} values must be numbers, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(r_on_grid, (64,), v_read_grid, 10.0)
+
+    def test_float_grids_keep_python_and_numpy_numbers(self):
+        spec = SweepSpec((10_000, np.float32(1e5), np.int64(10**6)), (64,), (np.float64(0.2),), 10.0)
+        assert spec.r_on_grid == (1e4, 1e5, 1e6) and spec.v_read_grid == (0.2,)
+        assert all(type(v) is float for v in spec.r_on_grid + spec.v_read_grid)
+
     def test_n_grid_keeps_integral_values(self):
         n_grid = (np.int64(64), 128.0, np.float32(256.0), np.uint16(512), 2**40)
         spec = SweepSpec((1e4, 1e5), n_grid, (0.2,), 10.0)
@@ -259,15 +278,15 @@ class TestGrid:
         spec = SweepSpec(DEFAULT_R_ON_GRID, DEFAULT_N_GRID, (0.2,), 10.0)
         assert spec.r_on_grid is DEFAULT_R_ON_GRID and spec.n_grid is DEFAULT_N_GRID
 
-    def test_as_grid_keeps_a_grid_and_checks_anything_else(self):
-        assert as_grid("g", DEFAULT_R_ON_GRID) is DEFAULT_R_ON_GRID
-        grid = as_grid("g", [1.0, 2.0])
+    def test_grid_keeps_a_grid_and_checks_anything_else(self):
+        assert Grid(DEFAULT_R_ON_GRID, "g") is DEFAULT_R_ON_GRID
+        grid = Grid([1.0, 2.0], "g")
         assert type(grid) is Grid and grid == (1.0, 2.0)
         for bad, message in [((), "g must be non-empty"),
                              ((2.0, 1.0), "g must be strictly increasing, got 2.0 then 1.0"),
                              ((1.0, math.inf), "g must be finite, got inf")]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                as_grid("g", bad)
+                Grid(bad, "g")
 
     @pytest.mark.parametrize(
         "values, name, message",
@@ -280,7 +299,7 @@ class TestGrid:
             Grid(values) if name is None else Grid(values, name)
 
     def test_a_grid_is_not_checked_again(self, profile22, monkeypatch):
-        v_grid = as_grid("v_read_grid", (0.2,))
+        v_grid = Grid((0.2,), "v_read_grid")
 
         def unexpected_check(name, grid):
             raise AssertionError(f"{name} checked again")
@@ -325,7 +344,7 @@ class TestMarginCurve:
         sensed = sense_grid(profile22, np.full(len(x), 2e5), 10.0, 64, 0.2)
         match = f"^{re.escape(message)}$"
         with pytest.raises(ValueError, match=match):
-            margin_curve("m", x, sensed, {})
+            MarginCurve("m", x, sensed[3], sensed, {})
         with pytest.raises(ValueError, match=match):
             MarginCurve("m", x, sensed[3], sensed)
 
@@ -374,11 +393,11 @@ class TestMarginCurve:
     @pytest.mark.parametrize("bad, named", [(0.0, "0.0"), (1.5, "1.5"), (math.nan, "nan")])
     def test_margin_curve_names_the_first_bad_margin(self, profile22, bad, named):
         sensed = [a.copy() for a in self._sensed(profile22, 3)]
-        good = margin_curve("c", (1.0, 2.0, 3.0), tuple(sensed), {})
+        good = MarginCurve("c", (1.0, 2.0, 3.0), sensed[3], tuple(sensed), {})
         assert good == MarginCurve("c", (1.0, 2.0, 3.0), good.y, good.sensed, {})
         sensed[3][1:] = bad, 2.0
         with pytest.raises(ValueError, match=rf"must lie in \(0, 1\], got {named}$"):
-            margin_curve("c", (1.0, 2.0, 3.0), tuple(sensed), {})
+            MarginCurve("c", (1.0, 2.0, 3.0), sensed[3], tuple(sensed), {})
 
     def test_non_finite_gain_rejected(self, profile22, monkeypatch):
         def nan_margin(*args):
@@ -651,17 +670,6 @@ class TestCompensationCurve:
         gain = compensation_curve(profile22, 10.0, 1024, 0.2, 0.6)
         assert min(gain.y) >= 0.0
         assert gain.y_kind == "delta"
-
-    def test_without_leakage_gain_is_identically_zero(self, profile22):
-        gain = compensation_curve(
-            profile22,
-            10.0,
-            1024,
-            0.2,
-            0.6,
-            toggles=FactorToggles(True, True, False),
-        )
-        assert all(y == 0.0 for y in gain.y)
 
     def test_out_of_table_voltage_propagates(self, profile22):
         with pytest.raises(LeakageRangeError):

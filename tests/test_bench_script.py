@@ -29,14 +29,14 @@ def test_bench_script_reports_every_layer(tmp_path):
         for part in ("", ".write_csv", ".render_plot"):
             assert f"figures.{fig}{part}" in cases
         assert "compute_median_s" in cases[f"figures.{fig}"]
-    for name in ("interp_start", "import_numpy", "import_package", "margin_wall"):
+    for name in ("build_parser", "interp_start", "import_numpy", "import_package", "margin_wall"):
         assert f"cli.{name}" in cases
     for engine in ("lumped", "oracle"):
         assert f"model.sense_grid.row.{engine}" in cases
     for name in ("find_optimal_range", "argmax_resistance", "sweep_grid", "ablation_series",
-                 "compensation_curve", "margin_curve"):
+                 "compensation_curve", "MarginCurve"):
         assert cases[f"analysis.{name}"]["layer"] == "analysis"
-    for name in ("find_optimal_range", "argmax_resistance", "margin_curve"):
+    for name in ("find_optimal_range", "argmax_resistance", "MarginCurve"):
         assert cases[f"analysis.{name}.tuple_grid"]["layer"] == "analysis"
     for n in (64, 1024, 16384):
         assert cases[f"oracle.compare_lumped_distributed.n{n}"]["layer"] == "oracle"

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -13,7 +14,7 @@ import pytest
 from test_golden import GOLDEN_DIGESTS
 
 import crossbar_margin
-from crossbar_margin import CellSpec, ReadSetup, analysis, cli, oracle_margin, read_currents
+from crossbar_margin import CellSpec, ReadSetup, analysis, cli, oracle_margin, profile_io, read_currents
 from crossbar_margin.model import sense_grid
 from crossbar_margin.cli import run_cli
 from crossbar_margin.profile_io import dump_profile, load_bundled_profile
@@ -287,6 +288,51 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "crossbar-margin" in capsys.readouterr().out
+
+
+# Minimal arguments for every subcommand; the fig commands also get --outdir.
+MINIMAL_ARGS = {
+    "margin": ["--ron", "20e3", "--k", "10", "--n", "64", "--vread", "0.2"],
+    "sweep": ["--k", "10", "--n", "64", "--ron-points", "4"],
+    "ablate": ["--k", "10", "--n", "64", "--ron-points", "4"],
+    "optimal-range": ["--k", "10", "--n", "64"],
+    "compensate": ["--k", "10", "--n", "64", "--valt", "0.4", "--ron-points", "4"],
+    "validate": ["--grid", "quick"],
+    **{name: [] for name in ("fig3", "fig4", "fig5", "fig6")},
+}
+
+
+class TestProfileLoading:
+    @pytest.fixture()
+    def loads(self, monkeypatch):
+        """Where each profile came from, one entry per profile built."""
+        built, real = [], profile_io.profile_from_dict
+
+        def counting(data, where="profile"):
+            built.append(where)
+            return real(data, where)
+
+        monkeypatch.setattr(profile_io, "profile_from_dict", counting)
+        return built
+
+    def test_every_subcommand_is_covered(self):
+        (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(MINIMAL_ARGS)
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGS))
+    def test_one_load_per_run(self, command, tmp_path, profile_path, loads, capsys):
+        argv = [command, *MINIMAL_ARGS[command]]
+        if command.startswith("fig"):
+            argv += ["--outdir", str(tmp_path / "out")]
+        assert run_cli(argv) == 0
+        bundled = capsys.readouterr()
+        assert run_cli(argv + ["--profile", profile_path]) == 0
+        assert capsys.readouterr() == bundled  # the dumped copy is the same profile
+        assert loads == ["bundled profile '22nm'", profile_path]
+        missing = str(tmp_path / "nope.json")
+        assert run_cli(argv + ["--profile", missing]) == 1
+        assert capsys.readouterr() == ("", f"error: profile file not found: {missing}\n")
+        assert len(loads) == 2
 
 
 def test_python_dash_m_runs_the_cli():

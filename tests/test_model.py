@@ -5,6 +5,7 @@ of the same expressions (see exact_margin below), so the float
 implementation is checked against an independent numeric route.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -148,7 +149,7 @@ class TestReadCurrents:
 
     def test_all_factors_disabled_reduces_exactly(self, profile22):
         cell = CellSpec(20e3, 10)
-        setup = ReadSetup(0.2, 512, FactorToggles.all_off())
+        setup = ReadSetup(0.2, 512, FactorToggles(False, False, False))
         res = read_currents(profile22, cell, setup)
         assert res.ratio_effective == cell.ratio_ideal
         assert res.margin_normalized == 1.0
@@ -198,7 +199,7 @@ class TestSenseGrid:
             read_currents(profile22, CellSpec(5e-324, 10), ReadSetup(0.2, 4, leak_only))
 
     def test_ideal_margin_survives_infinite_currents(self, profile22):
-        ideal = FactorToggles.all_off()
+        ideal = FactorToggles(False, False, False)
         res = read_currents(profile22, CellSpec(5e-324, 10), ReadSetup(0.2, 4, ideal))
         assert res.i_on == float("inf") and res.margin_normalized == 1.0
         grid = sense_grid(profile22, [5e-324, 1e4], 10.0, 4, 0.2, ideal)
@@ -290,7 +291,7 @@ class TestSenseGrid:
                     else sense_point(profile22, CellSpec(r, ki), setup, engine))
             assert SenseResult(*(float(a[i]) for a in grid)) == want
 
-    @pytest.mark.parametrize("toggles", [FactorToggles(), FactorToggles.all_off()])
+    @pytest.mark.parametrize("toggles", [FactorToggles(), FactorToggles(False, False, False)])
     @pytest.mark.parametrize("k", [10.0, 10])
     def test_scalar_inputs_give_0d_float64_arrays(self, profile22, toggles, k):
         grid = sense_grid(profile22, 3e5, k, 1024, 0.2, toggles)
@@ -337,6 +338,26 @@ class TestValidation:
             CellSpec(r_on=1e4, ratio_ideal=0.5)
         with pytest.raises(ValueError):
             CellSpec(r_on=float("inf"), ratio_ideal=10)
+
+    @pytest.mark.parametrize(
+        "r_on, ratio_ideal, message",
+        [(1e4, True, "ratio_ideal must be a number, got True"),
+         (True, 10.0, "r_on must be a number, got True"),
+         (1e4, np.True_, "ratio_ideal must be a number, got np.True_"),
+         (np.True_, 10.0, "r_on must be a number, got np.True_")],
+        ids=["bool-k", "bool-r_on", "numpy-bool-k", "numpy-bool-r_on"],
+    )
+    def test_cell_rejects_bools(self, r_on, ratio_ideal, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CellSpec(r_on, ratio_ideal)
+
+    @pytest.mark.parametrize(
+        "r_on, ratio_ideal",
+        [(10_000, 10), (1e4, 10.0), (np.float64(1e4), np.int64(10)), (np.float32(1e4), np.uint8(1))],
+    )
+    def test_cell_takes_python_and_numpy_numbers(self, r_on, ratio_ideal):
+        cell = CellSpec(r_on, ratio_ideal)
+        assert (cell.r_on, cell.ratio_ideal) == (r_on, ratio_ideal)
 
     def test_setup_invariants(self):
         with pytest.raises(ValueError):

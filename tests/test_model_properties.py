@@ -30,7 +30,7 @@ def synthetic_profile(r_unit, r_transistor, i_leak):
 @given(r_on=r_on_values, k=ratio_values, n=n_values, v=v_values)
 def test_reduction_identity_is_exact(profile22, r_on, k, n, v):
     cell = CellSpec(r_on=r_on, ratio_ideal=k)
-    setup = ReadSetup(v, n, FactorToggles.all_off())
+    setup = ReadSetup(v, n, FactorToggles(False, False, False))
     assert read_currents(profile22, cell, setup).ratio_effective == cell.ratio_ideal
     assert read_currents(profile22, cell, setup).margin_normalized == 1.0
 
@@ -133,6 +133,6 @@ def test_toggle_helpers_roundtrip():
     toggles = FactorToggles(line_resistance=True, transistor_resistance=False, leakage=True)
     setup = ReadSetup(0.2, 64, toggles)
     assert setup.toggles == toggles
-    assert FactorToggles.all_on().describe() == "r+R_T+I_Tleak"
-    assert FactorToggles.all_off().describe() == "ideal"
+    assert FactorToggles().describe() == "r+R_T+I_Tleak"
+    assert FactorToggles(False, False, False).describe() == "ideal"
     assert toggles.describe() == "r+I_Tleak"

@@ -277,7 +277,7 @@ class TestPhysicsChecks:
 class TestOracleMargin:
     def test_ideal_network_margin_is_unity(self, profile22):
         res = oracle_margin(
-            profile22, CellSpec(20e3, 10), ReadSetup(0.2, 64, FactorToggles.all_off())
+            profile22, CellSpec(20e3, 10), ReadSetup(0.2, 64, FactorToggles(False, False, False))
         )
         assert res.margin_normalized == pytest.approx(1.0, abs=1e-12)
 
@@ -310,7 +310,7 @@ class TestCompareLumpedDistributed:
         rows = compare_lumped_distributed(
             profile22,
             [CellSpec(20e3, 10)],
-            [ReadSetup(0.2, 64, FactorToggles.all_off())],
+            [ReadSetup(0.2, 64, FactorToggles(False, False, False))],
         )
         (row,) = rows
         assert row.margin_lumped == 1.0
@@ -328,7 +328,7 @@ class TestCompareLumpedDistributed:
 
     def test_solver_failure_flagged_not_dropped(self, profile22):
         cells = [CellSpec(5e-324, 10), CellSpec(20e3, 10)]
-        setups = [ReadSetup(0.2, 8, FactorToggles.all_off())]
+        setups = [ReadSetup(0.2, 8, FactorToggles(False, False, False))]
         rows = compare_lumped_distributed(profile22, cells, setups)
         assert len(rows) == 2
         assert rows[0].error is not None
@@ -412,7 +412,7 @@ class TestCompareMatchesReference:
                  CellSpec(1e5, 100)]
         setups = [ReadSetup(0.2, n, t) for n in (1, 4, 63246, 63247)
                   for t in (FactorToggles(), FactorToggles(False, False, True),
-                            FactorToggles(leakage=False), FactorToggles.all_off())]
+                            FactorToggles(leakage=False), FactorToggles(False, False, False))]
         rows = self.outcome(compare_lumped_distributed, profile, cells, setups)
         assert rows == self.outcome(compare_reference, profile, cells, setups)
         assert sum("error=None" not in row for row in rows) > 0

@@ -188,7 +188,7 @@ class TestRenderPlot:
     def test_labels_escaped(self, tmp_path, profile22):
         curves = [make_curve(profile22, "a & <b>", (1.0, 2.0), (0.5, 0.6))]
         path = tmp_path / "esc.svg"
-        render_plot(curves, path, x_log=False)
+        render_plot(curves, path)
         text = path.read_text(encoding="utf-8")
         assert "a &amp; &lt;b&gt;" in text
         assert "<b>" not in text
@@ -229,7 +229,7 @@ class TestRenderPlot:
             )
         ]
         with pytest.raises(ValueError):
-            render_plot(curves, tmp_path / "bad.svg", x_log=True)
+            render_plot(curves, tmp_path / "bad.svg")
 
     def test_delta_curves_autoscale(self, tmp_path, profile22):
         curves = [
@@ -245,8 +245,7 @@ LABEL = st.text(st.sampled_from("ab&<> "), min_size=1, max_size=4)
 
 @st.composite
 def plots(draw):
-    x_log = draw(st.booleans())
-    x_values = st.floats(1e-3, 1e9) if x_log else st.floats(-1e6, 1e6)
+    x_values = st.floats(1e-3, 1e9)
     curves = []
     for _ in range(draw(st.integers(1, 4))):
         xs = sorted(draw(st.lists(x_values, min_size=1, max_size=12, unique=True)))
@@ -259,7 +258,6 @@ def plots(draw):
         title=draw(LABEL),
         x_label=draw(LABEL),
         y_label=draw(LABEL),
-        x_log=x_log,
         y_min=draw(pinned),
         y_max=draw(pinned),
         marker_labels=draw(st.lists(st.sampled_from(labels), max_size=2)),
