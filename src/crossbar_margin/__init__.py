@@ -30,6 +30,7 @@ from .model import (
     leakage_at,
     read_currents,
     sense_grid,
+    sense_point,
 )
 from .oracle import (
     ColumnNetwork,
@@ -94,6 +95,7 @@ __all__ = [
     "read_power_ratio",
     "render_plot",
     "sense_grid",
+    "sense_point",
     "solve_column",
     "sweep_grid",
     "write_csv",

@@ -193,6 +193,15 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     return curves
 
 
+# ablation_series' variants: the baseline, then one factor switched off at a time.
+_ABLATION_VARIANTS = (
+    ("baseline", FactorToggles()),
+    ("-R_T", FactorToggles(transistor_resistance=False)),
+    ("-r", FactorToggles(line_resistance=False)),
+    ("-I_Tleak", FactorToggles(leakage=False)),
+)
+
+
 def ablation_series(
     profile: TechnologyProfile,
     cell: CellSpec,
@@ -210,14 +219,8 @@ def ablation_series(
         raise ValueError("ablation baseline requires all factors enabled")
     r_on_grid = Grid(r_on_grid, "r_on_grid")
     r_on = np.fromiter(r_on_grid, float, len(r_on_grid))
-    variants = [
-        ("baseline", setup.toggles),
-        ("-R_T", FactorToggles(transistor_resistance=False)),
-        ("-r", FactorToggles(line_resistance=False)),
-        ("-I_Tleak", FactorToggles(leakage=False)),
-    ]
     series = []
-    for label, toggles in variants:
+    for label, toggles in _ABLATION_VARIANTS:
         grid = sense_grid(profile, r_on, cell.ratio_ideal, setup.n_cells, setup.v_read, toggles)
         meta = {
             "n_cells": setup.n_cells,

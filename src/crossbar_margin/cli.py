@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,8 @@ from .analysis import (
 )
 from .figures import (
     FIGURE_WRITERS,
-    MARGIN_GAIN_VS_R_ON,
-    MARGIN_VS_R_ON,
+    R_ON_LABEL,
+    SENSED_COLUMNS,
     render_ablation_svg,
     write_ablation_csv,
 )
@@ -103,17 +103,7 @@ def _cmd_margin(profile: TechnologyProfile, args: argparse.Namespace) -> int:
     setup = ReadSetup(v_read=args.vread, n_cells=args.n, toggles=_toggles(args))
     result = sense_point(profile, cell, setup, args.engine)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "i_on_a": result.i_on,
-                    "i_off_a": result.i_off,
-                    "ratio_effective": result.ratio_effective,
-                    "margin_normalized": result.margin_normalized,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(dict(zip(SENSED_COLUMNS, astuple(result))), indent=2))
         return 0
     print(f"profile: {profile.node_label}")
     print(
@@ -153,16 +143,7 @@ def _cmd_sweep(profile: TechnologyProfile, args: argparse.Namespace) -> int:
         for point in zip(curve.x, *curve.sensed)
     ]
     table = ResultTable(
-        header=(
-            "factors",
-            "v_read_v",
-            "n_cells",
-            "r_on_ohm",
-            "i_on_a",
-            "i_off_a",
-            "ratio_effective",
-            "margin_normalized",
-        ),
+        header=("factors", "v_read_v", "n_cells", "r_on_ohm", *SENSED_COLUMNS),
         rows=tuple(rows),
     )
     if args.csv:
@@ -173,7 +154,7 @@ def _cmd_sweep(profile: TechnologyProfile, args: argparse.Namespace) -> int:
             curves,
             args.svg,
             title=f"Sensing margin vs R_on (k={args.k:g})",
-            **MARGIN_VS_R_ON,
+            x_label=R_ON_LABEL,
         )
         print(f"wrote {args.svg} ({len(curves)} curves)")
     if not args.csv and not args.svg:
@@ -251,7 +232,7 @@ def _cmd_compensate(profile: TechnologyProfile, args: argparse.Namespace) -> int
             [curve],
             args.svg,
             title=f"Margin gain {args.vbase:g}V->{args.valt:g}V (n={args.n})",
-            **MARGIN_GAIN_VS_R_ON,
+            x_label=R_ON_LABEL,
         )
         print(f"wrote {args.svg}")
     return 0

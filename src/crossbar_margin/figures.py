@@ -37,9 +37,9 @@ from .svg import render_plot
 
 V_READ_DEFAULT = 0.2
 RATIO_DEFAULT = 10.0
-# The axes of every margin-versus-R_on plot, and of every margin-gain plot.
-MARGIN_VS_R_ON = dict(x_label="R_on (ohm)", y_label="normalized margin", y_min=0.0, y_max=1.0)
-MARGIN_GAIN_VS_R_ON = dict(x_label="R_on (ohm)", y_label="margin gain")
+R_ON_LABEL = "R_on (ohm)"  # the x axis of every plot against R_on
+# The columns of a sense_grid result, in its order, in every table and JSON output.
+SENSED_COLUMNS = ("i_on_a", "i_off_a", "ratio_effective", "margin_normalized")
 
 
 def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
@@ -71,14 +71,10 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
             svg_path,
             title=f"Sensing margin vs column size ({desc})",
             x_label="cells per column",
-            y_label="normalized margin",
-            y_min=0.0,
-            y_max=1.0,
         )
         written.append(svg_path)
     table = ResultTable(
-        header=("panel", "r_on_ohm", "n_cells", "v_read_v", "i_on_a", "i_off_a",
-                "ratio_effective", "margin_normalized"),
+        header=("panel", "r_on_ohm", "n_cells", "v_read_v", *SENSED_COLUMNS),
         rows=tuple(rows),
     )
     csv_path = outdir / "fig3.csv"
@@ -139,8 +135,8 @@ def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
             curves,
             svg_path,
             title=title,
+            x_label=R_ON_LABEL,
             marker_labels=[c.label for c in curves if c.meta["engine"] == "oracle"],
-            **MARGIN_VS_R_ON,
         )
         written += [csv_path, svg_path]
     return written
@@ -167,7 +163,7 @@ def render_ablation_svg(series: list[tuple[str, MarginCurve]], path: str | Path)
         [curve for _, curve in series],
         path,
         title=f"Non-ideality ablation (k={meta['ratio_ideal']:g}, n={meta['n_cells']})",
-        **MARGIN_VS_R_ON,
+        x_label=R_ON_LABEL,
     )
 
 
@@ -210,15 +206,15 @@ def write_fig6(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
         margins,
         svg_margins,
         title="Sensing margin vs R_on at three read voltages (n=1024)",
+        x_label=R_ON_LABEL,
         dash_labels=["V_read=0.4V", "V_read=0.6V"],
-        **MARGIN_VS_R_ON,
     )
     svg_gain = outdir / "fig6.svg"
     render_plot(
         [gain_04, gain_06],
         svg_gain,
         title="Margin gain from raising the read voltage (n=1024)",
-        **MARGIN_GAIN_VS_R_ON,
+        x_label=R_ON_LABEL,
     )
     return [csv_path, svg_margins, svg_gain]
 

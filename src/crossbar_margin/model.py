@@ -133,6 +133,11 @@ class FactorToggles:
     transistor_resistance: bool = True
     leakage: bool = True
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():  # 'x' is truthy, yet != True
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+
     def describe(self) -> str:
         """Short deterministic label, e.g. ``r+R_T+I_Tleak`` or ``ideal``."""
         parts = []
@@ -154,6 +159,8 @@ class ReadSetup:
     toggles: FactorToggles = FactorToggles()
 
     def __post_init__(self) -> None:
+        if isinstance(self.v_read, (bool, np.bool_)):  # as in CellSpec
+            raise ValueError(f"v_read must be a number, got {self.v_read!r}")
         _require_finite("v_read", self.v_read)
         if self.v_read <= 0:
             raise ValueError(f"v_read must be > 0, got {self.v_read}")

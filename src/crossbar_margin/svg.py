@@ -3,7 +3,9 @@
 A plotting library would drag in raster backends and embed metadata that
 changes run to run; these charts are plain text, diff cleanly, and are
 cheap to golden-test.  Layout is fixed: plot area on the left, legend
-column on the right, log x axis (decade ticks), linear y axis.
+column on the right, log x axis (decade ticks), linear y axis.  The y
+axis follows the curves' y_kind: "margin" curves get "normalized margin"
+on 0..1, "delta" curves "margin gain" on their data range padded by 5 %.
 """
 
 from __future__ import annotations
@@ -62,20 +64,20 @@ def render_plot(
     *,
     title: str = "",
     x_label: str = "",
-    y_label: str = "",
-    y_min: float | None = None,
-    y_max: float | None = None,
     marker_labels: Iterable[str] = (),
     dash_labels: Iterable[str] = (),
 ) -> None:
     """Render curves into one SVG file.
 
     Curves named in marker_labels are drawn as point markers (no line),
-    those in dash_labels with a dashed stroke.  y bounds default to the
-    data range with 5 % padding; margin plots typically pin them to 0..1.
+    those in dash_labels with a dashed stroke.  The curves share one
+    y_kind, which sets the y axis (module docstring).
     """
     if not curves:
         raise ValueError("render_plot needs at least one curve")
+    kinds = sorted({c.y_kind for c in curves})
+    if len(kinds) > 1:
+        raise ValueError(f"render_plot cannot mix y kinds, got {kinds}")
     marker_labels = set(marker_labels)
     dash_labels = set(dash_labels)
 
@@ -87,15 +89,12 @@ def render_plot(
     if tx_hi == tx_lo:
         tx_lo, tx_hi = tx_lo - 0.5, tx_hi + 0.5
 
-    data_lo, data_hi = min(min(c.y) for c in curves), max(max(c.y) for c in curves)
-    if y_min is None:
+    if kinds == ["margin"]:  # margins lie in (0, 1 + 1e-12]: at most 4e-10 px above the frame
+        y_label, y_min, y_max = "normalized margin", 0.0, 1.0
+    else:
+        data_lo, data_hi = min(min(c.y) for c in curves), max(max(c.y) for c in curves)
         pad = 0.05 * (data_hi - data_lo) or max(abs(data_hi) * 0.1, 1e-6)
-        y_min = data_lo - pad
-    if y_max is None:
-        pad = 0.05 * (data_hi - data_lo) or max(abs(data_hi) * 0.1, 1e-6)
-        y_max = data_hi + pad
-    if y_max <= y_min:
-        y_max = y_min + 1.0
+        y_label, y_min, y_max = "margin gain", data_lo - pad, data_hi + pad
 
     x_span, y_span = tx_hi - tx_lo, y_max - y_min
 
@@ -165,20 +164,16 @@ def render_plot(
             f'<text x="{(LEFT + RIGHT) / 2:.0f}" y="{HEIGHT - 12}" '
             f'text-anchor="middle" font-size="12">{escape(x_label)}</text>'
         )
-    if y_label:
-        out.append(
-            f'<text x="18" y="{(TOP + BOTTOM) / 2:.0f}" text-anchor="middle" '
-            f'font-size="12" transform="rotate(-90 18 {(TOP + BOTTOM) / 2:.0f})">'
-            f"{escape(y_label)}</text>"
-        )
+    out.append(
+        f'<text x="18" y="{(TOP + BOTTOM) / 2:.0f}" text-anchor="middle" '
+        f'font-size="12" transform="rotate(-90 18 {(TOP + BOTTOM) / 2:.0f})">'
+        f"{y_label}</text>"
+    )
 
-    # curves, clipped to the frame only by construction of the data ranges
+    # curves, inside the frame by construction of the y bounds
     for idx, curve in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
-        ys = curve.y
-        if not (y_min <= min(ys) and max(ys) <= y_max):  # clamping is the identity inside
-            ys = [min(max(y, y_min), y_max) for y in ys]
-        xs, ys = px(curve.x), py(ys)
+        xs, ys = px(curve.x), py(curve.y)
         if curve.label in marker_labels:
             circle = f'<circle cx="{{:.2f}}" cy="{{:.2f}}" r="3" fill="{color}"/>'
             out.extend(map(circle.format, xs, ys))

@@ -367,6 +367,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             ReadSetup(v_read=0.2, n_cells=2.5)
 
+    @pytest.mark.parametrize("v_read", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_setup_rejects_bool_v_read(self, v_read):
+        message = f"v_read must be a number, got {v_read!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ReadSetup(v_read, 64)
+
+    @pytest.mark.parametrize(
+        "bits, message",
+        [((1, 1, "x"), "line_resistance must be a bool, got 1"),
+         ((True, True, "x"), "leakage must be a bool, got 'x'"),
+         ((True, np.False_, True), "transistor_resistance must be a bool, got np.False_"),
+         ((True, True, None), "leakage must be a bool, got None")],
+    )
+    def test_toggles_take_only_bools(self, bits, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FactorToggles(*bits)
+
     def test_profile_invariants(self):
         with pytest.raises(ValueError):
             TechnologyProfile("x", -1.0, 10.0, ((0.2, 1e-11),))

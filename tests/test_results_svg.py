@@ -24,7 +24,7 @@ from crossbar_margin import (
     write_csv,
 )
 from crossbar_margin.results import format_cell
-from crossbar_margin.svg import TOP, escape
+from crossbar_margin.svg import BOTTOM, TOP, escape
 
 
 def make_curve(profile, label, xs, ys, y_kind="margin"):
@@ -162,7 +162,7 @@ class TestRenderPlot:
             make_curve(profile22, "beta", (1e4, 1e5, 1e6), (0.2, 0.4, 0.6)),
         ]
         path = tmp_path / "chart.svg"
-        render_plot(curves, path, title="demo", x_label="R", y_label="m")
+        render_plot(curves, path, title="demo", x_label="R")
         text = path.read_text(encoding="utf-8")
         assert text.startswith("<svg")
         assert text.rstrip().endswith("</svg>")
@@ -204,7 +204,7 @@ class TestRenderPlot:
     def test_flat_unity_margin_sits_on_top_axis(self, tmp_path, profile22):
         curves = [make_curve(profile22, "ideal", (1e4, 1e8), (1.0, 1.0))]
         path = tmp_path / "flat.svg"
-        render_plot(curves, path, y_min=0.0, y_max=1.0)
+        render_plot(curves, path)
         text = path.read_text(encoding="utf-8")
         assert f",{TOP:.2f} " in text or f",{TOP:.2f}\"" in text
 
@@ -237,39 +237,69 @@ class TestRenderPlot:
         ]
         path = tmp_path / "d.svg"
         render_plot(curves, path)
-        assert path.exists()
+        text = path.read_text(encoding="utf-8")
+        assert ">margin gain</text>" in text and "normalized margin" not in text
+        # 5 % padding puts the data's ends 5/110 of the frame inside it.
+        assert f",{TOP + (BOTTOM - TOP) * 5 / 110:.2f}" in text
+
+    def test_margin_curves_get_the_unit_axis(self, tmp_path, profile22):
+        curves = [make_curve(profile22, "m", (1e4, 1e5), (0.25, 0.5))]
+        path = tmp_path / "m.svg"
+        render_plot(curves, path)
+        text = path.read_text(encoding="utf-8")
+        assert ">normalized margin</text>" in text and "margin gain" not in text
+        assert f",{(TOP + BOTTOM) / 2:.2f}" in text  # 0.5 halfway up the 0..1 axis
+
+    def test_mixed_y_kinds_raise(self, tmp_path, profile22):
+        curves = [
+            make_curve(profile22, "m", (1e4, 1e5), (0.4, 0.7)),
+            make_curve(profile22, "d", (1e4, 1e5), (0.0, 0.1), "delta"),
+        ]
+        path = tmp_path / "mixed.svg"
+        with pytest.raises(ValueError, match=r"cannot mix y kinds, got \['delta', 'margin'\]"):
+            render_plot(curves, path)
+        assert not path.exists()
 
 
 LABEL = st.text(st.sampled_from("ab&<> "), min_size=1, max_size=4)
 
 
+# Per y_kind: the y values a curve may hold, and the y axis render_plot
+# derives for it, in render_plot_reference's keyword options.
+Y_KINDS = {
+    "margin": (
+        st.floats(0.0, 1.0 + 1e-12, exclude_min=True) | st.sampled_from((1.0 + 1e-12, 5e-324)),
+        dict(y_label="normalized margin", y_min=0.0, y_max=1.0),
+    ),
+    "delta": (st.floats(-5.0, 5.0), dict(y_label="margin gain")),
+}
+
+
 @st.composite
 def plots(draw):
     x_values = st.floats(1e-3, 1e9)
+    y_kind = draw(st.sampled_from(sorted(Y_KINDS)))
+    y_values, y_axis = Y_KINDS[y_kind]
     curves = []
     for _ in range(draw(st.integers(1, 4))):
         xs = sorted(draw(st.lists(x_values, min_size=1, max_size=12, unique=True)))
-        ys = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(xs), max_size=len(xs)))
+        ys = draw(st.lists(y_values, min_size=len(xs), max_size=len(xs)))
         sensed = (np.zeros(len(xs)),) * 4
-        curves.append(MarginCurve(draw(LABEL), tuple(xs), tuple(ys), sensed, y_kind="delta"))
+        curves.append(MarginCurve(draw(LABEL), tuple(xs), tuple(ys), sensed, y_kind=y_kind))
     labels = [c.label for c in curves]
-    pinned = st.none() | st.floats(-3.0, 3.0)  # pinned bounds clamp the data
     kwargs = dict(
         title=draw(LABEL),
         x_label=draw(LABEL),
-        y_label=draw(LABEL),
-        y_min=draw(pinned),
-        y_max=draw(pinned),
         marker_labels=draw(st.lists(st.sampled_from(labels), max_size=2)),
         dash_labels=draw(st.lists(st.sampled_from(labels), max_size=2)),
     )
-    return curves, kwargs
+    return curves, kwargs, y_axis
 
 
 @settings(max_examples=200, deadline=None)
 @given(plot=plots())
 def test_render_plot_matches_point_by_point_reference(out_dir, plot):
-    curves, kwargs = plot
+    curves, kwargs, y_axis = plot
     render_plot(curves, out_dir / "columns.svg", **kwargs)
-    render_plot_reference(curves, out_dir / "points.svg", **kwargs)
+    render_plot_reference(curves, out_dir / "points.svg", **kwargs, **y_axis)
     assert (out_dir / "columns.svg").read_bytes() == (out_dir / "points.svg").read_bytes()
