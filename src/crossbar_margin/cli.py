@@ -1,4 +1,8 @@
-"""Command-line front end.
+"""Command-line front end: it only parses, calls and prints.
+
+Each subcommand parses its flags, calls a study and writes any file
+through a figures writer; the tables, plot layouts and shared defaults
+(R_on grid, read voltage, k) come from figures and analysis.
 
 Subcommands: margin, sweep, ablate, optimal-range, compensate, validate,
 and the preset studies fig3..fig6.  Exit codes: 0 success, 1 computation
@@ -21,6 +25,7 @@ import numpy as np
 from .analysis import (
     COARSE_R_ON_GRID,
     DEFAULT_N_GRID,
+    DEFAULT_R_ON_GRID,
     VALIDATION_N_GRID,
     Grid,
     SweepSpec,
@@ -33,10 +38,16 @@ from .analysis import (
 )
 from .figures import (
     FIGURE_WRITERS,
-    R_ON_LABEL,
+    RATIO_DEFAULT,
     SENSED_COLUMNS,
+    V_READ_DEFAULT,
     render_ablation_svg,
+    render_compensation_svg,
+    render_sweep_svg,
     write_ablation_csv,
+    write_compensation_csv,
+    write_sweep_csv,
+    write_validation_csv,
 )
 from .model import (
     ENGINES,
@@ -50,23 +61,12 @@ from .model import (
 )
 from .oracle import compare_lumped_distributed
 from .profile_io import load_bundled_profile, load_profile
-from .results import ResultTable, write_csv
-from .svg import render_plot
 
 # (R_on grid, n grid) per --grid choice; "full" is fig4's network grid.
 VALIDATION_GRIDS = {
     "full": (COARSE_R_ON_GRID, VALIDATION_N_GRID),
     "quick": (tuple(float(x) for x in np.logspace(4.0, 8.0, 8)), (256, 1024)),
 }
-
-
-def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile",
-        metavar="PATH",
-        default=None,
-        help="technology profile JSON (default: bundled 22nm profile)",
-    )
 
 
 def _add_toggle_args(parser: argparse.ArgumentParser) -> None:
@@ -81,9 +81,10 @@ def _add_toggle_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_ron_grid_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ron-min", type=float, default=1e4, help="grid start (ohm)")
-    parser.add_argument("--ron-max", type=float, default=1e8, help="grid end (ohm)")
-    parser.add_argument("--ron-points", type=int, default=200, help="log-spaced grid size")
+    grid = DEFAULT_R_ON_GRID
+    parser.add_argument("--ron-min", type=float, default=grid[0], help="grid start (ohm)")
+    parser.add_argument("--ron-max", type=float, default=grid[-1], help="grid end (ohm)")
+    parser.add_argument("--ron-points", type=int, default=len(grid), help="log-spaced grid size")
 
 
 def _ron_grid(args: argparse.Namespace) -> Grid:
@@ -132,30 +133,11 @@ def _cmd_sweep(profile: TechnologyProfile, args: argparse.Namespace) -> int:
         curves = sweep_grid(spec, profile)
     for warning in dropped:
         print(f"warning: {warning.message}", file=sys.stderr)
-    rows = [
-        (
-            curve.meta["toggles"].describe(),
-            curve.meta["v_read"],
-            curve.meta["n_cells"],
-            *point,
-        )
-        for curve in curves
-        for point in zip(curve.x, *curve.sensed)
-    ]
-    table = ResultTable(
-        header=("factors", "v_read_v", "n_cells", "r_on_ohm", *SENSED_COLUMNS),
-        rows=tuple(rows),
-    )
     if args.csv:
-        write_csv(table, args.csv)
-        print(f"wrote {args.csv} ({len(rows)} rows)")
+        n_rows = write_sweep_csv(curves, args.csv)
+        print(f"wrote {args.csv} ({n_rows} rows)")
     if args.svg:
-        render_plot(
-            curves,
-            args.svg,
-            title=f"Sensing margin vs R_on (k={args.k:g})",
-            x_label=R_ON_LABEL,
-        )
+        render_sweep_svg(curves, args.svg)
         print(f"wrote {args.svg} ({len(curves)} curves)")
     if not args.csv and not args.svg:
         for curve in curves:
@@ -222,23 +204,17 @@ def _cmd_compensate(profile: TechnologyProfile, args: argparse.Namespace) -> int
         f"(read power x{read_power_ratio(args.valt, args.vbase):g})"
     )
     if args.csv:
-        rows = list(zip(curve.x, curve.y))
-        write_csv(
-            ResultTable(header=("r_on_ohm", "margin_gain"), rows=tuple(rows)), args.csv
-        )
-        print(f"wrote {args.csv} ({len(rows)} rows)")
+        n_rows = write_compensation_csv(curve, args.csv)
+        print(f"wrote {args.csv} ({n_rows} rows)")
     if args.svg:
-        render_plot(
-            [curve],
-            args.svg,
-            title=f"Margin gain {args.vbase:g}V->{args.valt:g}V (n={args.n})",
-            x_label=R_ON_LABEL,
-        )
+        render_compensation_svg(curve, args.svg)
         print(f"wrote {args.svg}")
     return 0
 
 
 def _cmd_validate(profile: TechnologyProfile, args: argparse.Namespace) -> int:
+    if not args.tolerance >= 0:  # NaN too
+        raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
     r_grid, n_grid = VALIDATION_GRIDS[args.grid]
     cells = [CellSpec(r_on=r, ratio_ideal=args.k) for r in r_grid]
     setups = [ReadSetup(v_read=args.vread, n_cells=n) for n in n_grid]
@@ -246,33 +222,8 @@ def _cmd_validate(profile: TechnologyProfile, args: argparse.Namespace) -> int:
     failed = [row for row in rows if row.error is not None]
     clean = [row for row in rows if row.error is None]
     if args.csv:
-        table = ResultTable(
-            header=(
-                "r_on_ohm",
-                "ratio_ideal",
-                "n_cells",
-                "v_read_v",
-                "margin_lumped",
-                "margin_oracle",
-                "relative_gap",
-                "error",
-            ),
-            rows=tuple(
-                (
-                    row.r_on,
-                    row.ratio_ideal,
-                    row.n_cells,
-                    row.v_read,
-                    row.margin_lumped,
-                    row.margin_oracle,
-                    row.relative_gap,
-                    row.error or "",
-                )
-                for row in rows
-            ),
-        )
-        write_csv(table, args.csv)
-        print(f"wrote {args.csv} ({len(rows)} rows)")
+        n_rows = write_validation_csv(rows, args.csv)
+        print(f"wrote {args.csv} ({n_rows} rows)")
     print(
         f"lumped model vs distributed network: {len(rows)} points "
         f"({len(r_grid)} R_on x {len(n_grid)} n), "
@@ -311,8 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("margin", help="evaluate one read condition")
-    _add_profile_arg(p)
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        """Subcommand `name`, run by handler, with the --profile option of every subcommand."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--profile",
+            metavar="PATH",
+            default=None,
+            help="technology profile JSON (default: bundled 22nm profile)",
+        )
+        p.set_defaults(func=handler)
+        return p
+
+    p = command("margin", _cmd_margin, "evaluate one read condition")
     p.add_argument("--ron", type=float, required=True, help="on-state resistance (ohm)")
     p.add_argument("--k", type=float, required=True, help="fabricated on/off ratio")
     p.add_argument("--n", type=int, required=True, help="cells per column")
@@ -320,69 +282,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=ENGINES, default="lumped")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     _add_toggle_args(p)
-    p.set_defaults(func=_cmd_margin)
 
-    p = sub.add_parser("sweep", help="margin curves over an R_on grid")
-    _add_profile_arg(p)
+    p = command("sweep", _cmd_sweep, "margin curves over an R_on grid")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--n", type=int, nargs="+", default=list(DEFAULT_N_GRID))
-    p.add_argument("--vread", type=float, nargs="+", default=[0.2])
+    p.add_argument("--vread", type=float, nargs="+", default=[V_READ_DEFAULT])
     p.add_argument("--engine", choices=ENGINES, default="lumped")
     _add_ron_grid_args(p)
     _add_toggle_args(p)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--svg", metavar="PATH")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("ablate", help="remove non-idealities one at a time")
-    _add_profile_arg(p)
+    p = command("ablate", _cmd_ablate, "remove non-idealities one at a time")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--vread", type=float, default=0.2)
+    p.add_argument("--vread", type=float, default=V_READ_DEFAULT)
     _add_ron_grid_args(p)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--svg", metavar="PATH")
-    p.set_defaults(func=_cmd_ablate)
 
-    p = sub.add_parser(
-        "optimal-range", help="R_on interval keeping the margin above a threshold"
+    p = command(
+        "optimal-range", _cmd_optimal_range,
+        "R_on interval keeping the margin above a threshold",
     )
-    _add_profile_arg(p)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--vread", type=float, default=0.2)
+    p.add_argument("--vread", type=float, default=V_READ_DEFAULT)
     p.add_argument("--threshold", type=float, default=0.8)
     p.add_argument("--json", action="store_true")
     _add_ron_grid_args(p)
-    p.set_defaults(func=_cmd_optimal_range)
 
-    p = sub.add_parser("compensate", help="margin gain from a higher read voltage")
-    _add_profile_arg(p)
+    p = command("compensate", _cmd_compensate, "margin gain from a higher read voltage")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--vbase", type=float, default=0.2)
+    p.add_argument("--vbase", type=float, default=V_READ_DEFAULT)
     p.add_argument("--valt", type=float, required=True)
     _add_ron_grid_args(p)
     p.add_argument("--csv", metavar="PATH")
     p.add_argument("--svg", metavar="PATH")
-    p.set_defaults(func=_cmd_compensate)
 
-    p = sub.add_parser(
-        "validate", help="check the lumped model against the network solver"
+    p = command(
+        "validate", _cmd_validate, "check the lumped model against the network solver"
     )
-    _add_profile_arg(p)
     p.add_argument("--grid", choices=sorted(VALIDATION_GRIDS), default="full")
-    p.add_argument("--k", type=float, default=10.0)
-    p.add_argument("--vread", type=float, default=0.2)
+    p.add_argument("--k", type=float, default=RATIO_DEFAULT)
+    p.add_argument("--vread", type=float, default=V_READ_DEFAULT)
     p.add_argument("--tolerance", type=float, default=0.01)
     p.add_argument("--csv", metavar="PATH")
-    p.set_defaults(func=_cmd_validate)
 
-    for name in ("fig3", "fig4", "fig5", "fig6"):
-        p = sub.add_parser(name, help=f"write the {name} study (CSV + SVG)")
-        _add_profile_arg(p)
+    for name in FIGURE_WRITERS:
+        p = command(name, _cmd_figure, f"write the {name} study (CSV + SVG)")
         p.add_argument("--outdir", default=".", help="output directory")
-        p.set_defaults(func=_cmd_figure)
 
     return parser
 

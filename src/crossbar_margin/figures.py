@@ -1,8 +1,8 @@
-"""Preset studies bundled as reproducible CSV + SVG outputs.
+"""Every table and plot layout the package writes, as deterministic CSV + SVG.
 
-Each study runs from the bundled technology profile alone and writes
-deterministic files, so two runs of the same study are byte-identical.
-They are exposed through the fig3..fig6 CLI subcommands:
+Two kinds of output live here.  The preset studies run from the bundled
+technology profile alone, so two runs of the same study are
+byte-identical; they are exposed through the fig3..fig6 CLI subcommands:
 
   fig3  joint-effect curves: margin versus column size with each
         non-ideality family isolated, then combined
@@ -10,10 +10,15 @@ They are exposed through the fig3..fig6 CLI subcommands:
         distributed-network solver overlaid on the closed-form model
   fig5  factor ablation at a fixed column size
   fig6  read-voltage compensation and its margin gain
+
+The sweep, ablate, compensate and validate commands write through the
+write_*_csv and render_*_svg writers below (ablate through fig5's).
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 from .analysis import (
@@ -32,14 +37,19 @@ from .model import (
     TechnologyProfile,
     sense_grid,
 )
+from .oracle import ComparisonRow
 from .results import ResultTable, write_csv
 from .svg import render_plot
 
 V_READ_DEFAULT = 0.2
 RATIO_DEFAULT = 10.0
-R_ON_LABEL = "R_on (ohm)"  # the x axis of every plot against R_on
 # The columns of a sense_grid result, in its order, in every table and JSON output.
 SENSED_COLUMNS = ("i_on_a", "i_off_a", "ratio_effective", "margin_normalized")
+
+
+def _plot_vs_r_on(curves: list[MarginCurve], path: str | Path, title: str, **styles) -> None:
+    """render_plot with the x axis of every plot against R_on; styles are its line styles."""
+    render_plot(curves, path, title=title, x_label="R_on (ohm)", **styles)
 
 
 def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
@@ -131,13 +141,8 @@ def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
             ResultTable(header=("engine", "n_cells", "r_on_ohm", "margin_normalized"), rows=tuple(rows)),
             csv_path,
         )
-        render_plot(
-            curves,
-            svg_path,
-            title=title,
-            x_label=R_ON_LABEL,
-            marker_labels=[c.label for c in curves if c.meta["engine"] == "oracle"],
-        )
+        oracle_labels = [c.label for c in curves if c.meta["engine"] == "oracle"]
+        _plot_vs_r_on(curves, svg_path, title, marker_labels=oracle_labels)
         written += [csv_path, svg_path]
     return written
 
@@ -159,12 +164,53 @@ def write_ablation_csv(series: list[tuple[str, MarginCurve]], path: str | Path) 
 def render_ablation_svg(series: list[tuple[str, MarginCurve]], path: str | Path) -> None:
     """The ablation plot, one margin curve per variant of ablation_series."""
     meta = series[0][1].meta
-    render_plot(
-        [curve for _, curve in series],
-        path,
-        title=f"Non-ideality ablation (k={meta['ratio_ideal']:g}, n={meta['n_cells']})",
-        x_label=R_ON_LABEL,
+    title = f"Non-ideality ablation (k={meta['ratio_ideal']:g}, n={meta['n_cells']})"
+    _plot_vs_r_on([curve for _, curve in series], path, title)
+
+
+def write_sweep_csv(curves: list[MarginCurve], path: str | Path) -> int:
+    """The sweep table, one (factors, v_read_v, n_cells, r_on_ohm, sensed...) row
+    per point of sweep_grid's curves; returns the row count."""
+    rows = tuple(
+        (curve.meta["toggles"].describe(), curve.meta["v_read"], curve.meta["n_cells"], *point)
+        for curve in curves
+        for point in zip(curve.x, *curve.sensed)
     )
+    header = ("factors", "v_read_v", "n_cells", "r_on_ohm", *SENSED_COLUMNS)
+    write_csv(ResultTable(header=header, rows=rows), path)
+    return len(rows)
+
+
+def render_sweep_svg(curves: list[MarginCurve], path: str | Path) -> None:
+    """The sweep plot, one margin curve per slice of sweep_grid."""
+    _plot_vs_r_on(curves, path, f"Sensing margin vs R_on (k={curves[0].meta['ratio_ideal']:g})")
+
+
+def write_compensation_csv(curve: MarginCurve, path: str | Path) -> int:
+    """The compensation table, one (r_on_ohm, margin_gain) row per point; returns the row count."""
+    rows = tuple(zip(curve.x, curve.y))
+    write_csv(ResultTable(header=("r_on_ohm", "margin_gain"), rows=rows), path)
+    return len(rows)
+
+
+def render_compensation_svg(curve: MarginCurve, path: str | Path) -> None:
+    """The compensation plot: compensation_curve's margin gain."""
+    meta = curve.meta
+    title = f"Margin gain {meta['v_base']:g}V->{meta['v_alt']:g}V (n={meta['n_cells']})"
+    _plot_vs_r_on([curve], path, title)
+
+
+# A ComparisonRow's fields, in order, as validate's table cells.
+_comparison_cells = attrgetter(*(field.name for field in fields(ComparisonRow)))
+
+
+def write_validation_csv(rows: list[ComparisonRow], path: str | Path) -> int:
+    """The validation table, one row per ComparisonRow (no error is an empty
+    cell); returns the row count."""
+    header = ("r_on_ohm", "ratio_ideal", "n_cells", "v_read_v", "margin_lumped",
+              "margin_oracle", "relative_gap", "error")
+    write_csv(ResultTable(header=header, rows=tuple(map(_comparison_cells, rows))), path)
+    return len(rows)
 
 
 def write_fig5(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
@@ -202,20 +248,11 @@ def write_fig6(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
         csv_path,
     )
     svg_margins = outdir / "fig6_margins.svg"
-    render_plot(
-        margins,
-        svg_margins,
-        title="Sensing margin vs R_on at three read voltages (n=1024)",
-        x_label=R_ON_LABEL,
-        dash_labels=["V_read=0.4V", "V_read=0.6V"],
-    )
+    _plot_vs_r_on(margins, svg_margins, "Sensing margin vs R_on at three read voltages (n=1024)",
+                  dash_labels=["V_read=0.4V", "V_read=0.6V"])
     svg_gain = outdir / "fig6.svg"
-    render_plot(
-        [gain_04, gain_06],
-        svg_gain,
-        title="Margin gain from raising the read voltage (n=1024)",
-        x_label=R_ON_LABEL,
-    )
+    _plot_vs_r_on([gain_04, gain_06], svg_gain,
+                  "Margin gain from raising the read voltage (n=1024)")
     return [csv_path, svg_margins, svg_gain]
 
 

@@ -253,7 +253,8 @@ def _largest_readable_n(v_read: float, i_leak: float, r_line: float) -> int:
 def _require(name: str, values, ok, bound: str) -> None:
     if not ok.all():
         bad = np.asarray(values)[~np.asarray(ok)]
-        raise ValueError(f"{name} must be {bound}, got {bad.flat[0]!r}")
+        # tolist: the Python value, not the repr of a numpy scalar
+        raise ValueError(f"{name} must be {bound}, got {bad.ravel()[:1].tolist()[0]!r}")
 
 
 # np.where and ndarray.all that also take the Python scalars of sense_point.
@@ -321,8 +322,9 @@ def sense_grid(
     """Worst-case (i_on, i_off, ratio, margin) over a grid of R_on and n.
 
     r_on and n_cells (an R_on row against an n column gives the whole grid)
-    and an array ratio_ideal (element-wise path) broadcast together; the four
-    results are float64 ndarrays of the broadcast shape, 0-d for scalars.
+    and an array or sequence ratio_ideal (element-wise path) broadcast
+    together; v_read is one number.  The four results are float64 ndarrays
+    of the broadcast shape, 0-d for scalars.
     engine="lumped" is the model of the module docstring; without leakage
     its ratio is the better-conditioned quotient of series resistances,
     exactly ideal when no non-ideality is on.  engine="oracle" is the
@@ -354,6 +356,10 @@ def sense_grid(
         fast = (math.prod(shape) > 0 and n.dtype.kind in "iu" and n.min() >= 1
                 and 0 < r_on.min() and r_on.max() < math.inf)
     if not fast:
+        if np.ndim(v_read):  # one read voltage per call; ratio_ideal may be a sequence
+            raise ValueError(f"v_read must be a number, got {v_read!r}")
+        if isinstance(ratio_ideal, (list, tuple)):
+            ratio_ideal = np.asarray(ratio_ideal, dtype=float)
         _require("v_read", v_read, np.isfinite(v_read) & (v_read > 0), "finite and > 0")
         _require("ratio_ideal", ratio_ideal, np.isfinite(ratio_ideal) & (ratio_ideal >= 1),
                  "finite and >= 1")

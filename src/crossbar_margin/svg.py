@@ -170,13 +170,16 @@ def render_plot(
         f"{y_label}</text>"
     )
 
-    # curves, inside the frame by construction of the y bounds
+    # curves, inside the frame by construction of the y bounds, then their legend
+    legend = []
     for idx, curve in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
         xs, ys = px(curve.x), py(curve.y)
+        y = TOP + 10 + idx * 18
         if curve.label in marker_labels:
             circle = f'<circle cx="{{:.2f}}" cy="{{:.2f}}" r="3" fill="{color}"/>'
             out.extend(map(circle.format, xs, ys))
+            legend.append(f'<circle cx="{RIGHT + 18}" cy="{y}" r="3" fill="{color}"/>')
         else:
             dash = ' stroke-dasharray="6 3"' if curve.label in dash_labels else ""
             points = " ".join(map("{:.2f},{:.2f}".format, xs, ys))
@@ -184,23 +187,15 @@ def render_plot(
                 f'<polyline points="{points}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"{dash}/>'
             )
-
-    # legend
-    for idx, curve in enumerate(curves):
-        color = PALETTE[idx % len(PALETTE)]
-        y = TOP + 10 + idx * 18
-        if curve.label in marker_labels:
-            out.append(f'<circle cx="{RIGHT + 18}" cy="{y}" r="3" fill="{color}"/>')
-        else:
-            dash = ' stroke-dasharray="6 3"' if curve.label in dash_labels else ""
-            out.append(
+            legend.append(
                 f'<line x1="{RIGHT + 10}" y1="{y}" x2="{RIGHT + 26}" y2="{y}" '
                 f'stroke="{color}" stroke-width="1.5"{dash}/>'
             )
-        out.append(
+        legend.append(
             f'<text x="{RIGHT + 32}" y="{y + 4}" font-size="11">'
             f"{escape(curve.label)}</text>"
         )
+    out += legend
 
     out.append("</svg>")
     write_text(path, "\n".join(out) + "\n")

@@ -25,7 +25,8 @@ from crossbar_margin.model import (
 def _require(name: str, values, ok, bound: str) -> None:
     if not ok.all():
         bad = np.asarray(values)[~np.asarray(ok)]
-        raise ValueError(f"{name} must be {bound}, got {bad.flat[0]!r}")
+        # tolist: the Python value, not the repr of a numpy scalar
+        raise ValueError(f"{name} must be {bound}, got {bad.ravel()[:1].tolist()[0]!r}")
 
 
 # np.where and ndarray.all that also take the Python scalars of sense_point.
@@ -92,6 +93,10 @@ def sense_grid_reference(
     """model.sense_grid as it was before its reduction checks: the same
     arrays and errors, except that 0-d inputs give numpy or Python scalars
     in place of 0-d float64 arrays."""
+    if np.ndim(v_read):  # one read voltage per call; ratio_ideal may be a sequence
+        raise ValueError(f"v_read must be a number, got {v_read!r}")
+    if isinstance(ratio_ideal, (list, tuple)):
+        ratio_ideal = np.asarray(ratio_ideal, dtype=float)
     _require("v_read", v_read, np.isfinite(v_read) & (v_read > 0), "finite and > 0")
     _require("ratio_ideal", ratio_ideal, np.isfinite(ratio_ideal) & (ratio_ideal >= 1),
              "finite and >= 1")

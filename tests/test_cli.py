@@ -156,6 +156,16 @@ class TestValidateCommand:
         assert run_cli(args) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_bad_tolerance_is_rejected_before_computing(self, capsys, monkeypatch, tolerance):
+        def unreachable(*args):
+            raise AssertionError("compared before checking --tolerance")
+
+        monkeypatch.setattr(cli, "compare_lumped_distributed", unreachable)
+        assert run_cli(["validate", "--grid", "quick", "--tolerance", tolerance]) == 1
+        message = f"error: --tolerance must be >= 0, got {float(tolerance)}\n"
+        assert capsys.readouterr() == ("", message)
+
 
 class TestSweepCommand:
     def test_csv_and_svg_outputs(self, tmp_path, capsys):
@@ -203,6 +213,10 @@ class TestSweepCommand:
         assert captured.err.count("\n") == 1
         assert "V=0.2V, n=256: margin" in captured.out
         assert "V=0.1V" not in captured.out
+
+    def test_bad_n_names_the_python_value(self, capsys):
+        assert run_cli(["sweep", "--k", "10", "--n", "0"]) == 1
+        assert capsys.readouterr() == ("", "error: n_cells must be >= 1, got 0\n")
 
     def test_summary_without_files(self, capsys):
         args = ["sweep", "--k", "10", "--n", "64", "--ron-points", "5"]

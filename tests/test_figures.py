@@ -1,10 +1,17 @@
-"""Content checks for the preset fig3..fig6 studies."""
+"""Content checks for the preset fig3..fig6 studies and the CLI commands' tables."""
 
 import csv
 
 import pytest
 
-from crossbar_margin.figures import write_fig3, write_fig4, write_fig5, write_fig6
+from crossbar_margin import ComparisonRow
+from crossbar_margin.figures import (
+    write_fig3,
+    write_fig4,
+    write_fig5,
+    write_fig6,
+    write_validation_csv,
+)
 
 
 def read_rows(path):
@@ -87,3 +94,20 @@ class TestFig6:
         svg = (tmp_path / "fig6_margins.svg").read_text(encoding="utf-8")
         for label in ("V_read=0.2V", "V_read=0.4V", "V_read=0.6V"):
             assert label in svg
+
+
+class TestValidationTable:
+    def test_one_row_per_comparison_in_field_order(self, tmp_path):
+        nan = float("nan")
+        rows = [
+            ComparisonRow(1e4, 10.0, 64, 0.2, 0.9, 0.91, 0.011),
+            ComparisonRow(2e4, 10.0, 4096, 0.2, nan, nan, nan, "column, of n=4096"),
+        ]
+        path = tmp_path / "validate.csv"
+        assert write_validation_csv(rows, path) == 2
+        assert path.read_text(encoding="utf-8") == (
+            "r_on_ohm,ratio_ideal,n_cells,v_read_v,margin_lumped,margin_oracle,"
+            "relative_gap,error\n"
+            "10000.0,10.0,64,0.2,0.9,0.91,0.011,\n"
+            '20000.0,10.0,4096,0.2,nan,nan,nan,"column, of n=4096"\n'
+        )

@@ -39,8 +39,9 @@ NAN, INF = float("nan"), float("inf")
 # the largest readable column has n = 63 246.
 R_ON_CASES = (2e4, 3e5, 1e8, 5e-324, 1e300, 1e306, NAN, INF, -INF, -1.0, 0.0)
 N_CASES = (1, 2, 1024, 63246, 63247, 0, -3)
-V_READ_CASES = (0.2, 0.35, 0.6, 0.1, 0.0, -0.2, NAN, INF, 1, np.float64(0.4))
-K_CASES = (10.0, 1.0, 1e3, 0.5, NAN, INF, 10, np.float64(5.0))
+V_READ_CASES = (0.2, 0.35, 0.6, 0.1, 0.0, -0.2, NAN, INF, 1, np.float64(0.4),
+                np.array([0.2, 0.4]))
+K_CASES = (10.0, 1.0, 1e3, 0.5, NAN, INF, 10, np.float64(5.0), [10.0], (10, 1e3), [10.0, 0.5])
 
 r_on_inputs = st.one_of(
     st.sampled_from(R_ON_CASES),
@@ -290,6 +291,26 @@ class TestSenseGrid:
             want = (read_currents(profile22, CellSpec(r, ki), setup) if engine == "lumped"
                     else sense_point(profile22, CellSpec(r, ki), setup, engine))
             assert SenseResult(*(float(a[i]) for a in grid)) == want
+
+    @pytest.mark.parametrize("k", [[10.0, 100.0], (10, 100)], ids=["list", "tuple"])
+    def test_sequence_ratio_ideal_equals_array(self, profile22, k):
+        want = sense_grid(profile22, [1e4, 5e4], np.array([10.0, 100.0]), 1024, 0.2)
+        got = sense_grid(profile22, [1e4, 5e4], k, 1024, 0.2)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(([1e4, -1.0], 10.0, 64, 0.2), "r_on must be finite and > 0, got -1.0"),
+         ((1e4, 10.0, 0, 0.2), "n_cells must be >= 1, got 0"),
+         ((1e4, 10.0, 2**64, 0.2), "n_cells must be integers, got 18446744073709551616"),
+         ((1e4, [10.0, 0.5], 64, 0.2), "ratio_ideal must be finite and >= 1, got 0.5"),
+         ((1e4, 10.0, 64, np.array([0.2, 0.4])),
+          "v_read must be a number, got array([0.2, 0.4])"),
+         ((1e4, 10.0, 64, [0.2]), "v_read must be a number, got [0.2]")],
+    )
+    def test_errors_name_the_python_value(self, profile22, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sense_grid(profile22, *args)
 
     @pytest.mark.parametrize("toggles", [FactorToggles(), FactorToggles(False, False, False)])
     @pytest.mark.parametrize("k", [10.0, 10])
