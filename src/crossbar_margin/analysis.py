@@ -34,6 +34,7 @@ from .model import (
     FactorToggles,
     ReadSetup,
     TechnologyProfile,
+    _checked,
     element_values,
     sense_grid,
     sense_point,
@@ -92,25 +93,28 @@ class SweepSpec:
     engine: str = "lumped"
 
     def __post_init__(self) -> None:
-        for name, kind in (("r_on_grid", float), ("n_grid", int), ("v_read_grid", float)):
+        for name, quantity in (("r_on_grid", "r_on"), ("n_grid", "n_cells"),
+                               ("v_read_grid", "v_read")):
             grid = getattr(self, name)
             if not isinstance(grid, Grid):
-                grid = (_grid_value(name, kind, v) for v in grid)
+                grid = (_grid_value(quantity, v) for v in grid)
             object.__setattr__(self, name, Grid(grid, name))
-        if not self.toggles:
-            raise ValueError("toggles must contain at least one combination")
+        _checked("ratio_ideal", self.ratio_ideal)
+        if not (isinstance(self.toggles, tuple) and self.toggles):
+            raise ValueError(f"toggles must be a non-empty tuple, got {self.toggles!r}")
+        for toggles in self.toggles:
+            if not isinstance(toggles, FactorToggles):
+                raise ValueError(f"toggles must be a FactorToggles, got {toggles!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
 
-def _grid_value(name: str, kind: type, v) -> int | float:
-    """A value of grid `name` as kind (int or float): a Python or numpy number, not a
-    bool or a str.  An int grid takes an integral float too, but no fraction part."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or (
-            kind is int and v % 1):
-        what = "integers" if kind is int else "numbers"
-        raise ValueError(f"{name} values must be {what}, got {v!r}")
-    return kind(v)
+def _grid_value(quantity: str, v) -> int | float:
+    """A grid value of the model input `quantity`, as the model takes it; an
+    n grid also takes an integral float."""
+    if quantity == "n_cells" and isinstance(v, (float, np.floating)) and v % 1 == 0:
+        v = int(v)
+    return _checked(quantity, v)
 
 
 @dataclass(frozen=True, init=False)
@@ -255,15 +259,15 @@ def find_optimal_range(
     at which the model reads margin >= threshold.  None when the peak
     falls short (b**2 < 4*a*c), the band misses the grid's span or
     rounding keeps an end below threshold.  r_on_grid goes through
-    Grid; only its ends are used.  n_cells may be a numpy integer.
+    Grid; only its ends are used.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     r_on_grid = Grid(r_on_grid, "r_on_grid")
-    if isinstance(n_cells, np.integer):  # as sense_grid accepts it
-        n_cells = int(n_cells)
     setup = ReadSetup(v_read=v_read, n_cells=n_cells)
-    CellSpec(r_on_grid[0], ratio_ideal)  # validates k and the grid's lower end
+    n_cells = setup.n_cells
+    _checked("r_on", r_on_grid[0])  # a Grid increases: its lower end bounds the rest
+    _checked("ratio_ideal", ratio_ideal)
     r_line, r_t, i_leak = element_values(profile, setup.toggles, v_read)
     k, t = ratio_ideal, threshold
     s, leak, g = r_t + n_cells * r_line, (n_cells - 1.0) * i_leak, 1.0 - t * k
@@ -340,6 +344,4 @@ def compensation_curve(
 
 def read_power_ratio(v_alt: float, v_base: float) -> float:
     """Read-power ratio of two read voltages under an ohmic cell, (v_alt/v_base)^2."""
-    if v_alt <= 0 or v_base <= 0:
-        raise ValueError("read voltages must be > 0")
-    return (v_alt / v_base) ** 2
+    return (_checked("v_read", v_alt) / _checked("v_read", v_base)) ** 2

@@ -47,9 +47,53 @@ class SolverError(RuntimeError):
     """The network has no finite solution for the given element values."""
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+# The input domain of the model, its profile and the oracle's ladder: per input
+# its type rule (scalar types, array dtype kinds, words, the conversion used; a bool
+# is never a number) and its bound, an interval to +inf, in words and as a test.
+_NUMBER = ((int, float), "iuf", "a number", float)
+_INTEGER = ((int,), "iu", "integers", int)
+_DOMAIN = {
+    **dict.fromkeys(("r_on", "v_read", "r_cell_on_path"),
+                    (*_NUMBER, "finite and > 0", lambda x: (x > 0) & (x < math.inf))),
+    **dict.fromkeys(("r_unit", "r_transistor", "leakage_table current", "r_segment",
+                     "i_leak_per_cell"),
+                    (*_NUMBER, "finite and >= 0", lambda x: (x >= 0) & (x < math.inf))),
+    **dict.fromkeys(("leakage_table voltage", "v_drive"),
+                    (*_NUMBER, "finite", lambda x: abs(x) < math.inf)),
+    "ratio_ideal": (*_NUMBER, "finite and >= 1", lambda x: (x >= 1) & (x < math.inf)),
+    "n_cells": (*_INTEGER, ">= 1", lambda x: x >= 1),
+}
+
+
+def _checked(name: str, value):
+    """A scalar input as the model computes with it, or a ValueError naming its Python value."""
+    types, _, words, convert, bound, ok = _DOMAIN[name]
+    if type(value) not in types:  # a numpy scalar, or not a number
+        value = value.item() if isinstance(value, np.generic) else value
+        if type(value) not in types:
+            raise ValueError(f"{name} must be {words}, got {value!r}")
+    try:
+        x = convert(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not ok(x):
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return x
+
+
+def _require(name: str, values: np.ndarray) -> None:
+    """An array's _checked: by its least and greatest values (NaN fails both), and
+    element-wise where they fail, to name the first value of a wrong dtype or out of bounds."""
+    _, kinds, words, _, bound, ok = _DOMAIN[name]
+    typed = values.dtype.kind in kinds
+    if typed and values.size:
+        lo = values.item() if values.ndim == 0 else values.min()
+        if ok(lo) and (values.ndim == 0 or values.dtype.kind != "f" or ok(values.max())):
+            return  # an integer array has no NaN or inf past its least value
+    bad = values[~ok(values)] if typed else values
+    if bad.size or not typed:  # tolist: the Python value, not a numpy scalar's repr
+        raise ValueError(f"{name} must be {bound if typed else words}, "
+                         f"got {bad.ravel()[:1].tolist()[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -68,21 +112,15 @@ class TechnologyProfile:
     leakage_table: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        _require_finite("r_unit", self.r_unit)
-        _require_finite("r_transistor", self.r_transistor)
-        if self.r_unit < 0:
-            raise ValueError(f"r_unit must be >= 0, got {self.r_unit}")
-        if self.r_transistor < 0:
-            raise ValueError(f"r_transistor must be >= 0, got {self.r_transistor}")
+        _checked("r_unit", self.r_unit)
+        _checked("r_transistor", self.r_transistor)
         table = tuple((float(v), float(i)) for v, i in self.leakage_table)
         object.__setattr__(self, "leakage_table", table)
         if not table:
             raise ValueError("leakage_table must contain at least one (v, i) point")
         for v, i in table:
-            _require_finite("leakage_table voltage", v)
-            _require_finite("leakage_table current", i)
-            if i < 0:
-                raise ValueError(f"leakage current must be >= 0, got {i}")
+            _checked("leakage_table voltage", v)
+            _checked("leakage_table current", i)
         voltages = [v for v, _ in table]
         if any(b <= a for a, b in zip(voltages, voltages[1:])):
             raise ValueError("leakage_table voltages must be strictly increasing")
@@ -111,14 +149,8 @@ class CellSpec:
     ratio_ideal: float
 
     def __post_init__(self) -> None:
-        for name, value in (("r_on", self.r_on), ("ratio_ideal", self.ratio_ideal)):
-            if isinstance(value, (bool, np.bool_)):  # bool is an int; True would read as 1
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            _require_finite(name, value)
-        if self.r_on <= 0:
-            raise ValueError(f"r_on must be > 0, got {self.r_on}")
-        if self.ratio_ideal < 1:
-            raise ValueError(f"ratio_ideal must be >= 1, got {self.ratio_ideal}")
+        _checked("r_on", self.r_on)
+        _checked("ratio_ideal", self.ratio_ideal)
 
     @property
     def r_off(self) -> float:
@@ -159,15 +191,8 @@ class ReadSetup:
     toggles: FactorToggles = FactorToggles()
 
     def __post_init__(self) -> None:
-        if isinstance(self.v_read, (bool, np.bool_)):  # as in CellSpec
-            raise ValueError(f"v_read must be a number, got {self.v_read!r}")
-        _require_finite("v_read", self.v_read)
-        if self.v_read <= 0:
-            raise ValueError(f"v_read must be > 0, got {self.v_read}")
-        if not isinstance(self.n_cells, int) or isinstance(self.n_cells, bool):
-            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
+        _checked("v_read", self.v_read)
+        object.__setattr__(self, "n_cells", _checked("n_cells", self.n_cells))
         if not isinstance(self.toggles, FactorToggles):
             raise ValueError(f"toggles must be a FactorToggles, got {self.toggles!r}")
 
@@ -248,13 +273,6 @@ def _largest_readable_n(v_read: float, i_leak: float, r_line: float) -> int:
     while _worst_case_drive(v_read, i_leak, r_line, n + 1) > 0:
         n += 1
     return n
-
-
-def _require(name: str, values, ok, bound: str) -> None:
-    if not ok.all():
-        bad = np.asarray(values)[~np.asarray(ok)]
-        # tolist: the Python value, not the repr of a numpy scalar
-        raise ValueError(f"{name} must be {bound}, got {bad.ravel()[:1].tolist()[0]!r}")
 
 
 # np.where and ndarray.all that also take the Python scalars of sense_point.
@@ -338,35 +356,26 @@ def sense_grid(
     the margin is not finite, ValueError for invalid inputs or a point
     outside the SenseResult invariants.
     """
-    # A few reductions on whole arrays imply the element-wise checks (NaN
-    # fails every comparison); those run only where a reduction fails, to
-    # raise the error that names the first offending value.
-    # An int a float holds exactly counts as that float (bools and ints of
-    # 2**64 and above keep the element-wise path).
-    v, k = (float(x) if type(x) is int and 0 < x < 2**64 and float(x) == x else x
-            for x in (v_read, ratio_ideal))
-    fast = (isinstance(v, float) and isinstance(k, float)
-            and 0 < v < math.inf and 1 <= k < math.inf)
-    if fast:
-        v_read, ratio_ideal = v, k
-        r_on, n = np.asarray(r_on, dtype=float), np.asarray(n_cells)
-        # The kernel broadcasts as it computes; a mismatch raises here, as it
-        # does in np.broadcast_arrays below.
-        shape = np.broadcast_shapes(r_on.shape, n.shape) if n.ndim else r_on.shape
-        fast = (math.prod(shape) > 0 and n.dtype.kind in "iu" and n.min() >= 1
-                and 0 < r_on.min() and r_on.max() < math.inf)
-    if not fast:
-        if np.ndim(v_read):  # one read voltage per call; ratio_ideal may be a sequence
-            raise ValueError(f"v_read must be a number, got {v_read!r}")
-        if isinstance(ratio_ideal, (list, tuple)):
-            ratio_ideal = np.asarray(ratio_ideal, dtype=float)
-        _require("v_read", v_read, np.isfinite(v_read) & (v_read > 0), "finite and > 0")
-        _require("ratio_ideal", ratio_ideal, np.isfinite(ratio_ideal) & (ratio_ideal >= 1),
-                 "finite and >= 1")
-        r_on, n = np.broadcast_arrays(np.asarray(r_on, dtype=float), np.asarray(n_cells))
-        _require("r_on", r_on, np.isfinite(r_on) & (r_on > 0), "finite and > 0")
-        _require("n_cells", n, np.array(n.dtype.kind in "iu"), "integers")
-        _require("n_cells", n, n >= 1, ">= 1")
+    v_read = _checked("v_read", v_read)
+    if isinstance(ratio_ideal, (list, tuple)):
+        ratio_ideal = np.asarray(ratio_ideal, dtype=float)
+    if isinstance(ratio_ideal, np.ndarray):  # one k per R_on
+        _require("ratio_ideal", ratio_ideal)
+    else:
+        ratio_ideal = _checked("ratio_ideal", ratio_ideal)
+    # A list or tuple R_on is converted as numpy converts it; anything else keeps
+    # its type for the check.  An array's first offending value is also the
+    # grid's, so each is checked as given, broadcast first only for an empty grid
+    # (no values to check) or an array k (its kernel errors name the grid shape).
+    r_on = np.asarray(r_on, dtype=float if isinstance(r_on, (list, tuple)) else None)
+    n = np.asarray(n_cells)
+    if n.ndim:  # the kernel broadcasts as it computes; a mismatch raises first
+        np.broadcast_shapes(r_on.shape, n.shape)
+    if not (r_on.size and n.size) or isinstance(ratio_ideal, np.ndarray):
+        r_on, n = np.broadcast_arrays(r_on, n)
+    _require("r_on", r_on)
+    _require("n_cells", n)
+    r_on = np.asarray(r_on, dtype=float)
     # Overflow and underflow are reported as SolverError, not as warnings; n is
     # converted as Python's int * float does, exactly below 2**53.
     with np.errstate(all="ignore"):
@@ -374,7 +383,7 @@ def sense_grid(
     if r_on.ndim == n.ndim == 0:  # numpy arithmetic on 0-d arrays returns scalars
         grid = tuple(np.asarray(a, dtype=float) for a in grid)
     i_on, i_off, ratio, margin = grid
-    if not (fast and i_off.min() > 0 and ratio.min() >= 1.0 and margin.min() > 0.0
+    if not (margin.size and i_off.min() > 0 and ratio.min() >= 1.0 and margin.min() > 0.0
             and margin.max() <= 1.0 + 1e-9 and (i_on >= i_off).all()):
         ok = (i_off > 0) & (i_on >= i_off) & (ratio >= 1.0)
         ok &= (margin > 0.0) & (margin <= 1.0 + 1e-9)

@@ -55,6 +55,7 @@ from .model import (
     SenseResult,
     SolverError,
     TechnologyProfile,
+    _checked,
     element_values,
     sense_grid,
     sense_point,
@@ -78,25 +79,14 @@ class ColumnNetwork:
     v_drive: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_cells, int) or self.n_cells < 1:
-            raise ValueError(f"n_cells must be a positive integer, got {self.n_cells!r}")
+        object.__setattr__(self, "n_cells", _checked("n_cells", self.n_cells))
         if not (1 <= self.selected_index <= self.n_cells):
             raise ValueError(
                 f"selected_index must lie in [1, {self.n_cells}], "
                 f"got {self.selected_index}"
             )
-        if not np.isfinite(self.r_segment) or self.r_segment < 0:
-            raise ValueError(f"r_segment must be finite and >= 0, got {self.r_segment}")
-        if not np.isfinite(self.r_cell_on_path) or self.r_cell_on_path <= 0:
-            raise ValueError(
-                f"r_cell_on_path must be finite and > 0, got {self.r_cell_on_path}"
-            )
-        if not np.isfinite(self.i_leak_per_cell) or self.i_leak_per_cell < 0:
-            raise ValueError(
-                f"i_leak_per_cell must be finite and >= 0, got {self.i_leak_per_cell}"
-            )
-        if not np.isfinite(self.v_drive):
-            raise ValueError(f"v_drive must be finite, got {self.v_drive}")
+        for name in ("r_segment", "r_cell_on_path", "i_leak_per_cell", "v_drive"):
+            _checked(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

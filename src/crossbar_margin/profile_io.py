@@ -41,19 +41,21 @@ def _as_number(obj: dict, key: str, where: str) -> float:
     return float(value)
 
 
+def _check_keys(obj: dict, keys: tuple[str, ...], where: str, hint: str = "") -> None:
+    """Reject unknown keys (naming them, then hint), then missing ones."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ProfileError(f"{where}: unknown keys rejected: {', '.join(unknown)}{hint}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ProfileError(f"{where}: missing required keys: {', '.join(missing)}")
+
+
 def profile_from_dict(data: object, where: str = "profile") -> TechnologyProfile:
     """Validate a decoded JSON object into a TechnologyProfile."""
     if not isinstance(data, dict):
         raise ProfileError(f"{where}: document must be a JSON object")
-    unknown = sorted(set(data) - set(PROFILE_KEYS))
-    if unknown:
-        raise ProfileError(
-            f"{where}: unknown keys rejected: {', '.join(unknown)} "
-            f"(expected only {', '.join(PROFILE_KEYS)})"
-        )
-    missing = [k for k in PROFILE_KEYS if k not in data]
-    if missing:
-        raise ProfileError(f"{where}: missing required keys: {', '.join(missing)}")
+    _check_keys(data, PROFILE_KEYS, where, f" (expected only {', '.join(PROFILE_KEYS)})")
     if not isinstance(data["node"], str):
         raise ProfileError(f"{where}: field 'node' must be a string")
     entries = data["leakage"]
@@ -64,12 +66,7 @@ def profile_from_dict(data: object, where: str = "profile") -> TechnologyProfile
         spot = f"{where}: leakage[{idx}]"
         if not isinstance(entry, dict):
             raise ProfileError(f"{spot} must be an object")
-        unknown = sorted(set(entry) - set(LEAKAGE_KEYS))
-        if unknown:
-            raise ProfileError(f"{spot}: unknown keys rejected: {', '.join(unknown)}")
-        missing = [k for k in LEAKAGE_KEYS if k not in entry]
-        if missing:
-            raise ProfileError(f"{spot}: missing required keys: {', '.join(missing)}")
+        _check_keys(entry, LEAKAGE_KEYS, spot)
         table.append(
             (_as_number(entry, "v_read_v", spot), _as_number(entry, "i_leak_a", spot))
         )

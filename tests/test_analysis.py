@@ -209,7 +209,7 @@ class TestSweepGrid:
             SweepSpec(
                 r_on_grid=(1e5, 1e4), n_grid=(64,), v_read_grid=(0.2,), ratio_ideal=10
             )
-        with pytest.raises(ValueError, match="r_on_grid must be strictly increasing"):
+        with pytest.raises(ValueError, match="r_on must be finite and > 0, got nan"):
             SweepSpec(
                 r_on_grid=(1e4, math.nan), n_grid=(64,), v_read_grid=(0.2,), ratio_ideal=10
             )
@@ -225,31 +225,44 @@ class TestSweepGrid:
             )
 
     @pytest.mark.parametrize(
+        "toggles, message",
+        [((1,), "toggles must be a FactorToggles, got 1"),
+         ((FactorToggles(), None), "toggles must be a FactorToggles, got None"),
+         ((), "toggles must be a non-empty tuple, got ()"),
+         (FactorToggles(), "toggles must be a non-empty tuple, got FactorToggles("
+                           "line_resistance=True, transistor_resistance=True, leakage=True)")],
+        ids=["int", "None", "empty", "not-a-tuple"],
+    )
+    def test_spec_takes_factor_toggles_only(self, toggles, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec((1e4, 1e5), (64,), (0.2,), 10.0, toggles)
+
+    @pytest.mark.parametrize(
         "n_grid, value",
         [((64.9, 128), "64.9"), ((64.2, 64.9), "64.2"), ((True, 2), "True"),
          (("64",), "'64'"), ((math.inf,), "inf"), ((64, math.nan), "nan"),
-         ((np.float32(64.5),), "np.float32(64.5)"), ((Fraction(64),), "Fraction(64, 1)")],
+         ((np.float32(64.5),), "64.5"), ((Fraction(64),), "Fraction(64, 1)")],
         ids=["fraction-part", "two-fraction-parts", "bool", "str", "inf", "nan",
              "float32", "Fraction"],
     )
     def test_n_grid_takes_integers_only(self, n_grid, value):
-        message = f"n_grid values must be integers, got {value}"
+        message = f"n_cells must be integers, got {value}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepSpec((1e4, 1e5), n_grid, (0.2,), 10.0)
 
     @pytest.mark.parametrize(
         "r_on_grid, v_read_grid, name, value",
-        [((True, 1e4, 1e5), (0.2,), "r_on_grid", "True"),
-         ((1e4, "1e5"), (0.2,), "r_on_grid", "'1e5'"),
-         ((np.True_, 2.0), (0.2,), "r_on_grid", "np.True_"),
-         ((Fraction(10_000), 1e5), (0.2,), "r_on_grid", "Fraction(10000, 1)"),
-         ((1e4, 1e5), ("0.2",), "v_read_grid", "'0.2'"),
-         ((1e4, 1e5), (0.2, True), "v_read_grid", "True")],
+        [((True, 1e4, 1e5), (0.2,), "r_on", "True"),
+         ((1e4, "1e5"), (0.2,), "r_on", "'1e5'"),
+         ((np.True_, 2.0), (0.2,), "r_on", "True"),
+         ((Fraction(10_000), 1e5), (0.2,), "r_on", "Fraction(10000, 1)"),
+         ((1e4, 1e5), ("0.2",), "v_read", "'0.2'"),
+         ((1e4, 1e5), (0.2, True), "v_read", "True")],
         ids=["r_on-bool", "r_on-str", "r_on-numpy-bool", "r_on-Fraction", "v_read-str",
              "v_read-bool"],
     )
     def test_float_grids_take_numbers_only(self, r_on_grid, v_read_grid, name, value):
-        message = f"{name} values must be numbers, got {value}"
+        message = f"{name} must be a number, got {value}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepSpec(r_on_grid, (64,), v_read_grid, 10.0)
 
@@ -581,7 +594,7 @@ class TestFindOptimalRange:
         band = find_optimal_range(profile22, 10.0, 1024, 0.2, 0.8)
         for n in (np.int64(1024), np.int32(1024), np.uint16(1024)):
             assert find_optimal_range(profile22, 10.0, n, 0.2, 0.8) == band
-        with pytest.raises(ValueError, match="^n_cells must be an integer, got True$"):
+        with pytest.raises(ValueError, match="^n_cells must be integers, got True$"):
             find_optimal_range(profile22, 10.0, True, 0.2, 0.8)
 
     def test_band_narrower_than_a_grid_step_is_returned(self, profile22):

@@ -84,6 +84,26 @@ class TestLoadProfile:
         with pytest.raises(ProfileError, match="missing required keys"):
             load_profile(write(tmp_path, data))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda d: d.update(vendor="acme", r_wire_ohm=3.0),
+          "profile: unknown keys rejected: r_wire_ohm, vendor "
+          "(expected only node, r_unit_ohm, r_transistor_ohm, leakage)"),
+         (lambda d: d.pop("r_unit_ohm") and d.pop("leakage"),
+          "profile: missing required keys: r_unit_ohm, leakage"),
+         (lambda d: d["leakage"][1].update(i_leak_pa=10),
+          "profile: leakage[1]: unknown keys rejected: i_leak_pa"),
+         (lambda d: d["leakage"][0].pop("v_read_v"),
+          "profile: leakage[0]: missing required keys: v_read_v")],
+        ids=["unknown", "missing", "leakage-unknown", "leakage-missing"],
+    )
+    def test_key_messages(self, edit, message):
+        data = json.loads(json.dumps(GOOD))
+        edit(data)
+        with pytest.raises(ProfileError) as err:
+            profile_from_dict(data)
+        assert str(err.value) == message
+
     def test_empty_leakage_table(self, tmp_path):
         with pytest.raises(ProfileError, match="non-empty"):
             load_profile(write(tmp_path, dict(GOOD, leakage=[])))
