@@ -1,9 +1,9 @@
 """Design-space studies built on the column model and the network oracle.
 
-A Grid is a tuple checked when built (non-empty, strictly increasing,
-finite): the grid constants, SweepSpec's grids, each MarginCurve's x.  A
-study turns any other grid into one at entry, once, and makes each curve
-from one model.sense_grid call, whose arrays it carries, one entry per x.
+A Grid (model.Grid) is a tuple checked when built (non-empty, strictly
+increasing, finite): the grid constants, SweepSpec's grids, each
+MarginCurve's x.  A study checks its grid once, at entry (model._array, then
+the shape unless a Grid), and makes each curve from one model.sense_grid call.
 
 The optimal R_on band needs no sweep at all.  With S = R_T + n*r,
 L = (n-1)*I_leak, drive V, fabricated ratio k and threshold t, the lumped
@@ -21,7 +21,6 @@ lower end, leakage (L) the upper one.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Any
@@ -32,45 +31,31 @@ from .model import (
     ENGINES,
     CellSpec,
     FactorToggles,
+    Grid,
     ReadSetup,
+    SolverError,
     TechnologyProfile,
+    _array,
+    _check_grid,
     _checked,
+    _sense,
     element_values,
     sense_grid,
-    sense_point,
 )
 
 
-class Grid(tuple):
-    """Grid values, checked (as `name`) when built, also when copy or pickle rebuild one.
-
-    A Grid passed in comes back as it is, as tuple(t) returns a tuple t.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, values, name: str = "grid"):
-        if isinstance(values, Grid):
-            return values
-        grid = super().__new__(cls, values)
-        _check_grid(name, grid)
-        return grid
-
-
-def _check_grid(name: str, grid) -> None:
-    """Reject a grid that is empty, not strictly increasing or not finite.
-
-    A NaN anywhere fails the order check, so between finite ends every
-    value is finite.
-    """
-    if len(grid) == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not all(map(operator.lt, grid, grid[1:])):
-        a, b = next((a, b) for a, b in zip(grid, grid[1:]) if not a < b)
-        raise ValueError(f"{name} must be strictly increasing, got {a} then {b}")
-    for v in (grid[0], grid[-1]):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+def _domain_grid(name: str, quantity: str, values) -> tuple[Grid, np.ndarray]:
+    """Values of the model input `quantity` as a Grid and as the model's array: checked
+    by the input domain, then, unless a Grid, by shape as `name`."""
+    grid = values if isinstance(values, Grid) else tuple.__new__(Grid, values)
+    array = _array(quantity, grid)  # as a Grid, by its least value: the shape is checked next
+    if grid is not values:
+        try:
+            _check_grid(name, array)
+        except ValueError:  # a value out of the domain is named before the shape
+            _array(quantity, tuple(grid))
+            raise
+    return grid, array
 
 
 # Default grids mirror the usual presentation of this design space:
@@ -95,10 +80,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         for name, quantity in (("r_on_grid", "r_on"), ("n_grid", "n_cells"),
                                ("v_read_grid", "v_read")):
-            grid = getattr(self, name)
-            if not isinstance(grid, Grid):
-                grid = (_grid_value(quantity, v) for v in grid)
-            object.__setattr__(self, name, Grid(grid, name))
+            grid, values = _domain_grid(name, quantity, getattr(self, name))
+            if grid is not getattr(self, name):  # any grid but a Grid as the model's numbers
+                grid = tuple.__new__(Grid, values.tolist())
+            object.__setattr__(self, name, grid)
         _checked("ratio_ideal", self.ratio_ideal)
         if not (isinstance(self.toggles, tuple) and self.toggles):
             raise ValueError(f"toggles must be a non-empty tuple, got {self.toggles!r}")
@@ -107,14 +92,6 @@ class SweepSpec:
                 raise ValueError(f"toggles must be a FactorToggles, got {toggles!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-
-
-def _grid_value(quantity: str, v) -> int | float:
-    """A grid value of the model input `quantity`, as the model takes it; an
-    n grid also takes an integral float."""
-    if quantity == "n_cells" and isinstance(v, (float, np.floating)) and v % 1 == 0:
-        v = int(v)
-    return _checked(quantity, v)
 
 
 @dataclass(frozen=True, init=False)
@@ -163,14 +140,14 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     """One margin-versus-r_on curve per (toggles, v_read, n) slice.
 
     Slices iterate in that nesting order, so the output ordering is
-    deterministic for a given spec.  A point failure (for example a read
-    voltage outside the leakage table) drops the affected slice, with a
-    warning naming the slice and the error; the sweep itself fails,
+    deterministic for a given spec.  A slice the model fails on (SolverError
+    or ValueError, say a read voltage outside the leakage table) is dropped
+    with a warning naming it and the error; the sweep itself fails,
     re-raising the first error, only when no slice survives.
     """
     curves = []
     dropped: list[tuple[str, Exception]] = []
-    r_on = np.fromiter(spec.r_on_grid, float, len(spec.r_on_grid))
+    r_on = _array("r_on", spec.r_on_grid)
     for toggles in spec.toggles:
         for v_read in spec.v_read_grid:
             for n in spec.n_grid:
@@ -179,7 +156,7 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
                     grid = sense_grid(
                         profile, r_on, spec.ratio_ideal, n, v_read, toggles, spec.engine
                     )
-                except Exception as exc:
+                except (SolverError, ValueError) as exc:
                     dropped.append((label, exc))
                     continue
                 meta = {
@@ -197,9 +174,10 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     return curves
 
 
+_ALL_FACTORS = FactorToggles()
 # ablation_series' variants: the baseline, then one factor switched off at a time.
 _ABLATION_VARIANTS = (
-    ("baseline", FactorToggles()),
+    ("baseline", _ALL_FACTORS),
     ("-R_T", FactorToggles(transistor_resistance=False)),
     ("-r", FactorToggles(line_resistance=False)),
     ("-I_Tleak", FactorToggles(leakage=False)),
@@ -217,12 +195,11 @@ def ablation_series(
     The setup must have every factor enabled; each variant then switches
     a single factor off, showing which non-ideality owns which flank of
     the margin curve.  The swept resistance replaces cell.r_on point by
-    point; cell.ratio_ideal is kept.  r_on_grid goes through Grid.
+    point; cell.ratio_ideal is kept.  r_on_grid is a list, tuple or Grid.
     """
-    if setup.toggles != FactorToggles():
+    if setup.toggles != _ALL_FACTORS:
         raise ValueError("ablation baseline requires all factors enabled")
-    r_on_grid = Grid(r_on_grid, "r_on_grid")
-    r_on = np.fromiter(r_on_grid, float, len(r_on_grid))
+    r_on_grid, r_on = _domain_grid("r_on_grid", "r_on", r_on_grid)
     series = []
     for label, toggles in _ABLATION_VARIANTS:
         grid = sense_grid(profile, r_on, cell.ratio_ideal, setup.n_cells, setup.v_read, toggles)
@@ -258,17 +235,16 @@ def find_optimal_range(
     each end is moved inward by the fewest of 0, 1, 2, 4, ... 2**30 ulps
     at which the model reads margin >= threshold.  None when the peak
     falls short (b**2 < 4*a*c), the band misses the grid's span or
-    rounding keeps an end below threshold.  r_on_grid goes through
-    Grid; only its ends are used.
+    rounding keeps an end below threshold.  r_on_grid is a Grid, list or
+    tuple of R_on values, all checked; only its ends are used.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    r_on_grid = Grid(r_on_grid, "r_on_grid")
-    setup = ReadSetup(v_read=v_read, n_cells=n_cells)
-    n_cells = setup.n_cells
-    _checked("r_on", r_on_grid[0])  # a Grid increases: its lower end bounds the rest
+    r_on_grid = _domain_grid("r_on_grid", "r_on", r_on_grid)[0]
+    _checked("v_read", v_read)
+    n_cells = _checked("n_cells", n_cells)
     _checked("ratio_ideal", ratio_ideal)
-    r_line, r_t, i_leak = element_values(profile, setup.toggles, v_read)
+    r_line, r_t, i_leak = element_values(profile, _ALL_FACTORS, v_read)
     k, t = ratio_ideal, threshold
     s, leak, g = r_t + n_cells * r_line, (n_cells - 1.0) * i_leak, 1.0 - t * k
     a = g * leak * k
@@ -293,7 +269,8 @@ def find_optimal_range(
         step = math.copysign(math.ulp(r), toward - r)
         for ulps in _NUDGE_ULPS:
             ends[i] = (min if step > 0 else max)(r + ulps * step, toward)
-            if sense_point(profile, CellSpec(ends[i], k), setup).margin_normalized >= t:
+            # sense_point's kernel: ends[i] lies in the checked grid's span
+            if _sense(profile, ends[i], k, n_cells, v_read, _ALL_FACTORS, "lumped")[3] >= t:
                 break
         else:
             return None
@@ -310,10 +287,9 @@ def argmax_resistance(
     """Grid resistance with the highest margin; ties go to the lower value.
 
     The tie rule favors read speed and is fixed so results are reproducible.
-    r_on_grid goes through Grid.
+    r_on_grid is a Grid, list or tuple of R_on values.
     """
-    r_on_grid = Grid(r_on_grid, "r_on_grid")
-    r_on = np.fromiter(r_on_grid, float, len(r_on_grid))
+    r_on_grid, r_on = _domain_grid("r_on_grid", "r_on", r_on_grid)
     margins = sense_grid(profile, r_on, ratio_ideal, n_cells, v_read)[3]
     return r_on_grid[int(np.argmax(margins))]
 
@@ -331,10 +307,9 @@ def compensation_curve(
     Leakage is re-evaluated at each voltage from the profile table, so the
     gain reflects both the stronger read current and the higher leakage.
     The attached sensed arrays are those at the raised voltage.  r_on_grid
-    goes through Grid.
+    is a Grid, list or tuple of R_on values.
     """
-    r_on_grid = Grid(r_on_grid, "r_on_grid")
-    r_on = np.fromiter(r_on_grid, float, len(r_on_grid))
+    r_on_grid, r_on = _domain_grid("r_on_grid", "r_on", r_on_grid)
     base = sense_grid(profile, r_on, ratio_ideal, n_cells, v_base)
     alt = sense_grid(profile, r_on, ratio_ideal, n_cells, v_alt)
     meta = {"n_cells": n_cells, "v_base": v_base, "v_alt": v_alt, "ratio_ideal": ratio_ideal}

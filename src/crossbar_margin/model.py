@@ -47,11 +47,11 @@ class SolverError(RuntimeError):
     """The network has no finite solution for the given element values."""
 
 
-# The input domain of the model, its profile and the oracle's ladder: per input
-# its type rule (scalar types, array dtype kinds, words, the conversion used; a bool
-# is never a number) and its bound, an interval to +inf, in words and as a test.
-_NUMBER = ((int, float), "iuf", "a number", float)
-_INTEGER = ((int,), "iu", "integers", int)
+# The input domain of the model, its profile and the oracle's ladder: per input its type
+# rule (scalar types, array dtype kinds, words, the conversion used; a bool is never a
+# number, an integer is below 2**64 as numpy's) and its bound, an interval to +inf.
+_NUMBER = (frozenset((int, float)), "iuf", "a number", float)
+_INTEGER = (frozenset((int,)), "iu", "integers", int)
 _DOMAIN = {
     **dict.fromkeys(("r_on", "v_read", "r_cell_on_path"),
                     (*_NUMBER, "finite and > 0", lambda x: (x > 0) & (x < math.inf))),
@@ -70,8 +70,8 @@ def _checked(name: str, value):
     types, _, words, convert, bound, ok = _DOMAIN[name]
     if type(value) not in types:  # a numpy scalar, or not a number
         value = value.item() if isinstance(value, np.generic) else value
-        if type(value) not in types:
-            raise ValueError(f"{name} must be {words}, got {value!r}")
+    if type(value) not in types or convert is int and value >= 2**64:
+        raise ValueError(f"{name} must be {words}, got {value!r}")
     try:
         x = convert(value)
     except OverflowError:  # an int past the float range
@@ -96,6 +96,55 @@ def _require(name: str, values: np.ndarray) -> None:
                          f"got {bad.ravel()[:1].tolist()[0]!r}")
 
 
+def _array(name: str, values) -> np.ndarray:
+    """An input's values as the array the kernel computes with: an array or scalar checked by
+    _require; a list, tuple or Grid (or nested list) by _checked's rule for each value."""
+    if not isinstance(values, (list, tuple)):  # an array or scalar, checked as given
+        _require(name, values := np.asarray(values))
+        return values
+    types, kinds = _DOMAIN[name][:2]
+    dtype = float if "f" in kinds else np.uint64  # an n >= 1 below 2**64
+    if types.issuperset(map(type, values)):  # Python numbers, checked as one array
+        try:
+            array = np.fromiter(values, dtype, len(values))
+            if isinstance(values, Grid) and values:  # increasing: its least value bounds all
+                _checked(name, values[0])
+            else:
+                _require(name, array)
+            return array
+        except (OverflowError, ValueError):  # an int past the dtype, or a value out of bounds
+            pass
+    cells = np.array(values, dtype=object)  # numpy scalars, rows, not numbers, or an offender
+    return np.array([_checked(name, v) for v in cells.flat], dtype).reshape(cells.shape)
+
+
+class Grid(tuple):
+    """Grid values, checked (as `name`) when built, also when copy or pickle rebuild one:
+    non-empty, strictly increasing and finite.  A Grid passed in comes back as it is, as
+    tuple(t) returns a tuple t."""
+
+    __slots__ = ()
+
+    def __new__(cls, values, name: str = "grid"):
+        if isinstance(values, Grid):
+            return values
+        grid = super().__new__(cls, values)
+        _check_grid(name, np.asarray(grid))
+        return grid
+
+
+def _check_grid(name: str, values: np.ndarray) -> None:
+    """Reject grid values, as an array, that are empty, not strictly increasing or not finite."""
+    if len(values) == 0:
+        raise ValueError(f"{name} must be non-empty")
+    if not (increasing := values[1:] > values[:-1]).all():
+        a, b = values[(at := int(np.argmin(increasing))):at + 2].tolist()
+        raise ValueError(f"{name} must be strictly increasing, got {a} then {b}")
+    for v in (values[0], values[-1]):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class TechnologyProfile:
     """Electrical constants of one fabrication node.
@@ -114,17 +163,14 @@ class TechnologyProfile:
     def __post_init__(self) -> None:
         _checked("r_unit", self.r_unit)
         _checked("r_transistor", self.r_transistor)
-        table = tuple((float(v), float(i)) for v, i in self.leakage_table)
+        table = tuple((_checked("leakage_table voltage", v), _checked("leakage_table current", i))
+                      for v, i in self.leakage_table)
         object.__setattr__(self, "leakage_table", table)
         if not table:
             raise ValueError("leakage_table must contain at least one (v, i) point")
-        for v, i in table:
-            _checked("leakage_table voltage", v)
-            _checked("leakage_table current", i)
-        voltages = [v for v, _ in table]
+        voltages, currents = zip(*table)
         if any(b <= a for a, b in zip(voltages, voltages[1:])):
             raise ValueError("leakage_table voltages must be strictly increasing")
-        currents = [i for _, i in table]
         if any(b < a for a, b in zip(currents, currents[1:])):
             raise ValueError("leakage_table currents must be non-decreasing in voltage")
 
@@ -357,24 +403,17 @@ def sense_grid(
     outside the SenseResult invariants.
     """
     v_read = _checked("v_read", v_read)
-    if isinstance(ratio_ideal, (list, tuple)):
-        ratio_ideal = np.asarray(ratio_ideal, dtype=float)
-    if isinstance(ratio_ideal, np.ndarray):  # one k per R_on
-        _require("ratio_ideal", ratio_ideal)
-    else:
-        ratio_ideal = _checked("ratio_ideal", ratio_ideal)
-    # A list or tuple R_on is converted as numpy converts it; anything else keeps
-    # its type for the check.  An array's first offending value is also the
-    # grid's, so each is checked as given, broadcast first only for an empty grid
-    # (no values to check) or an array k (its kernel errors name the grid shape).
-    r_on = np.asarray(r_on, dtype=float if isinstance(r_on, (list, tuple)) else None)
-    n = np.asarray(n_cells)
-    if n.ndim:  # the kernel broadcasts as it computes; a mismatch raises first
-        np.broadcast_shapes(r_on.shape, n.shape)
-    if not (r_on.size and n.size) or isinstance(ratio_ideal, np.ndarray):
+    k_array = isinstance(ratio_ideal, (list, tuple, np.ndarray))  # one k per R_on
+    ratio_ideal = (_array if k_array else _checked)("ratio_ideal", ratio_ideal)
+    # R_on, then n, is checked as given.  The kernel broadcasts the two, so a shape
+    # mismatch raises first, and a grid without points has only dtypes to check.
+    n = n_cells if isinstance(n_cells, (list, tuple)) else np.asarray(n_cells)
+    if np.ndim(n) and 0 in (shape := np.broadcast_shapes(np.shape(r_on), np.shape(n))):
+        r_on = np.empty(shape)
+    r_on = _array("r_on", r_on)
+    n = _array("n_cells", n if r_on.size else np.broadcast_to(n, r_on.shape))
+    if k_array:  # its kernel errors name the grid shape
         r_on, n = np.broadcast_arrays(r_on, n)
-    _require("r_on", r_on)
-    _require("n_cells", n)
     r_on = np.asarray(r_on, dtype=float)
     # Overflow and underflow are reported as SolverError, not as warnings; n is
     # converted as Python's int * float does, exactly below 2**53.

@@ -1,4 +1,4 @@
-"""Technology-profile files: JSON schema, validation, bundled profiles.
+"""Technology-profile files: JSON schema, validation, the bundled profile.
 
 The on-disk format spells units out in the field names so a picofarad /
 kiloohm mixup cannot hide behind a bare number:
@@ -114,19 +114,7 @@ def dump_profile(profile: TechnologyProfile, path: str | Path) -> None:
     write_text(path, json.dumps(profile_to_dict(profile), indent=2) + "\n")
 
 
-def bundled_profile_names() -> list[str]:
-    root = resources.files(__package__) / "profiles"
-    return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
-
-
-def load_bundled_profile(name: str = "22nm") -> TechnologyProfile:
-    """Load a profile shipped with the package (default: the 22nm FDSOI node)."""
-    res = resources.files(__package__) / "profiles" / f"{name}.json"
-    try:
-        text = res.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise ProfileError(
-            f"no bundled profile named {name!r}; available: "
-            + ", ".join(bundled_profile_names())
-        ) from exc
-    return profile_from_dict(json.loads(text), where=f"bundled profile {name!r}")
+def load_bundled_profile() -> TechnologyProfile:
+    """Load the profile shipped with the package, the 22nm FDSOI node."""
+    text = (resources.files(__package__) / "profiles" / "22nm.json").read_text(encoding="utf-8")
+    return profile_from_dict(json.loads(text), where="bundled profile '22nm'")

@@ -34,15 +34,12 @@ WIDTH, HEIGHT = 760, 480
 LEFT, RIGHT, TOP, BOTTOM = 70, 545, 46, 425
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:  # at most five, for lo < hi
     span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(span / 5))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mag * mult
-        if span / step <= target:
+        if span / step <= 5:
             break
     first = math.ceil(lo / step) * step
     ticks = []

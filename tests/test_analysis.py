@@ -41,8 +41,11 @@ from crossbar_margin.model import leakage_at
 from optimal_range_reference import find_optimal_range_reference
 
 
-# Grids every R_on search rejects: descending, empty, and holding NaN.
-BAD_GRIDS = [DEFAULT_R_ON_GRID[::-1], (), (1e4, math.nan, 1e6)]
+# Grids every R_on search rejects, with their errors: descending, empty, and
+# holding NaN (the input domain is checked before the grid's shape).
+BAD_GRIDS = [(DEFAULT_R_ON_GRID[::-1], "r_on_grid must be strictly increasing"),
+             ((), "r_on_grid must be non-empty"),
+             ((1e4, math.nan, 1e6), "r_on must be finite and > 0, got nan")]
 BAD_GRID_IDS = ["descending", "empty", "nan"]
 
 # Wider and ten times denser than the default grid, for band checks.
@@ -192,6 +195,18 @@ class TestSweepGrid:
         assert message.startswith("sweep slice r+R_T+I_Tleak, V=0.7V, n=64 dropped: ")
         assert "read voltage 0.7 V outside leakage table range" in message
 
+    def test_a_defect_is_not_a_dropped_slice(self, profile22, monkeypatch):
+        # Only a model failure (SolverError or ValueError) drops a slice.
+        def broken_at_0_4(profile, r_on, k, n, v_read, *args):
+            if v_read == 0.4:
+                raise TypeError("defect in one slice")
+            return sense_grid(profile, r_on, k, n, v_read, *args)
+
+        monkeypatch.setattr(analysis, "sense_grid", broken_at_0_4)
+        spec = SweepSpec((1e4, 1e5), (64,), (0.2, 0.4), 10.0)
+        with pytest.raises(TypeError, match="^defect in one slice$"):
+            sweep_grid(spec, profile22)
+
     def test_total_failure_raises(self, profile22):
         spec = SweepSpec(
             r_on_grid=(1e4,),
@@ -272,9 +287,9 @@ class TestSweepGrid:
         assert all(type(v) is float for v in spec.r_on_grid + spec.v_read_grid)
 
     def test_n_grid_keeps_integral_values(self):
-        n_grid = (np.int64(64), 128.0, np.float32(256.0), np.uint16(512), 2**40)
+        n_grid = (np.int64(64), 128, np.uint16(512), 2**53, 2**53 + 1, 2**63)
         spec = SweepSpec((1e4, 1e5), n_grid, (0.2,), 10.0)
-        assert spec.n_grid == (64, 128, 256, 512, 2**40)
+        assert spec.n_grid == (64, 128, 512, 2**53, 2**53 + 1, 2**63)
         assert all(type(n) is int for n in spec.n_grid)
 
 
@@ -284,7 +299,7 @@ class TestGrid:
             assert type(grid) is Grid
 
     def test_sweep_spec_grids_are_grids(self):
-        spec = SweepSpec((1e4, 1e5), [64.0, 128], (0.2,), 10.0)
+        spec = SweepSpec((1e4, 1e5), [np.int64(64), 128], (0.2,), 10.0)
         assert (spec.r_on_grid, spec.n_grid, spec.v_read_grid) == ((1e4, 1e5), (64, 128), (0.2,))
         assert all(type(g) is Grid for g in (spec.r_on_grid, spec.n_grid, spec.v_read_grid))
         assert type(spec.n_grid[0]) is int
@@ -475,9 +490,9 @@ class TestAblationSeries:
                 ReadSetup(0.2, 1024, FactorToggles(leakage=False)),
             )
 
-    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
-    def test_grid_validation(self, profile22, grid):
-        with pytest.raises(ValueError, match="r_on_grid"):
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS, ids=BAD_GRID_IDS)
+    def test_grid_validation(self, profile22, grid, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             ablation_series(profile22, CellSpec(1e4, 10), ReadSetup(0.2, 1024), grid)
 
 
@@ -533,9 +548,9 @@ class TestFindOptimalRange:
         with pytest.raises(ValueError):
             find_optimal_range(profile22, 10.0, 1024, 0.2, 1.0)
 
-    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
-    def test_grid_validation(self, profile22, grid):
-        with pytest.raises(ValueError, match="r_on_grid"):
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS, ids=BAD_GRID_IDS)
+    def test_grid_validation(self, profile22, grid, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             find_optimal_range(profile22, 10.0, 1024, 0.2, 0.8, grid)
 
     @settings(max_examples=300, deadline=None)
@@ -653,9 +668,9 @@ class TestArgmaxResistance:
         with pytest.raises(ValueError, match="r_on_grid must be non-empty"):
             argmax_resistance(profile22, 10.0, 64, 0.2, ())
 
-    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
-    def test_grid_validation(self, profile22, grid):
-        with pytest.raises(ValueError, match="r_on_grid"):
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS, ids=BAD_GRID_IDS)
+    def test_grid_validation(self, profile22, grid, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             argmax_resistance(profile22, 10.0, 1024, 0.2, grid)
 
 
@@ -688,9 +703,9 @@ class TestCompensationCurve:
         with pytest.raises(LeakageRangeError):
             compensation_curve(profile22, 10.0, 1024, 0.2, 0.9)
 
-    @pytest.mark.parametrize("grid", BAD_GRIDS, ids=BAD_GRID_IDS)
-    def test_grid_validation(self, profile22, grid):
-        with pytest.raises(ValueError, match="r_on_grid"):
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS, ids=BAD_GRID_IDS)
+    def test_grid_validation(self, profile22, grid, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             compensation_curve(profile22, 10.0, 1024, 0.2, 0.4, grid)
 
 

@@ -1,8 +1,9 @@
 """The model's input domain, one outcome per input class on every entry point.
 
-Each entry point that takes R_on, k, n or V_read is fed the same classes of
-input.  An invalid one raises the same ValueError, with the same message, on
-every route; a valid one acts as its plain Python equivalent.
+Each entry point that takes R_on, k, n or V_read, or a sequence of them, is
+fed the same classes of input, a sequence as a one-value list and as a
+one-value tuple.  An invalid one raises the same ValueError, with the same
+message, on every route; a valid one acts as its plain Python equivalent.
 """
 
 import math
@@ -41,11 +42,10 @@ def _curves(series):
 def routes(p):
     """Per input, each entry point as a function of that input's value, all other
     inputs valid, returning a comparable view of its result."""
-    return {
+    table = {
         "r_on": {
             "CellSpec": lambda r: CellSpec(r, 10.0),
             "sense_grid": lambda r: _arrays(sense_grid(p, r, 10.0, 64, 0.2)),
-            "SweepSpec": lambda r: SweepSpec((r,), (64,), (0.2,), 10.0),
             "ablation_series": lambda r: _curves(ablation_series(
                 p, CellSpec(r, 10.0), ReadSetup(0.2, 64), GRID)),
         },
@@ -62,7 +62,6 @@ def routes(p):
         "n_cells": {
             "ReadSetup": lambda n: ReadSetup(0.2, n),
             "sense_grid": lambda n: _arrays(sense_grid(p, 1e4, 10.0, n, 0.2)),
-            "SweepSpec": lambda n: SweepSpec((1e4,), (n,), (0.2,), 10.0),
             "find_optimal_range": lambda n: find_optimal_range(p, 10.0, n, 0.2, 0.8, GRID),
             "argmax_resistance": lambda n: argmax_resistance(p, 10.0, n, 0.2, GRID),
             "compensation_curve": lambda n: _curve(compensation_curve(p, 10.0, n, 0.2, 0.4, GRID)),
@@ -73,7 +72,6 @@ def routes(p):
         "v_read": {
             "ReadSetup": lambda v: ReadSetup(v, 64),
             "sense_grid": lambda v: _arrays(sense_grid(p, 1e4, 10.0, 64, v)),
-            "SweepSpec": lambda v: SweepSpec((1e4,), (64,), (v,), 10.0),
             "find_optimal_range": lambda v: find_optimal_range(p, 10.0, 64, v, 0.8, GRID),
             "argmax_resistance": lambda v: argmax_resistance(p, 10.0, 64, v, GRID),
             "compensation_curve.v_base": lambda v: _curve(
@@ -86,6 +84,34 @@ def routes(p):
             "read_power_ratio.v_base": lambda v: read_power_ratio(0.4, v),
         },
     }
+    # The entry points that take a sequence, as functions of that sequence.
+    sequences = {
+        "r_on": {
+            "sense_grid": lambda rs: _arrays(sense_grid(p, rs, 10.0, 64, 0.2)),
+            "SweepSpec": lambda rs: SweepSpec(rs, (64,), (0.2,), 10.0),
+            "find_optimal_range": lambda rs: find_optimal_range(p, 10.0, 64, 0.2, 0.8, rs),
+            "argmax_resistance": lambda rs: argmax_resistance(p, 10.0, 64, 0.2, rs),
+            "compensation_curve": lambda rs: _curve(compensation_curve(p, 10.0, 64, 0.2, 0.4, rs)),
+            "ablation_series": lambda rs: _curves(ablation_series(
+                p, CellSpec(1e4, 10.0), ReadSetup(0.2, 64), rs)),
+        },
+        "ratio_ideal": {
+            "sense_grid": lambda ks: _arrays(sense_grid(p, 1e4, ks, 64, 0.2)),
+        },
+        "n_cells": {
+            "sense_grid": lambda ns: _arrays(sense_grid(p, 1e4, 10.0, ns, 0.2)),
+            "SweepSpec": lambda ns: SweepSpec((1e4,), ns, (0.2,), 10.0),
+        },
+        "v_read": {
+            "SweepSpec": lambda vs: SweepSpec((1e4,), (64,), vs, 10.0),
+        },
+    }
+    for name, calls in sequences.items():
+        for route, call in calls.items():
+            for kind in (list, tuple):
+                table[name][f"{route}[{kind.__name__}]"] = (
+                    lambda value, call=call, kind=kind: call(kind([value])))
+    return table
 
 
 class Same:
@@ -129,9 +155,10 @@ CASES = [
     ("n_cells", "2.5", 2.5, "n_cells must be integers, got 2.5"),
     ("n_cells", "64.0", 64.0, "n_cells must be integers, got 64.0"),
     ("n_cells", "np.int64", np.int64(64), Same(64)),
+    ("n_cells", "2**64", 2**64, "n_cells must be integers, got 18446744073709551616"),
 ]
-# SweepSpec's n grid also takes an integral float.
-EXCEPTIONS = {("n_cells", "64.0", "SweepSpec"): Same(64)}
+# (input, case id, route) -> the outcome where a route may differ from the rest: none.
+EXCEPTIONS = {}
 
 
 @pytest.mark.parametrize("name, cid, value, want", CASES, ids=[f"{c[0]}-{c[1]}" for c in CASES])

@@ -38,11 +38,6 @@ class TestBundledProfile:
         assert profile.r_transistor == 1700.0
         assert profile.leakage_table == ((0.2, 4e-11), (0.4, 5.5e-11), (0.6, 7.4e-11))
 
-    def test_unknown_bundled_name(self):
-        with pytest.raises(ProfileError) as err:
-            load_bundled_profile("3nm")
-        assert "22nm" in str(err.value)
-
 
 class TestLoadProfile:
     def test_valid_file(self, tmp_path):
