@@ -1,9 +1,9 @@
 """Design-space studies built on the column model and the network oracle.
 
-A Grid (model.Grid) is a tuple checked when built (non-empty, strictly
+A Grid is a tuple checked when built (numbers, non-empty, strictly
 increasing, finite): the grid constants, SweepSpec's grids, each
-MarginCurve's x.  A study checks its grid once, at entry (model._array, then
-the shape unless a Grid), and makes each curve from one model.sense_grid call.
+MarginCurve's x.  A study checks any other grid once, at entry, by the input
+domain and then by shape, and makes each curve from one model.sense_grid call.
 
 The optimal R_on band needs no sweep at all.  With S = R_T + n*r,
 L = (n-1)*I_leak, drive V, fabricated ratio k and threshold t, the lumped
@@ -31,31 +31,53 @@ from .model import (
     ENGINES,
     CellSpec,
     FactorToggles,
-    Grid,
     ReadSetup,
     SolverError,
     TechnologyProfile,
     _array,
-    _check_grid,
     _checked,
-    _sense,
+    _Increasing,
     element_values,
     sense_grid,
+    sense_point,
 )
 
 
-def _domain_grid(name: str, quantity: str, values) -> tuple[Grid, np.ndarray]:
-    """Values of the model input `quantity` as a Grid and as the model's array: checked
-    by the input domain, then, unless a Grid, by shape as `name`."""
-    grid = values if isinstance(values, Grid) else tuple.__new__(Grid, values)
-    array = _array(quantity, grid)  # as a Grid, by its least value: the shape is checked next
-    if grid is not values:
-        try:
-            _check_grid(name, array)
-        except ValueError:  # a value out of the domain is named before the shape
-            _array(quantity, tuple(grid))
-            raise
-    return grid, array
+class Grid(_Increasing):
+    """Grid values, checked (as `name`) when built, also when copy or pickle rebuild one:
+    numbers, non-empty, strictly increasing and finite.  A Grid passed in comes back as is."""
+
+    __slots__ = ()
+
+    def __new__(cls, values, name: str = "grid"):
+        if isinstance(values, Grid):
+            return values
+        grid = super().__new__(cls, values, name)
+        with np.errstate(invalid="ignore"):  # Python's order (ints stay exact), NaN unordered
+            _check_grid(name, np.array(grid, dtype=object))
+        return grid
+
+
+def _check_grid(name: str, values: np.ndarray) -> None:
+    """Reject grid values, as an array, that are empty, not strictly increasing or not finite."""
+    if len(values) == 0:
+        raise ValueError(f"{name} must be non-empty")
+    if not (increasing := values[1:] > values[:-1]).all():
+        a, b = values[(at := int(np.argmin(increasing))):at + 2].tolist()
+        raise ValueError(f"{name} must be strictly increasing, got {a} then {b}")
+    for v in (values[0], values[-1]):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
+def _r_on_grid(values) -> tuple[Grid, np.ndarray]:
+    """A study's R_on grid as a Grid and as the array it computes with, checked by the input
+    domain (model._array) and then, unless a Grid, by shape."""
+    r_on = _array("r_on", values)
+    if not isinstance(values, Grid):
+        _check_grid("r_on_grid", r_on)
+        values = tuple.__new__(Grid, values)  # it passed every check Grid makes
+    return values, r_on
 
 
 # Default grids mirror the usual presentation of this design space:
@@ -80,10 +102,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         for name, quantity in (("r_on_grid", "r_on"), ("n_grid", "n_cells"),
                                ("v_read_grid", "v_read")):
-            grid, values = _domain_grid(name, quantity, getattr(self, name))
-            if grid is not getattr(self, name):  # any grid but a Grid as the model's numbers
-                grid = tuple.__new__(Grid, values.tolist())
-            object.__setattr__(self, name, grid)
+            values = _array(quantity, grid := getattr(self, name))  # before the shape
+            if not isinstance(grid, Grid):  # held as the model's numbers
+                object.__setattr__(self, name, Grid(values.tolist(), name))
         _checked("ratio_ideal", self.ratio_ideal)
         if not (isinstance(self.toggles, tuple) and self.toggles):
             raise ValueError(f"toggles must be a non-empty tuple, got {self.toggles!r}")
@@ -174,10 +195,9 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     return curves
 
 
-_ALL_FACTORS = FactorToggles()
 # ablation_series' variants: the baseline, then one factor switched off at a time.
 _ABLATION_VARIANTS = (
-    ("baseline", _ALL_FACTORS),
+    ("baseline", FactorToggles()),
     ("-R_T", FactorToggles(transistor_resistance=False)),
     ("-r", FactorToggles(line_resistance=False)),
     ("-I_Tleak", FactorToggles(leakage=False)),
@@ -197,9 +217,9 @@ def ablation_series(
     the margin curve.  The swept resistance replaces cell.r_on point by
     point; cell.ratio_ideal is kept.  r_on_grid is a list, tuple or Grid.
     """
-    if setup.toggles != _ALL_FACTORS:
+    if setup.toggles != FactorToggles():
         raise ValueError("ablation baseline requires all factors enabled")
-    r_on_grid, r_on = _domain_grid("r_on_grid", "r_on", r_on_grid)
+    r_on_grid, r_on = _r_on_grid(r_on_grid)
     series = []
     for label, toggles in _ABLATION_VARIANTS:
         grid = sense_grid(profile, r_on, cell.ratio_ideal, setup.n_cells, setup.v_read, toggles)
@@ -236,15 +256,17 @@ def find_optimal_range(
     at which the model reads margin >= threshold.  None when the peak
     falls short (b**2 < 4*a*c), the band misses the grid's span or
     rounding keeps an end below threshold.  r_on_grid is a Grid, list or
-    tuple of R_on values, all checked; only its ends are used.
+    tuple of R_on values; only its ends are used.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    r_on_grid = _domain_grid("r_on_grid", "r_on", r_on_grid)[0]
-    _checked("v_read", v_read)
-    n_cells = _checked("n_cells", n_cells)
+    if not isinstance(r_on_grid, Grid):  # a Grid is not converted: only its ends are read
+        r_on_grid = _r_on_grid(r_on_grid)[0]
+    _checked("r_on", r_on_grid[0])  # a Grid increases: its lower end bounds the rest
+    setup = ReadSetup(v_read=v_read, n_cells=n_cells)
+    n_cells = setup.n_cells
     _checked("ratio_ideal", ratio_ideal)
-    r_line, r_t, i_leak = element_values(profile, _ALL_FACTORS, v_read)
+    r_line, r_t, i_leak = element_values(profile, setup.toggles, v_read)
     k, t = ratio_ideal, threshold
     s, leak, g = r_t + n_cells * r_line, (n_cells - 1.0) * i_leak, 1.0 - t * k
     a = g * leak * k
@@ -269,8 +291,7 @@ def find_optimal_range(
         step = math.copysign(math.ulp(r), toward - r)
         for ulps in _NUDGE_ULPS:
             ends[i] = (min if step > 0 else max)(r + ulps * step, toward)
-            # sense_point's kernel: ends[i] lies in the checked grid's span
-            if _sense(profile, ends[i], k, n_cells, v_read, _ALL_FACTORS, "lumped")[3] >= t:
+            if sense_point(profile, CellSpec(ends[i], k), setup).margin_normalized >= t:
                 break
         else:
             return None
@@ -289,7 +310,7 @@ def argmax_resistance(
     The tie rule favors read speed and is fixed so results are reproducible.
     r_on_grid is a Grid, list or tuple of R_on values.
     """
-    r_on_grid, r_on = _domain_grid("r_on_grid", "r_on", r_on_grid)
+    r_on_grid, r_on = _r_on_grid(r_on_grid)
     margins = sense_grid(profile, r_on, ratio_ideal, n_cells, v_read)[3]
     return r_on_grid[int(np.argmax(margins))]
 
@@ -309,7 +330,7 @@ def compensation_curve(
     The attached sensed arrays are those at the raised voltage.  r_on_grid
     is a Grid, list or tuple of R_on values.
     """
-    r_on_grid, r_on = _domain_grid("r_on_grid", "r_on", r_on_grid)
+    r_on_grid, r_on = _r_on_grid(r_on_grid)
     base = sense_grid(profile, r_on, ratio_ideal, n_cells, v_base)
     alt = sense_grid(profile, r_on, ratio_ideal, n_cells, v_alt)
     meta = {"n_cells": n_cells, "v_base": v_base, "v_alt": v_alt, "ratio_ideal": ratio_ideal}

@@ -96,18 +96,35 @@ def _require(name: str, values: np.ndarray) -> None:
                          f"got {bad.ravel()[:1].tolist()[0]!r}")
 
 
+class _Increasing(tuple):
+    """A tuple of numbers (a Python or numpy int or float, never a bool; checked here, as
+    `name`) that increase between finite ends (checked by its subclass analysis.Grid), both
+    when built: _array takes it as a number input's values unscanned, bounded by the least."""
+
+    __slots__ = ()
+
+    def __new__(cls, values, name: str):
+        numbers = super().__new__(cls, values)
+        if not _NUMBER[0].issuperset(map(type, numbers)):  # numpy numbers, or an offender
+            for v in numbers:
+                if type(v.item() if isinstance(v, np.generic) else v) not in _NUMBER[0]:
+                    raise ValueError(f"{name} values must be numbers, got {v!r}")
+        return numbers
+
+
 def _array(name: str, values) -> np.ndarray:
     """An input's values as the array the kernel computes with: an array or scalar checked by
-    _require; a list, tuple or Grid (or nested list) by _checked's rule for each value."""
+    _require; a list or tuple (or nested list) by _checked's rule for each value."""
     if not isinstance(values, (list, tuple)):  # an array or scalar, checked as given
         _require(name, values := np.asarray(values))
         return values
     types, kinds = _DOMAIN[name][:2]
     dtype = float if "f" in kinds else np.uint64  # an n >= 1 below 2**64
-    if types.issuperset(map(type, values)):  # Python numbers, checked as one array
+    increasing = isinstance(values, _Increasing) and dtype is float  # checked when built
+    if increasing or types.issuperset(map(type, values)):  # numbers, checked as one array
         try:
             array = np.fromiter(values, dtype, len(values))
-            if isinstance(values, Grid) and values:  # increasing: its least value bounds all
+            if increasing:  # its least value bounds the rest
                 _checked(name, values[0])
             else:
                 _require(name, array)
@@ -116,33 +133,6 @@ def _array(name: str, values) -> np.ndarray:
             pass
     cells = np.array(values, dtype=object)  # numpy scalars, rows, not numbers, or an offender
     return np.array([_checked(name, v) for v in cells.flat], dtype).reshape(cells.shape)
-
-
-class Grid(tuple):
-    """Grid values, checked (as `name`) when built, also when copy or pickle rebuild one:
-    non-empty, strictly increasing and finite.  A Grid passed in comes back as it is, as
-    tuple(t) returns a tuple t."""
-
-    __slots__ = ()
-
-    def __new__(cls, values, name: str = "grid"):
-        if isinstance(values, Grid):
-            return values
-        grid = super().__new__(cls, values)
-        _check_grid(name, np.asarray(grid))
-        return grid
-
-
-def _check_grid(name: str, values: np.ndarray) -> None:
-    """Reject grid values, as an array, that are empty, not strictly increasing or not finite."""
-    if len(values) == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not (increasing := values[1:] > values[:-1]).all():
-        a, b = values[(at := int(np.argmin(increasing))):at + 2].tolist()
-        raise ValueError(f"{name} must be strictly increasing, got {a} then {b}")
-    for v in (values[0], values[-1]):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)

@@ -316,6 +316,15 @@ class TestGrid:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Grid(bad, "g")
 
+    def test_a_grid_holds_numbers(self, profile22):
+        for bad, named in [((True, 2.0), "True"), (("1", "2"), "'1'"), ((1.0, None), "None")]:
+            with pytest.raises(ValueError, match=f"^g values must be numbers, got {named}$"):
+                Grid(bad, "g")
+        grid = Grid(np.array([1e4, 2e4]), "g")  # numpy numbers are numbers
+        assert argmax_resistance(profile22, 10.0, 64, 0.2, grid) in grid
+        with pytest.raises(ValueError, match=r"^r_on must be finite and > 0, got -1\.0$"):
+            argmax_resistance(profile22, 10.0, 64, 0.2, Grid((-1.0, 1e4)))
+
     @pytest.mark.parametrize(
         "values, name, message",
         [((3e5, 2e5, 1e5), None, "grid must be strictly increasing, got 300000.0 then 200000.0"),
