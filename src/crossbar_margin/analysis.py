@@ -59,7 +59,10 @@ class Grid(_Increasing):
 
 
 def _check_grid(name: str, values: np.ndarray) -> None:
-    """Reject grid values, as an array, that are empty, not strictly increasing or not finite."""
+    """Reject grid values, as an array, that are not one row, empty, not strictly increasing
+    or not finite."""
+    if values.ndim != 1:  # a nested list of valid values
+        raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
     if len(values) == 0:
         raise ValueError(f"{name} must be non-empty")
     if not (increasing := values[1:] > values[:-1]).all():

@@ -41,12 +41,13 @@ from crossbar_margin.model import leakage_at
 from optimal_range_reference import find_optimal_range_reference
 
 
-# Grids every R_on search rejects, with their errors: descending, empty, and
-# holding NaN (the input domain is checked before the grid's shape).
+# Grids every R_on search rejects, with their errors: descending, empty,
+# holding NaN (the input domain is checked before the grid's shape) and nested.
 BAD_GRIDS = [(DEFAULT_R_ON_GRID[::-1], "r_on_grid must be strictly increasing"),
              ((), "r_on_grid must be non-empty"),
-             ((1e4, math.nan, 1e6), "r_on must be finite and > 0, got nan")]
-BAD_GRID_IDS = ["descending", "empty", "nan"]
+             ((1e4, math.nan, 1e6), "r_on must be finite and > 0, got nan"),
+             ([[1e4], [2e5]], "r_on_grid must be one-dimensional, got shape (2, 1)")]
+BAD_GRID_IDS = ["descending", "empty", "nan", "nested"]
 
 # Wider and ten times denser than the default grid, for band checks.
 DENSE_GRID = tuple(float(x) for x in np.logspace(3.0, 9.0, 2001))
