@@ -19,9 +19,10 @@ same script times any commit it is copied into.  Five layers:
   figures   each figure writer whole, and its write_csv and render_plot
             calls replayed on the same arguments, apart from curve compute;
             validate --grid full --csv, in process
-  cli       in process, build_parser, the argparse tree run_cli builds on
-            every call; fresh interpreters: start-up alone, the numpy and
-            package imports, and the wall time of one margin query
+  cli       in process, build_parser built afresh (its uncached function),
+            the argparse tree run_cli builds once per process; fresh
+            interpreters: start-up alone, the numpy and package imports, and
+            the wall time of one margin query
 
 Every case is timed R times (timeit, a loop of about 50 ms each; the CLI
 cases one interpreter each) and reported as the median and interquartile
@@ -253,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
     cases: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as outdir:
         groups = (model_cases(profile), oracle_cases(profile), analysis_cases(profile),
-                  figure_cases(profile, outdir), [("cli.build_parser", build_parser)])
+                  figure_cases(profile, outdir),
+                  [("cli.build_parser", build_parser.__wrapped__)])
         for group in groups:
             for name, fn in group:
                 cases[name] = time_call(fn, args.repeat)

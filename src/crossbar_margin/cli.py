@@ -14,6 +14,7 @@ plain ohms / amperes (scientific notation welcome, e.g. --ron 20e3).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -255,7 +256,10 @@ def _cmd_figure(profile: TechnologyProfile, args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every later one: its
+    defaults are immutable, so no parse can change what the next one sees."""
     parser = argparse.ArgumentParser(
         prog="crossbar-margin",
         description="Sensing-margin analysis for 1T1R crossbar columns",
@@ -285,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sweep", _cmd_sweep, "margin curves over an R_on grid")
     p.add_argument("--k", type=float, required=True)
-    p.add_argument("--n", type=int, nargs="+", default=list(DEFAULT_N_GRID))
-    p.add_argument("--vread", type=float, nargs="+", default=[V_READ_DEFAULT])
+    p.add_argument("--n", type=int, nargs="+", default=tuple(DEFAULT_N_GRID))
+    p.add_argument("--vread", type=float, nargs="+", default=(V_READ_DEFAULT,))
     p.add_argument("--engine", choices=ENGINES, default="lumped")
     _add_ron_grid_args(p)
     _add_toggle_args(p)

@@ -13,6 +13,9 @@ byte-identical; they are exposed through the fig3..fig6 CLI subcommands:
 
 The sweep, ablate, compensate and validate commands write through the
 write_*_csv and render_*_svg writers below (ablate through fig5's).
+Every table is written as one block per curve, its constant cells as
+scalars and its points as the curve's own sequences (results module), so
+a grid that curves share is formatted once per file, in CSV and in SVG.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
         ("b", "leakage only", FactorToggles(False, True, True), (1e4, 1e5)),
         ("c", "all factors", FactorToggles(True, True, True), (1e4, 5e4, 1e5)),
     ]
-    rows = []
+    blocks = []
     written = []
     for key, desc, toggles, r_ons in panels:
         curves = []
@@ -70,10 +73,9 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
             )
             meta = {"r_on": r_on, "toggles": toggles, "v_read": V_READ_DEFAULT}
             curves.append(MarginCurve(f"R_on={r_on:g}", DEFAULT_N_GRID, grid[3], grid, meta))
-        rows += [
-            (key, r_on, n, V_READ_DEFAULT, *sensed)
+        blocks += [
+            (key, r_on, curve.x, V_READ_DEFAULT, *curve.sensed)
             for r_on, curve in zip(r_ons, curves)
-            for n, *sensed in zip(DEFAULT_N_GRID, *curve.sensed)
         ]
         svg_path = outdir / f"fig3{key}.svg"
         render_plot(
@@ -85,7 +87,7 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
         written.append(svg_path)
     table = ResultTable(
         header=("panel", "r_on_ohm", "n_cells", "v_read_v", *SENSED_COLUMNS),
-        rows=tuple(rows),
+        blocks=tuple(blocks),
     )
     csv_path = outdir / "fig3.csv"
     write_csv(table, csv_path)
@@ -131,14 +133,12 @@ def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
             for engine, suffix, grid in layers
             for n in VALIDATION_N_GRID
         ]
-        rows = [
-            (curve.meta["engine"], curve.meta["n_cells"], r_on, margin)
-            for curve in curves
-            for r_on, margin in zip(curve.x, curve.y)
-        ]
+        blocks = tuple(
+            (curve.meta["engine"], curve.meta["n_cells"], curve.x, curve.y) for curve in curves
+        )
         csv_path, svg_path = outdir / f"fig4{key}.csv", outdir / f"fig4{key}.svg"
         write_csv(
-            ResultTable(header=("engine", "n_cells", "r_on_ohm", "margin_normalized"), rows=tuple(rows)),
+            ResultTable(header=("engine", "n_cells", "r_on_ohm", "margin_normalized"), blocks=blocks),
             csv_path,
         )
         oracle_labels = [c.label for c in curves if c.meta["engine"] == "oracle"]
@@ -149,16 +149,12 @@ def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
 
 def write_ablation_csv(series: list[tuple[str, MarginCurve]], path: str | Path) -> int:
     """The ablation table, one (variant, r_on_ohm, margin) row per point; returns the row count."""
-    rows = [
-        (label, r_on, margin)
-        for label, curve in series
-        for r_on, margin in zip(curve.x, curve.y)
-    ]
+    blocks = tuple((label, curve.x, curve.y) for label, curve in series)
     write_csv(
-        ResultTable(header=("variant", "r_on_ohm", "margin_normalized"), rows=tuple(rows)),
+        ResultTable(header=("variant", "r_on_ohm", "margin_normalized"), blocks=blocks),
         path,
     )
-    return len(rows)
+    return sum(len(curve.x) for _, curve in series)
 
 
 def render_ablation_svg(series: list[tuple[str, MarginCurve]], path: str | Path) -> None:
@@ -171,14 +167,14 @@ def render_ablation_svg(series: list[tuple[str, MarginCurve]], path: str | Path)
 def write_sweep_csv(curves: list[MarginCurve], path: str | Path) -> int:
     """The sweep table, one (factors, v_read_v, n_cells, r_on_ohm, sensed...) row
     per point of sweep_grid's curves; returns the row count."""
-    rows = tuple(
-        (curve.meta["toggles"].describe(), curve.meta["v_read"], curve.meta["n_cells"], *point)
+    blocks = tuple(
+        (curve.meta["toggles"].describe(), curve.meta["v_read"], curve.meta["n_cells"], curve.x,
+         *curve.sensed)
         for curve in curves
-        for point in zip(curve.x, *curve.sensed)
     )
     header = ("factors", "v_read_v", "n_cells", "r_on_ohm", *SENSED_COLUMNS)
-    write_csv(ResultTable(header=header, rows=rows), path)
-    return len(rows)
+    write_csv(ResultTable(header=header, blocks=blocks), path)
+    return sum(len(curve.x) for curve in curves)
 
 
 def render_sweep_svg(curves: list[MarginCurve], path: str | Path) -> None:
@@ -188,9 +184,8 @@ def render_sweep_svg(curves: list[MarginCurve], path: str | Path) -> None:
 
 def write_compensation_csv(curve: MarginCurve, path: str | Path) -> int:
     """The compensation table, one (r_on_ohm, margin_gain) row per point; returns the row count."""
-    rows = tuple(zip(curve.x, curve.y))
-    write_csv(ResultTable(header=("r_on_ohm", "margin_gain"), rows=rows), path)
-    return len(rows)
+    write_csv(ResultTable(header=("r_on_ohm", "margin_gain"), blocks=((curve.x, curve.y),)), path)
+    return len(curve.x)
 
 
 def render_compensation_svg(curve: MarginCurve, path: str | Path) -> None:
@@ -206,10 +201,11 @@ _comparison_cells = attrgetter(*(field.name for field in fields(ComparisonRow)))
 
 def write_validation_csv(rows: list[ComparisonRow], path: str | Path) -> int:
     """The validation table, one row per ComparisonRow (no error is an empty
-    cell); returns the row count."""
+    cell), written as one block of columns; returns the row count."""
     header = ("r_on_ohm", "ratio_ideal", "n_cells", "v_read_v", "margin_lumped",
               "margin_oracle", "relative_gap", "error")
-    write_csv(ResultTable(header=header, rows=tuple(map(_comparison_cells, rows))), path)
+    columns = tuple(zip(*map(_comparison_cells, rows))) or ((),) * len(header)
+    write_csv(ResultTable(header=header, blocks=(columns,)), path)
     return len(rows)
 
 
@@ -237,13 +233,12 @@ def write_fig6(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     gain_04 = compensation_curve(profile, RATIO_DEFAULT, n, 0.2, 0.4, DEFAULT_R_ON_GRID)
     gain_06 = compensation_curve(profile, RATIO_DEFAULT, n, 0.2, 0.6, DEFAULT_R_ON_GRID)
 
-    rows = zip(DEFAULT_R_ON_GRID, *(c.y for c in margins + [gain_04, gain_06]))
     csv_path = outdir / "fig6.csv"
     write_csv(
         ResultTable(
             header=("r_on_ohm", "margin_0.2v", "margin_0.4v", "margin_0.6v", "gain_0.4v",
                     "gain_0.6v"),
-            rows=tuple(rows),
+            blocks=((DEFAULT_R_ON_GRID, *(c.y for c in margins + [gain_04, gain_06])),),
         ),
         csv_path,
     )

@@ -91,9 +91,11 @@ def _require(name: str, values: np.ndarray) -> None:
         if ok(lo) and (values.ndim == 0 or values.dtype.kind != "f" or ok(values.max())):
             return  # an integer array has no NaN or inf past its least value
     bad = values[~ok(values)] if typed else values
-    if bad.size or not typed:  # tolist: the Python value, not a numpy scalar's repr
+    if bad.size:  # tolist: the Python value, not a numpy scalar's repr
         raise ValueError(f"{name} must be {bound if typed else words}, "
                          f"got {bad.ravel()[:1].tolist()[0]!r}")
+    if not typed:  # an empty array has no value to name
+        raise ValueError(f"{name} must be {words}, got an empty {values.dtype} array")
 
 
 class _Increasing(tuple):

@@ -68,7 +68,9 @@ def render_plot(
 
     Curves named in marker_labels are drawn as point markers (no line),
     those in dash_labels with a dashed stroke.  The curves share one
-    y_kind, which sets the y axis (module docstring).
+    y_kind, which sets the y axis (module docstring).  The pixel x text of
+    each distinct x object is formatted once per call, so curves on one
+    shared grid pay for it once.
     """
     if not curves:
         raise ValueError("render_plot needs at least one curve")
@@ -169,17 +171,20 @@ def render_plot(
 
     # curves, inside the frame by construction of the y bounds, then their legend
     legend = []
+    x_text = {}  # id of a curve's x -> its "{:.2f}" pixel x; the curves keep each x alive
     for idx, curve in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
-        xs, ys = px(curve.x), py(curve.y)
+        if id(curve.x) not in x_text:
+            x_text[id(curve.x)] = list(map("{:.2f}".format, px(curve.x)))
+        xs, ys = x_text[id(curve.x)], py(curve.y)
         y = TOP + 10 + idx * 18
         if curve.label in marker_labels:
-            circle = f'<circle cx="{{:.2f}}" cy="{{:.2f}}" r="3" fill="{color}"/>'
+            circle = f'<circle cx="{{}}" cy="{{:.2f}}" r="3" fill="{color}"/>'
             out.extend(map(circle.format, xs, ys))
             legend.append(f'<circle cx="{RIGHT + 18}" cy="{y}" r="3" fill="{color}"/>')
         else:
             dash = ' stroke-dasharray="6 3"' if curve.label in dash_labels else ""
-            points = " ".join(map("{:.2f},{:.2f}".format, xs, ys))
+            points = " ".join(map("{},{:.2f}".format, xs, ys))
             out.append(
                 f'<polyline points="{points}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"{dash}/>'

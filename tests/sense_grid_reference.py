@@ -25,6 +25,9 @@ from crossbar_margin.model import (
 def _require(name: str, values, ok, bound: str) -> None:
     if not ok.all():
         bad = np.asarray(values)[~np.asarray(ok)]
+        if not bad.size:  # a wrong dtype on an empty array: no value to name
+            raise ValueError(
+                f"{name} must be {bound}, got an empty {np.asarray(values).dtype} array")
         # tolist: the Python value, not the repr of a numpy scalar
         raise ValueError(f"{name} must be {bound}, got {bad.ravel()[:1].tolist()[0]!r}")
 

@@ -304,6 +304,34 @@ class TestUsageErrors:
         assert "crossbar-margin" in capsys.readouterr().out
 
 
+class TestOneParserPerProcess:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_two_calls_build_one_parser(self, capsys):
+        assert run_cli(TestMarginCommand.ARGS) == 0
+        assert run_cli(TestMarginCommand.ARGS + ["--json"]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        assert run_cli(["margin", "--ron", "20e3", "--frequency", "1e9"]) == 2
+        capsys.readouterr()
+        assert run_cli(TestMarginCommand.ARGS + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["margin_normalized"] == pytest.approx(
+            0.86737, abs=1e-5)
+
+    def test_a_parse_does_not_change_the_next_ones_defaults(self, capsys):
+        assert run_cli(["sweep", "--k", "10", "--n", "64", "--ron-points", "4"]) == 0
+        capsys.readouterr()
+        assert run_cli(["sweep", "--k", "10", "--ron-points", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": margin")[0].rsplit("n=", 1)[1] for line in lines] == [
+            str(n) for n in analysis.DEFAULT_N_GRID]
+
+
 # Minimal arguments for every subcommand; the fig commands also get --outdir.
 MINIMAL_ARGS = {
     "margin": ["--ron", "20e3", "--k", "10", "--n", "64", "--vread", "0.2"],

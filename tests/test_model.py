@@ -227,6 +227,12 @@ class TestSenseGrid:
         for r_on, n, t, engine in product((*R_ON_CASES, *rows), ns, toggles, ENGINES):
             assert_matches_reference(profile22, r_on, 10.0, n, 0.2, t, engine)
 
+    def test_wrong_dtype_on_an_empty_grid_names_the_dtype(self, profile22):
+        # An empty grid has no value to name, so the error names the array's dtype.
+        with pytest.raises(ValueError) as got:
+            sense_grid(profile22, [], 10.0, 4.0, 0.2)
+        assert str(got.value) == "n_cells must be integers, got an empty float64 array"
+
     @settings(max_examples=500, deadline=None)
     @given(r_on=r_on_inputs, k=st.sampled_from(K_CASES), n=n_inputs,
            v=st.sampled_from(V_READ_CASES), toggles=toggle_inputs,

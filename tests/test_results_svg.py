@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from crossbar_margin import (
     sense_grid,
     write_csv,
 )
+from crossbar_margin.analysis import COARSE_R_ON_GRID, DEFAULT_R_ON_GRID, Grid
 from crossbar_margin.results import format_cell
 from crossbar_margin.svg import BOTTOM, TOP, escape
 
@@ -35,31 +37,40 @@ def make_curve(profile, label, xs, ys, y_kind="margin"):
 class TestResultTable:
     def test_row_width_checked(self):
         with pytest.raises(ValueError):
-            ResultTable(header=("a", "b"), rows=((1,),))
+            ResultTable(header=("a", "b"), blocks=((1,),))
         with pytest.raises(ValueError):
-            ResultTable(header=(), rows=())
+            ResultTable(header=(), blocks=())
+
+    def test_block_sequences_share_one_length(self):
+        grid = (1e4, 1e5, 1e6)
+        with pytest.raises(ValueError, match=re.escape(
+                "block 1 needs 1-d sequences of one length, got shapes [(3,), (2,)]")):
+            ResultTable(("label", "x", "y"), (("a", grid, [1, 2, 3]), ("b", grid, np.zeros(2))))
+        with pytest.raises(ValueError, match=re.escape("block 0 needs 1-d sequences of one "
+                                                       "length, got shapes [(3, 1)]")):
+            ResultTable(("label", "y"), (("a", np.zeros((3, 1))),))
 
     def test_header_only_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv(ResultTable(header=("x", "y", "z"), rows=()), path)
+        write_csv(ResultTable(header=("x", "y", "z"), blocks=()), path)
         assert path.read_bytes() == b"x,y,z\n"
 
     def test_floats_round_trip(self, tmp_path):
         values = (0.1 + 0.2, 4e-11, 8.673710456040641, -1.5e308)
         path = tmp_path / "vals.csv"
-        write_csv(ResultTable(header=("v",), rows=tuple((v,) for v in values)), path)
+        write_csv(ResultTable(header=("v",), blocks=tuple((v,) for v in values)), path)
         with path.open(newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
         assert [float(r[0]) for r in rows[1:]] == list(values)
 
     def test_cells_with_commas_are_quoted(self, tmp_path):
         path = tmp_path / "q.csv"
-        write_csv(ResultTable(header=("label",), rows=(("a,b",),)), path)
+        write_csv(ResultTable(header=("label",), blocks=(("a,b",),)), path)
         assert path.read_bytes() == b'label\n"a,b"\n'
 
     def test_deterministic_bytes(self, tmp_path):
         table = ResultTable(
-            header=("n", "margin"), rows=((64, 0.9173), (128, 0.8651))
+            header=("n", "margin"), blocks=((64, 0.9173), (128, 0.8651))
         )
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(table, p1)
@@ -69,7 +80,7 @@ class TestResultTable:
 
     def test_header_cells_must_be_strings(self):
         with pytest.raises(ValueError, match="header cells must be strings"):
-            ResultTable(header=("a", 1.5), rows=())
+            ResultTable(header=("a", 1.5), blocks=())
 
 
 class TestFormatCell:
@@ -96,16 +107,44 @@ COLUMN_KINDS = [
 ]
 
 
+def sequences(length):
+    """One block entry of `length` cells: a tuple or list of any column kind, or a
+    float64 or int64 array."""
+    def cells(kind):
+        return st.lists(kind, min_size=length, max_size=length)
+    kinds = st.sampled_from(COLUMN_KINDS)
+    return st.one_of(
+        kinds.flatmap(cells).map(tuple),
+        kinds.flatmap(cells),
+        cells(st.floats()).map(lambda v: np.array(v, dtype=np.float64)),
+        cells(st.integers(-(2**63), 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+    )
+
+
 @st.composite
 def tables(draw):
+    """Blocks of 0..5 rows whose entries are scalars (str included) or sequences,
+    some of scalars only, and at times one sequence object in two blocks."""
     width = draw(st.integers(1, 4))
-    length = draw(st.integers(0, 6))
     header = draw(st.lists(TEXT, min_size=width, max_size=width))
-    columns = [
-        draw(st.lists(draw(st.sampled_from(COLUMN_KINDS)), min_size=length, max_size=length))
-        for _ in range(width)
+    lengths = draw(st.lists(st.integers(0, 5), max_size=4))
+    shared = len(lengths) >= 2 and draw(st.booleans())
+    if shared:
+        first, second = draw(st.permutations(range(len(lengths))))[:2]
+        lengths[second] = lengths[first]
+    scalars = st.one_of(*CELL_KINDS.values())
+    blocks = [
+        [draw(st.one_of(scalars, sequences(length))) for _ in range(width)]
+        for length in lengths
     ]
-    return ResultTable(header=tuple(header), rows=tuple(zip(*columns)))
+    if shared:
+        sequence = draw(sequences(lengths[first]))
+        for block in (blocks[first], blocks[second]):
+            block[draw(st.integers(0, width - 1))] = sequence
+    return ResultTable(header=tuple(header), blocks=tuple(map(tuple, blocks)))
+
+
+SHARED = (1e4, 2e4)
 
 
 @pytest.fixture(scope="module")
@@ -115,9 +154,11 @@ def out_dir(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(table=tables())
-@example(table=ResultTable(header=("",), rows=(("",), (None,), ("a\rb",))))
-@example(table=ResultTable(header=("x", "y"), rows=()))
-@example(table=ResultTable(header=("x", "y"), rows=(("", None), (-0.0, np.nan))))
+@example(table=ResultTable(header=("",), blocks=(("",), (None,), ("a\rb",))))
+@example(table=ResultTable(header=("x", "y"), blocks=()))
+@example(table=ResultTable(header=("x", "y"), blocks=(("", None), (-0.0, np.nan))))
+@example(table=ResultTable(header=("n", "x", "y"), blocks=(
+    (64, SHARED, (0.5, 0.25)), ("a,b", SHARED, np.array([1, 2])), (None, (), []))))
 def test_write_csv_matches_cell_by_cell_reference(out_dir, table):
     write_csv(table, out_dir / "columns.csv")
     write_csv_reference(table, out_dir / "cells.csv")
@@ -129,7 +170,7 @@ def test_write_csv_matches_cell_by_cell_reference(out_dir, table):
 @example([("a\rb", 1.0)])
 def test_text_cells_holding_cr_round_trip_through_csv_reader(out_dir, rows):
     path = out_dir / "cr.csv"
-    write_csv(ResultTable(header=("label", "v"), rows=tuple(rows)), path)
+    write_csv(ResultTable(header=("label", "v"), blocks=tuple(rows)), path)
     with path.open(newline="", encoding="utf-8") as handle:
         read_back = list(csv.reader(handle))
     assert read_back == [["label", "v"], *([text, repr(v)] for text, v in rows)]
@@ -250,6 +291,27 @@ class TestRenderPlot:
         assert ">normalized margin</text>" in text and "margin gain" not in text
         assert f",{(TOP + BOTTOM) / 2:.2f}" in text  # 0.5 halfway up the 0..1 axis
 
+    def test_shared_grid_writes_the_bytes_of_distinct_copies(self, tmp_path, profile22):
+        # Curves on one x object share its formatted pixel x; curves on value-equal
+        # copies format their own.  Two grids, each shared, with marker and dash curves.
+        layers = (("line", DEFAULT_R_ON_GRID), ("network", COARSE_R_ON_GRID),
+                  ("dashed", DEFAULT_R_ON_GRID), ("network 2", COARSE_R_ON_GRID))
+
+        def curves(copy):
+            out = []
+            for n, (label, grid) in zip((256, 1024, 2048, 4096), layers):
+                x = Grid(list(grid)) if copy else grid
+                sensed = sense_grid(profile22, x, 10.0, n, 0.2)
+                out.append(MarginCurve(label, x, sensed[3], sensed))
+            return out
+
+        shared, copies = curves(copy=False), curves(copy=True)
+        assert len({id(c.x) for c in shared}) == 2 and len({id(c.x) for c in copies}) == 4
+        styles = dict(marker_labels=["network", "network 2"], dash_labels=["dashed"])
+        render_plot(shared, tmp_path / "shared.svg", **styles)
+        render_plot(copies, tmp_path / "copies.svg", **styles)
+        assert (tmp_path / "shared.svg").read_bytes() == (tmp_path / "copies.svg").read_bytes()
+
     def test_mixed_y_kinds_raise(self, tmp_path, profile22):
         curves = [
             make_curve(profile22, "m", (1e4, 1e5), (0.4, 0.7)),
@@ -282,10 +344,13 @@ def plots(draw):
     y_values, y_axis = Y_KINDS[y_kind]
     curves = []
     for _ in range(draw(st.integers(1, 4))):
-        xs = sorted(draw(st.lists(x_values, min_size=1, max_size=12, unique=True)))
+        if curves and draw(st.booleans()):  # the previous curve's x object, shared
+            xs = curves[-1].x
+        else:
+            xs = tuple(sorted(draw(st.lists(x_values, min_size=1, max_size=12, unique=True))))
         ys = draw(st.lists(y_values, min_size=len(xs), max_size=len(xs)))
         sensed = (np.zeros(len(xs)),) * 4
-        curves.append(MarginCurve(draw(LABEL), tuple(xs), tuple(ys), sensed, y_kind=y_kind))
+        curves.append(MarginCurve(draw(LABEL), xs, tuple(ys), sensed, y_kind=y_kind))
     labels = [c.label for c in curves]
     kwargs = dict(
         title=draw(LABEL),
