@@ -137,10 +137,8 @@ def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
             (curve.meta["engine"], curve.meta["n_cells"], curve.x, curve.y) for curve in curves
         )
         csv_path, svg_path = outdir / f"fig4{key}.csv", outdir / f"fig4{key}.svg"
-        write_csv(
-            ResultTable(header=("engine", "n_cells", "r_on_ohm", "margin_normalized"), blocks=blocks),
-            csv_path,
-        )
+        header = ("engine", "n_cells", "r_on_ohm", "margin_normalized")
+        write_csv(ResultTable(header=header, blocks=blocks), csv_path)
         oracle_labels = [c.label for c in curves if c.meta["engine"] == "oracle"]
         _plot_vs_r_on(curves, svg_path, title, marker_labels=oracle_labels)
         written += [csv_path, svg_path]
@@ -204,8 +202,8 @@ def write_validation_csv(rows: list[ComparisonRow], path: str | Path) -> int:
     cell), written as one block of columns; returns the row count."""
     header = ("r_on_ohm", "ratio_ideal", "n_cells", "v_read_v", "margin_lumped",
               "margin_oracle", "relative_gap", "error")
-    columns = tuple(zip(*map(_comparison_cells, rows))) or ((),) * len(header)
-    write_csv(ResultTable(header=header, blocks=(columns,)), path)
+    blocks = (tuple(zip(*map(_comparison_cells, rows))),) if rows else ()
+    write_csv(ResultTable(header=header, blocks=blocks), path)
     return len(rows)
 
 
