@@ -13,9 +13,10 @@ same script times any commit it is copied into.  Five layers:
             and 16384 (the oracle-validation workload's shape)
   analysis  find_optimal_range, argmax_resistance, sweep_grid, ablation_series
             and compensation_curve, and MarginCurve alone on one sense_grid row;
-            find_optimal_range, argmax_resistance and MarginCurve also as
-            .tuple_grid, on a plain tuple of the default grid's values, which
-            they check on every call where the package's grid is pre-checked
+            all but sweep_grid also as .tuple_grid, on a plain tuple of the
+            default grid's values (the design-space workload's kind of grid),
+            which they check on every call where the package's grid is
+            pre-checked
   figures   each figure writer whole, and its write_csv and render_plot
             calls replayed on the same arguments, apart from curve compute;
             validate --grid full --csv, in process
@@ -164,8 +165,12 @@ def analysis_cases(profile):
         profile, K, 1024, V_READ, plain)
     yield "analysis.sweep_grid", lambda: sweep_grid(spec, profile)
     yield "analysis.ablation_series", lambda: ablation_series(profile, cell, setup)
+    yield "analysis.ablation_series.tuple_grid", lambda: ablation_series(
+        profile, cell, setup, plain)
     yield "analysis.compensation_curve", lambda: compensation_curve(
         profile, K, 1024, V_READ, 0.4)
+    yield "analysis.compensation_curve.tuple_grid", lambda: compensation_curve(
+        profile, K, 1024, V_READ, 0.4, plain)
     yield "analysis.MarginCurve", lambda: MarginCurve("margin", DEFAULT_R_ON_GRID, row[3], row, {})
     yield "analysis.MarginCurve.tuple_grid", lambda: MarginCurve("margin", plain, row[3], row, {})
 

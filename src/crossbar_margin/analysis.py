@@ -2,8 +2,9 @@
 
 A Grid is a tuple checked when built (numbers, non-empty, strictly
 increasing, finite): the grid constants, SweepSpec's grids, each
-MarginCurve's x.  A study checks any other grid once, at entry, by the input
-domain and then by shape, and makes each curve from one model.sense_grid call.
+MarginCurve's x.  A study checks each input once, at entry (an R_on Grid by
+its least value, any other grid by the input domain and then by shape), and
+makes each curve from one model._sensed call, sense_grid's unchecked part.
 
 The optimal R_on band needs no sweep at all.  With S = R_T + n*r,
 L = (n-1)*I_leak, drive V, fabricated ratio k and threshold t, the lumped
@@ -36,14 +37,13 @@ from .model import (
     TechnologyProfile,
     _array,
     _checked,
-    _Increasing,
+    _sensed,
     element_values,
-    sense_grid,
     sense_point,
 )
 
 
-class Grid(_Increasing):
+class Grid(tuple):
     """Grid values, checked (as `name`) when built, also when copy or pickle rebuild one:
     numbers, non-empty, strictly increasing and finite.  A Grid passed in comes back as is."""
 
@@ -52,7 +52,11 @@ class Grid(_Increasing):
     def __new__(cls, values, name: str = "grid"):
         if isinstance(values, Grid):
             return values
-        grid = super().__new__(cls, values, name)
+        grid = super().__new__(cls, values)
+        if not {int, float}.issuperset(map(type, grid)):  # numpy numbers, or an offender
+            for v in grid:
+                if type(v.item() if isinstance(v, np.generic) else v) not in (int, float):
+                    raise ValueError(f"{name} values must be numbers, got {v!r}")
         with np.errstate(invalid="ignore"):  # Python's order (ints stay exact), NaN unordered
             _check_grid(name, np.array(grid, dtype=object))
         return grid
@@ -69,18 +73,29 @@ def _check_grid(name: str, values: np.ndarray) -> None:
         a, b = values[(at := int(np.argmin(increasing))):at + 2].tolist()
         raise ValueError(f"{name} must be strictly increasing, got {a} then {b}")
     for v in (values[0], values[-1]):
-        if not math.isfinite(v):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int past the float range, as model._checked reads it
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be finite, got {v}")
 
 
 def _r_on_grid(values) -> tuple[Grid, np.ndarray]:
-    """A study's R_on grid as a Grid and as the array it computes with, checked by the input
-    domain (model._array) and then, unless a Grid, by shape."""
-    r_on = _array("r_on", values)
-    if not isinstance(values, Grid):
-        _check_grid("r_on_grid", r_on)
-        values = tuple.__new__(Grid, values)  # it passed every check Grid makes
-    return values, r_on
+    """A study's R_on grid as a Grid and as the float64 array it computes with: a Grid
+    (checked when built) bounded by its least value, anything else checked by the input
+    domain (model._array) and then by shape."""
+    if isinstance(values, Grid):
+        _checked("r_on", values[0])
+        return values, np.fromiter(values, float, len(values))
+    _check_grid("r_on_grid", r_on := _array("r_on", values))
+    return tuple.__new__(Grid, values), r_on  # it passed every check Grid makes
+
+
+def _scalars(ratio_ideal, n_cells, v_read) -> tuple[float, int, float]:
+    """(k, n, V_read) as the model computes with them, checked in sense_grid's order."""
+    v_read = _checked("v_read", v_read)
+    return _checked("ratio_ideal", ratio_ideal), _checked("n_cells", n_cells), v_read
 
 
 # Default grids mirror the usual presentation of this design space:
@@ -108,7 +123,7 @@ class SweepSpec:
             values = _array(quantity, grid := getattr(self, name))  # before the shape
             if not isinstance(grid, Grid):  # held as the model's numbers
                 object.__setattr__(self, name, Grid(values.tolist(), name))
-        _checked("ratio_ideal", self.ratio_ideal)
+        object.__setattr__(self, "ratio_ideal", _checked("ratio_ideal", self.ratio_ideal))
         if not (isinstance(self.toggles, tuple) and self.toggles):
             raise ValueError(f"toggles must be a non-empty tuple, got {self.toggles!r}")
         for toggles in self.toggles:
@@ -120,11 +135,11 @@ class SweepSpec:
 
 @dataclass(frozen=True, init=False)
 class MarginCurve:
-    """Ordered (x, y) samples with the sense_grid arrays behind them.
+    """Ordered (x, y) samples with the model's arrays behind them.
 
     x goes through Grid and y is stored as a tuple of floats.  sensed
     is the (i_on, i_off, ratio_effective, margin_normalized) arrays of the
-    sense_grid call behind the curve, one entry per x.  y_kind is "margin"
+    model call behind the curve, one entry per x.  y_kind is "margin"
     for normalized-margin curves (values in (0, 1]) and "delta" for
     margin-difference curves, which may touch zero.
     """
@@ -171,15 +186,14 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     """
     curves = []
     dropped: list[tuple[str, Exception]] = []
-    r_on = _array("r_on", spec.r_on_grid)
+    r_on = _r_on_grid(spec.r_on_grid)[1]
     for toggles in spec.toggles:
         for v_read in spec.v_read_grid:
             for n in spec.n_grid:
                 label = f"{toggles.describe()}, V={v_read:g}V, n={n}"
-                try:
-                    grid = sense_grid(
-                        profile, r_on, spec.ratio_ideal, n, v_read, toggles, spec.engine
-                    )
+                try:  # the spec's grids hold numbers, and float() is _checked's conversion
+                    grid = _sensed(profile, r_on, spec.ratio_ideal, n, float(v_read), toggles,
+                                   spec.engine)
                 except (SolverError, ValueError) as exc:
                     dropped.append((label, exc))
                     continue
@@ -225,7 +239,7 @@ def ablation_series(
     r_on_grid, r_on = _r_on_grid(r_on_grid)
     series = []
     for label, toggles in _ABLATION_VARIANTS:
-        grid = sense_grid(profile, r_on, cell.ratio_ideal, setup.n_cells, setup.v_read, toggles)
+        grid = _sensed(profile, r_on, cell.ratio_ideal, setup.n_cells, setup.v_read, toggles)
         meta = {
             "n_cells": setup.n_cells,
             "v_read": setup.v_read,
@@ -263,14 +277,11 @@ def find_optimal_range(
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    if not isinstance(r_on_grid, Grid):  # a Grid is not converted: only its ends are read
-        r_on_grid = _r_on_grid(r_on_grid)[0]
-    _checked("r_on", r_on_grid[0])  # a Grid increases: its lower end bounds the rest
+    r_on_grid = _r_on_grid(r_on_grid)[0]  # only its ends are read
     setup = ReadSetup(v_read=v_read, n_cells=n_cells)
-    n_cells = setup.n_cells
-    _checked("ratio_ideal", ratio_ideal)
+    n_cells, v_read = setup.n_cells, setup.v_read
+    k, t = _checked("ratio_ideal", ratio_ideal), threshold
     r_line, r_t, i_leak = element_values(profile, setup.toggles, v_read)
-    k, t = ratio_ideal, threshold
     s, leak, g = r_t + n_cells * r_line, (n_cells - 1.0) * i_leak, 1.0 - t * k
     a = g * leak * k
     b = g * leak * s * (k + 1) + v_read * k * (1 - t)
@@ -314,7 +325,7 @@ def argmax_resistance(
     r_on_grid is a Grid, list or tuple of R_on values.
     """
     r_on_grid, r_on = _r_on_grid(r_on_grid)
-    margins = sense_grid(profile, r_on, ratio_ideal, n_cells, v_read)[3]
+    margins = _sensed(profile, r_on, *_scalars(ratio_ideal, n_cells, v_read))[3]
     return r_on_grid[int(np.argmax(margins))]
 
 
@@ -334,8 +345,9 @@ def compensation_curve(
     is a Grid, list or tuple of R_on values.
     """
     r_on_grid, r_on = _r_on_grid(r_on_grid)
-    base = sense_grid(profile, r_on, ratio_ideal, n_cells, v_base)
-    alt = sense_grid(profile, r_on, ratio_ideal, n_cells, v_alt)
+    k, n, v = _scalars(ratio_ideal, n_cells, v_base)
+    base = _sensed(profile, r_on, k, n, v)
+    alt = _sensed(profile, r_on, k, n, _checked("v_read", v_alt))  # after v_base's errors
     meta = {"n_cells": n_cells, "v_base": v_base, "v_alt": v_alt, "ratio_ideal": ratio_ideal}
     return MarginCurve(f"margin gain {v_base:g}V->{v_alt:g}V", r_on_grid,
                        alt[3] - base[3], alt, meta, "delta")

@@ -30,6 +30,8 @@ from .analysis import (
     DEFAULT_R_ON_GRID,
     VALIDATION_N_GRID,
     MarginCurve,
+    _r_on_grid,
+    _scalars,
     ablation_series,
     compensation_curve,
 )
@@ -38,6 +40,7 @@ from .model import (
     FactorToggles,
     ReadSetup,
     TechnologyProfile,
+    _sensed,
     sense_grid,
 )
 from .oracle import ComparisonRow
@@ -103,16 +106,11 @@ def _margin_vs_r(
     v_read: float = V_READ_DEFAULT,
     engine: str = "lumped",
 ) -> MarginCurve:
-    sensed = sense_grid(profile, grid, ratio_ideal, n, v_read, engine=engine)
-    return MarginCurve(
-        label,
-        grid,
-        sensed[3],
-        sensed,
-        meta={
-            "n_cells": n, "engine": engine, "ratio_ideal": ratio_ideal, "v_read": v_read
-        },
-    )
+    # Checked once, as a study checks its inputs, then the kernel.
+    sensed = _sensed(profile, _r_on_grid(grid)[1], *_scalars(ratio_ideal, n, v_read),
+                     engine=engine)
+    meta = {"n_cells": n, "engine": engine, "ratio_ideal": ratio_ideal, "v_read": v_read}
+    return MarginCurve(label, grid, sensed[3], sensed, meta)
 
 
 def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:

@@ -18,10 +18,11 @@ crosses the full n*r line resistance while all other cells leak.  Each
 non-ideality (line resistance r, transistor resistance R_T, transistor
 leakage I_Tleak) can be switched off individually for ablation studies.
 
-sense_grid evaluates this over arrays of R_on and n, for this model and
-for the oracle module's distributed ladder, which for the worst-case cell
-differs only in its drive term; read_currents and oracle.oracle_margin
-are its scalar views.
+sense_grid checks its inputs and evaluates this over arrays of R_on and n,
+for this model and for the oracle module's distributed ladder, which for
+the worst-case cell differs only in its drive term.  The studies check
+their inputs once and call its unchecked part, _sensed; read_currents and
+oracle.oracle_margin are its scalar views on a CellSpec and a ReadSetup.
 
 Leakage is a measured function of read voltage, carried as a table on the
 technology profile; lookups interpolate linearly between measured points
@@ -98,22 +99,6 @@ def _require(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} must be {words}, got an empty {values.dtype} array")
 
 
-class _Increasing(tuple):
-    """A tuple of numbers (a Python or numpy int or float, never a bool; checked here, as
-    `name`) that increase between finite ends (checked by its subclass analysis.Grid), both
-    when built: _array takes it as a number input's values unscanned, bounded by the least."""
-
-    __slots__ = ()
-
-    def __new__(cls, values, name: str):
-        numbers = super().__new__(cls, values)
-        if not _NUMBER[0].issuperset(map(type, numbers)):  # numpy numbers, or an offender
-            for v in numbers:
-                if type(v.item() if isinstance(v, np.generic) else v) not in _NUMBER[0]:
-                    raise ValueError(f"{name} values must be numbers, got {v!r}")
-        return numbers
-
-
 def _array(name: str, values) -> np.ndarray:
     """An input's values as the array the kernel computes with: an array or scalar checked by
     _require; a list or tuple (or nested list) by _checked's rule for each value."""
@@ -122,14 +107,9 @@ def _array(name: str, values) -> np.ndarray:
         return values
     types, kinds = _DOMAIN[name][:2]
     dtype = float if "f" in kinds else np.uint64  # an n >= 1 below 2**64
-    increasing = isinstance(values, _Increasing) and dtype is float  # checked when built
-    if increasing or types.issuperset(map(type, values)):  # numbers, checked as one array
+    if types.issuperset(map(type, values)):  # numbers, checked as one array
         try:
-            array = np.fromiter(values, dtype, len(values))
-            if increasing:  # its least value bounds the rest
-                _checked(name, values[0])
-            else:
-                _require(name, array)
+            _require(name, array := np.fromiter(values, dtype, len(values)))
             return array
         except (OverflowError, ValueError):  # an int past the dtype, or a value out of bounds
             pass
@@ -187,8 +167,8 @@ class CellSpec:
     ratio_ideal: float
 
     def __post_init__(self) -> None:
-        _checked("r_on", self.r_on)
-        _checked("ratio_ideal", self.ratio_ideal)
+        object.__setattr__(self, "r_on", _checked("r_on", self.r_on))  # the model's number
+        object.__setattr__(self, "ratio_ideal", _checked("ratio_ideal", self.ratio_ideal))
 
     @property
     def r_off(self) -> float:
@@ -229,7 +209,7 @@ class ReadSetup:
     toggles: FactorToggles = FactorToggles()
 
     def __post_init__(self) -> None:
-        _checked("v_read", self.v_read)
+        object.__setattr__(self, "v_read", _checked("v_read", self.v_read))  # the model's number
         object.__setattr__(self, "n_cells", _checked("n_cells", self.n_cells))
         if not isinstance(self.toggles, FactorToggles):
             raise ValueError(f"toggles must be a FactorToggles, got {self.toggles!r}")
@@ -406,11 +386,17 @@ def sense_grid(
     n = _array("n_cells", n if r_on.size else np.broadcast_to(n, r_on.shape))
     if k_array:  # its kernel errors name the grid shape
         r_on, n = np.broadcast_arrays(r_on, n)
-    r_on = np.asarray(r_on, dtype=float)
+    return _sensed(profile, r_on, ratio_ideal, n, v_read, toggles, engine)
+
+
+def _sensed(profile, r_on, ratio_ideal, n, v_read, toggles=FactorToggles(), engine="lumped"):
+    """sense_grid on inputs it would accept, already checked: r_on and n arrays or numbers
+    (converted to float64 here), ratio_ideal a float or float array, v_read a float."""
     # Overflow and underflow are reported as SolverError, not as warnings; n is
     # converted as Python's int * float does, exactly below 2**53.
+    r_on, n = np.asarray(r_on, dtype=float), np.asarray(n, dtype=float)
     with np.errstate(all="ignore"):
-        grid = _sense(profile, r_on, ratio_ideal, n.astype(float), v_read, toggles, engine)
+        grid = _sense(profile, r_on, ratio_ideal, n, v_read, toggles, engine)
     if r_on.ndim == n.ndim == 0:  # numpy arithmetic on 0-d arrays returns scalars
         grid = tuple(np.asarray(a, dtype=float) for a in grid)
     i_on, i_off, ratio, margin = grid

@@ -5,9 +5,9 @@ term, this module solves the actual distributed ladder, playing the role
 a transistor-level circuit simulator plays during technology
 characterization.  Comparing the two quantifies the lumping error.
 
-oracle_margin evaluates the ladder's closed form for the worst-case cell
-(model.sense_grid); solve_column, the Kirchhoff residuals and the test
-suite's dense reference are the checks of that closed form.
+oracle_margin and compare_lumped_distributed evaluate the ladder's closed
+form for the worst-case cell (model._sensed, engine "oracle"); solve_column,
+the Kirchhoff residuals and the test suite's dense reference check it.
 
 Geometry
 --------
@@ -56,8 +56,8 @@ from .model import (
     SolverError,
     TechnologyProfile,
     _checked,
+    _sensed,
     element_values,
-    sense_grid,
     sense_point,
 )
 
@@ -278,7 +278,7 @@ def compare_lumped_distributed(
     if not cell_grid or not setup_grid:
         return []
     r_on, k = np.array([(cell.r_on, cell.ratio_ideal) for cell in cell_grid], dtype=float).T
-    k = float(k[0]) if (k == k[0]).all() else k  # one k keeps sense_grid's fast path
+    k = float(k[0]) if (k == k[0]).all() else k  # one k keeps the kernel's fast path
     columns = [_margins(profile, r_on, k, setup) for setup in setup_grid]
     return [ComparisonRow(cell.r_on, cell.ratio_ideal, setup.n_cells, setup.v_read, lumped,
                           oracle, abs(lumped - oracle) / oracle, error)
@@ -292,8 +292,8 @@ def _margins(profile, r_on, k, setup):
     args, size = (setup.n_cells, setup.v_read, setup.toggles), len(r_on)
     lumped, oracle, error = [math.nan] * size, [math.nan] * size, None
     try:
-        lumped = sense_grid(profile, r_on, k, *args)[3].tolist()
-        oracle = sense_grid(profile, r_on, k, *args, "oracle")[3].tolist()
+        lumped = _sensed(profile, r_on, k, *args, "lumped")[3].tolist()
+        oracle = _sensed(profile, r_on, k, *args, "oracle")[3].tolist()
     except SolverError as exc:
         if size > 1:
             cells = zip(r_on[:, None], np.broadcast_to(k, size)[:, None])

@@ -79,6 +79,8 @@ def _quote(text: str) -> str:
 def _format_column(cells) -> list[str]:
     """format_cell over one sequence, by one C-level map where the types allow."""
     if isinstance(cells, np.ndarray):
+        if cells.dtype.kind == "f" and cells.itemsize <= 8:  # tolist gives Python floats
+            return list(map(repr, cells.tolist()))
         cells = cells.tolist()  # Python values, which format_cell reads as the numpy ones
     kinds = set(map(type, cells))
     if all(issubclass(kind, float) for kind in kinds):

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from crossbar_margin import (
     sense_grid,
     sweep_grid,
 )
-from crossbar_margin import analysis
+from crossbar_margin import analysis, compare_lumped_distributed, model, oracle
 from crossbar_margin.analysis import (
     COARSE_R_ON_GRID,
     DEFAULT_N_GRID,
@@ -37,7 +38,7 @@ from crossbar_margin.analysis import (
     VALIDATION_N_GRID,
     Grid,
 )
-from crossbar_margin.model import leakage_at
+from crossbar_margin.model import _sensed, leakage_at
 from optimal_range_reference import find_optimal_range_reference
 
 
@@ -201,9 +202,9 @@ class TestSweepGrid:
         def broken_at_0_4(profile, r_on, k, n, v_read, *args):
             if v_read == 0.4:
                 raise TypeError("defect in one slice")
-            return sense_grid(profile, r_on, k, n, v_read, *args)
+            return _sensed(profile, r_on, k, n, v_read, *args)
 
-        monkeypatch.setattr(analysis, "sense_grid", broken_at_0_4)
+        monkeypatch.setattr(analysis, "_sensed", broken_at_0_4)
         spec = SweepSpec((1e4, 1e5), (64,), (0.2, 0.4), 10.0)
         with pytest.raises(TypeError, match="^defect in one slice$"):
             sweep_grid(spec, profile22)
@@ -313,7 +314,8 @@ class TestGrid:
         assert type(grid) is Grid and grid == (1.0, 2.0)
         for bad, message in [((), "g must be non-empty"),
                              ((2.0, 1.0), "g must be strictly increasing, got 2.0 then 1.0"),
-                             ((1.0, math.inf), "g must be finite, got inf")]:
+                             ((1.0, math.inf), "g must be finite, got inf"),
+                             ((1, 10**400), f"g must be finite, got {10**400}")]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Grid(bad, "g")
 
@@ -354,6 +356,44 @@ class TestGrid:
         with pytest.raises(AssertionError, match="r_on_grid checked again"):
             argmax_resistance(profile22, 10.0, 1024, 0.2, tuple(DEFAULT_R_ON_GRID))
 
+    def test_each_input_is_checked_once_per_call(self, profile22, monkeypatch):
+        # A study checks each input once, at entry, or takes it as a SweepSpec, CellSpec
+        # or ReadSetup holds it checked; its kernel calls check nothing again.
+        grid = (1e4, 1e5, 1e6)
+        toggles = (FactorToggles(), FactorToggles(leakage=False))
+        spec = SweepSpec(grid, (64, 128), (0.2,), 10.0, toggles)
+        cell, setup = CellSpec(1e4, 10.0), ReadSetup(0.2, 64)
+        cells = [CellSpec(r, 10.0) for r in grid]
+        setups = [ReadSetup(0.2, n) for n in (64, 128, 256)]
+        checks = []
+
+        def counting(check):
+            def count(name, value):
+                checks.append((check.__name__, name))
+                return check(name, value)
+            return count
+
+        originals = {name: getattr(model, name) for name in ("_require", "_checked")}
+        for module in (model, analysis, oracle):  # every module that binds a check
+            for name, check in originals.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(check))
+
+        def checked(call, *args):
+            checks.clear()
+            call(*args)
+            return Counter(checks)
+
+        assert checked(ablation_series, profile22, cell, setup, grid) == {("_require", "r_on"): 1}
+        assert checked(compensation_curve, profile22, 10.0, 64, 0.2, 0.4, grid) == {
+            ("_require", "r_on"): 1, ("_checked", "ratio_ideal"): 1, ("_checked", "n_cells"): 1,
+            ("_checked", "v_read"): 2}
+        assert checked(argmax_resistance, profile22, 10.0, 64, 0.2, grid) == {
+            ("_require", "r_on"): 1, ("_checked", "ratio_ideal"): 1, ("_checked", "n_cells"): 1,
+            ("_checked", "v_read"): 1}
+        assert checked(sweep_grid, spec, profile22) == {("_checked", "r_on"): 1}  # its lower bound
+        assert checked(compare_lumped_distributed, profile22, cells, setups) == {}
+
     def test_grid_and_curve_survive_pickle_and_deepcopy(self, profile22):
         curve = compensation_curve(profile22, 10.0, 1024, 0.2, 0.4, COARSE_R_ON_GRID)
         for clone in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)):
@@ -375,8 +415,9 @@ class TestMarginCurve:
             ((3e5, 2e5, 1e5), "x must be strictly increasing, got 300000.0 then 200000.0"),
             ((1e4, math.nan, 1e6), "x must be strictly increasing, got 10000.0 then nan"),
             ((), "x must be non-empty"),
+            ((1, 10**400), f"x must be finite, got {10**400}"),
         ],
-        ids=["descending", "nan", "empty"],
+        ids=["descending", "nan", "empty", "int-past-float"],
     )
     def test_x_checked_on_every_path(self, profile22, x, message):
         sensed = sense_grid(profile22, np.full(len(x), 2e5), 10.0, 64, 0.2)
@@ -439,11 +480,11 @@ class TestMarginCurve:
 
     def test_non_finite_gain_rejected(self, profile22, monkeypatch):
         def nan_margin(*args):
-            grid = [a.copy() for a in sense_grid(*args)]
+            grid = [a.copy() for a in _sensed(*args)]
             grid[3][1] = math.nan
             return tuple(grid)
 
-        monkeypatch.setattr(analysis, "sense_grid", nan_margin)
+        monkeypatch.setattr(analysis, "_sensed", nan_margin)
         with pytest.raises(ValueError, match="delta values must be finite, got nan"):
             compensation_curve(profile22, 10.0, 1024, 0.2, 0.4, (1e4, 1e5, 1e6))
 
@@ -682,6 +723,17 @@ class TestArgmaxResistance:
     def test_grid_validation(self, profile22, grid, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             argmax_resistance(profile22, 10.0, 1024, 0.2, grid)
+
+    @pytest.mark.parametrize("k, n, v", [(True, 0, None), (0.5, 2.5, 0.2), (10.0, 0, math.nan)])
+    def test_scalars_fail_as_sense_grid_does(self, profile22, k, n, v):
+        # Past its grid, a study checks V_read, k and n in sense_grid's order.
+        grid = (1e4, 1e5)
+        with pytest.raises(ValueError) as first:
+            sense_grid(profile22, grid, k, n, v)
+        for study in (lambda: argmax_resistance(profile22, k, n, v, grid),
+                      lambda: compensation_curve(profile22, k, n, v, 0.4, grid)):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(first.value))}$"):
+                study()
 
 
 class TestCompensationCurve:

@@ -36,7 +36,8 @@ def test_bench_script_reports_every_layer(tmp_path):
     for name in ("find_optimal_range", "argmax_resistance", "sweep_grid", "ablation_series",
                  "compensation_curve", "MarginCurve"):
         assert cases[f"analysis.{name}"]["layer"] == "analysis"
-    for name in ("find_optimal_range", "argmax_resistance", "MarginCurve"):
+    for name in ("find_optimal_range", "argmax_resistance", "ablation_series",
+                 "compensation_curve", "MarginCurve"):
         assert cases[f"analysis.{name}.tuple_grid"]["layer"] == "analysis"
     for n in (64, 1024, 16384):
         assert cases[f"oracle.compare_lumped_distributed.n{n}"]["layer"] == "oracle"

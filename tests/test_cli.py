@@ -15,7 +15,7 @@ from test_golden import GOLDEN_DIGESTS
 
 import crossbar_margin
 from crossbar_margin import CellSpec, ReadSetup, analysis, cli, oracle_margin, profile_io, read_currents
-from crossbar_margin.model import sense_grid
+from crossbar_margin.model import _sensed, sense_grid
 from crossbar_margin.cli import run_cli
 from crossbar_margin.profile_io import dump_profile, load_bundled_profile
 
@@ -102,12 +102,15 @@ class TestOptimalRangeCommand:
     def test_sweeps_the_grid_once(self, capsys, monkeypatch):
         sizes = []
 
-        def counting(profile, r_on, *args, **kwargs):
-            sizes.append(np.size(r_on))
-            return sense_grid(profile, r_on, *args, **kwargs)
+        def counting(entry):
+            def count(profile, r_on, *args, **kwargs):
+                sizes.append(np.size(r_on))
+                return entry(profile, r_on, *args, **kwargs)
+            return count
 
-        for module in (analysis, cli):
-            monkeypatch.setattr(module, "sense_grid", counting)
+        # The studies run the kernel through model._sensed, the CLI through sense_grid.
+        monkeypatch.setattr(analysis, "_sensed", counting(_sensed))
+        monkeypatch.setattr(cli, "sense_grid", counting(sense_grid))
         assert run_cli(["optimal-range", "--k", "10", "--n", "1024", "--json"]) == 0
         assert sizes == [200, 1]  # the argmax sweep, then the margin at the peak
 

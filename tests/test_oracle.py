@@ -340,12 +340,12 @@ class TestCompareLumpedDistributed:
 
         def counting(profile, r_on, ratio_ideal, n_cells, v_read, toggles, engine="lumped"):
             calls.append((np.shape(r_on), type(ratio_ideal), n_cells, engine))
-            return sense_grid(profile, r_on, ratio_ideal, n_cells, v_read, toggles, engine)
+            return model._sensed(profile, r_on, ratio_ideal, n_cells, v_read, toggles, engine)
 
         def per_point(*args, **kwargs):
             raise AssertionError("a margin evaluated point by point")
 
-        monkeypatch.setattr(oracle, "sense_grid", counting)
+        monkeypatch.setattr(oracle, "_sensed", counting)
         for module, name in ((model, "read_currents"), (model, "sense_point"),
                              (oracle, "sense_point"), (oracle, "oracle_margin")):
             monkeypatch.setattr(module, name, per_point)

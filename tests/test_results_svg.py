@@ -109,7 +109,7 @@ COLUMN_KINDS = [
 
 def sequences(length):
     """One block entry of `length` cells: a tuple or list of any column kind, or a
-    float64 or int64 array."""
+    float64, float32 or int64 array."""
     def cells(kind):
         return st.lists(kind, min_size=length, max_size=length)
     kinds = st.sampled_from(COLUMN_KINDS)
@@ -117,6 +117,7 @@ def sequences(length):
         kinds.flatmap(cells).map(tuple),
         kinds.flatmap(cells),
         cells(st.floats()).map(lambda v: np.array(v, dtype=np.float64)),
+        cells(st.floats(width=32)).map(lambda v: np.array(v, dtype=np.float32)),
         cells(st.integers(-(2**63), 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
     )
 
@@ -159,6 +160,9 @@ def out_dir(tmp_path_factory):
 @example(table=ResultTable(header=("x", "y"), blocks=(("", None), (-0.0, np.nan))))
 @example(table=ResultTable(header=("n", "x", "y"), blocks=(
     (64, SHARED, (0.5, 0.25)), ("a,b", SHARED, np.array([1, 2])), (None, (), []))))
+@example(table=ResultTable(header=("f64", "f32", "f16", "long"), blocks=(tuple(
+    np.array([0.1, -0.0, np.nan, -np.inf, 1e-310], dtype=t)
+    for t in (np.float64, np.float32, np.float16, np.longdouble)),)))
 def test_write_csv_matches_cell_by_cell_reference(out_dir, table):
     write_csv(table, out_dir / "columns.csv")
     write_csv_reference(table, out_dir / "cells.csv")

@@ -11,7 +11,7 @@ import numpy as np
 import crossbar_margin
 from crossbar_margin import analysis
 from crossbar_margin.analysis import DEFAULT_N_GRID
-from crossbar_margin.model import sense_grid
+from crossbar_margin.model import _sensed
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scaling_report.py"
 
@@ -32,9 +32,9 @@ def test_scaling_report_sweeps_the_grid_once_per_size(monkeypatch, capsys):
 
     def counting(profile, r_on, *args, **kwargs):
         sizes.append(np.size(r_on))
-        return sense_grid(profile, r_on, *args, **kwargs)
+        return _sensed(profile, r_on, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "sense_grid", counting)
+    monkeypatch.setattr(analysis, "_sensed", counting)
     monkeypatch.setattr(sys, "argv", [str(SCRIPT)])
     runpy.run_path(str(SCRIPT), run_name="__main__")
     assert sizes == [200] * len(DEFAULT_N_GRID)
