@@ -16,7 +16,8 @@ same script times any commit it is copied into.  Five layers:
             all but sweep_grid also as .tuple_grid, on a plain tuple of the
             default grid's values (the design-space workload's kind of grid),
             which they check on every call where the package's grid is
-            pre-checked
+            pre-checked; sweep_grid.toggles4 is a design-space sweep, four
+            toggle sets at one n and one V_read on that tuple
   figures   each figure writer whole, and its write_csv and render_plot
             calls replayed on the same arguments, apart from curve compute;
             validate --grid full --csv, in process
@@ -56,6 +57,7 @@ import numpy as np  # noqa: E402
 
 from crossbar_margin import (  # noqa: E402
     CellSpec,
+    FactorToggles,
     ReadSetup,
     SweepSpec,
     ablation_series,
@@ -156,6 +158,9 @@ def analysis_cases(profile):
     cell, setup = CellSpec(r_on=1e4, ratio_ideal=K), ReadSetup(v_read=V_READ, n_cells=1024)
     row = sense_grid(profile, DEFAULT_R_ON_GRID, K, 1024, V_READ)
     plain = tuple(DEFAULT_R_ON_GRID)
+    toggles4 = SweepSpec(plain, (1024,), (V_READ,), K, (
+        FactorToggles(), FactorToggles(transistor_resistance=False),
+        FactorToggles(line_resistance=False), FactorToggles(leakage=False)))
     yield "analysis.find_optimal_range", lambda: find_optimal_range(profile, K, 1024, V_READ, 0.8)
     yield "analysis.find_optimal_range.tuple_grid", lambda: find_optimal_range(
         profile, K, 1024, V_READ, 0.8, plain)
@@ -164,6 +169,7 @@ def analysis_cases(profile):
     yield "analysis.argmax_resistance.tuple_grid", lambda: argmax_resistance(
         profile, K, 1024, V_READ, plain)
     yield "analysis.sweep_grid", lambda: sweep_grid(spec, profile)
+    yield "analysis.sweep_grid.toggles4", lambda: sweep_grid(toggles4, profile)
     yield "analysis.ablation_series", lambda: ablation_series(profile, cell, setup)
     yield "analysis.ablation_series.tuple_grid", lambda: ablation_series(
         profile, cell, setup, plain)

@@ -3,8 +3,12 @@
 A Grid is a tuple checked when built (numbers, non-empty, strictly
 increasing, finite): the grid constants, SweepSpec's grids, each
 MarginCurve's x.  A study checks each input once, at entry (an R_on Grid by
-its least value, any other grid by the input domain and then by shape), and
-makes each curve from one model._sensed call, sense_grid's unchecked part.
+its least value, any other grid by the input domain and then by shape),
+and then calls model._sensed, sense_grid's unchecked part.  A study
+computes each plane of toggle sets (a sweep's at each read voltage, the
+ablation's four variants) in one such call and takes each curve from a row
+of it; a plane that fails falls back to one call per slice, so that each
+slice keeps its own error.
 
 The optimal R_on band needs no sweep at all.  With S = R_T + n*r,
 L = (n-1)*I_leak, drive V, fabricated ratio k and threshold t, the lumped
@@ -179,23 +183,24 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     """One margin-versus-r_on curve per (toggles, v_read, n) slice.
 
     Slices iterate in that nesting order, so the output ordering is
-    deterministic for a given spec.  A slice the model fails on (SolverError
-    or ValueError, say a read voltage outside the leakage table) is dropped
-    with a warning naming it and the error; the sweep itself fails,
-    re-raising the first error, only when no slice survives.
+    deterministic for a given spec.  Each read voltage is one model._sensed
+    call over its (toggles, n, R_on) plane, and each curve a row of it.  A
+    slice the model fails on (SolverError or ValueError, say a read voltage
+    outside the leakage table) is dropped with a warning naming it and the
+    error: a failing plane is computed again slice by slice, so that each
+    slice keeps its own error.  The sweep itself fails, re-raising the first
+    error, only when no slice survives.
     """
+    r_on = _r_on_grid(spec.r_on_grid)[1]
+    planes = [_sweep_plane(spec, profile, r_on, v_read) for v_read in spec.v_read_grid]
     curves = []
     dropped: list[tuple[str, Exception]] = []
-    r_on = _r_on_grid(spec.r_on_grid)[1]
-    for toggles in spec.toggles:
-        for v_read in spec.v_read_grid:
-            for n in spec.n_grid:
+    for t, toggles in enumerate(spec.toggles):
+        for v_read, plane in zip(spec.v_read_grid, planes):
+            for n, grid in zip(spec.n_grid, plane[t]):
                 label = f"{toggles.describe()}, V={v_read:g}V, n={n}"
-                try:  # the spec's grids hold numbers, and float() is _checked's conversion
-                    grid = _sensed(profile, r_on, spec.ratio_ideal, n, float(v_read), toggles,
-                                   spec.engine)
-                except (SolverError, ValueError) as exc:
-                    dropped.append((label, exc))
+                if isinstance(grid, Exception):
+                    dropped.append((label, grid))
                     continue
                 meta = {
                     "n_cells": n,
@@ -212,6 +217,29 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     return curves
 
 
+def _sweep_plane(spec: SweepSpec, profile: TechnologyProfile, r_on: np.ndarray,
+                 v_read: float) -> list[list]:
+    """A sweep's slices at one read voltage, [toggles][n]: each slice's four arrays, a row
+    of one kernel call over the plane or, where that call fails, of the slice's own call,
+    or the SolverError or ValueError that the slice's own call raised."""
+    n_column = np.fromiter(spec.n_grid, float, len(spec.n_grid))[:, None]
+    v_read = float(v_read)  # the spec's grids hold numbers, and float() is _checked's conversion
+    k, engine = spec.ratio_ideal, spec.engine
+    plane = _sensed_or_error(profile, r_on, k, n_column, v_read, spec.toggles, engine)
+    if isinstance(plane, Exception):
+        return [[_sensed_or_error(profile, r_on, k, n, v_read, toggles, engine)
+                 for n in spec.n_grid] for toggles in spec.toggles]
+    return [list(zip(*rows)) for rows in zip(*plane)]
+
+
+def _sensed_or_error(*args):
+    """model._sensed(*args), or the SolverError or ValueError it raised."""
+    try:
+        return _sensed(*args)
+    except (SolverError, ValueError) as exc:
+        return exc
+
+
 # ablation_series' variants: the baseline, then one factor switched off at a time.
 _ABLATION_VARIANTS = (
     ("baseline", FactorToggles()),
@@ -219,6 +247,7 @@ _ABLATION_VARIANTS = (
     ("-r", FactorToggles(line_resistance=False)),
     ("-I_Tleak", FactorToggles(leakage=False)),
 )
+_ABLATION_TOGGLES = tuple(toggles for _, toggles in _ABLATION_VARIANTS)
 
 
 def ablation_series(
@@ -237,9 +266,13 @@ def ablation_series(
     if setup.toggles != FactorToggles():
         raise ValueError("ablation baseline requires all factors enabled")
     r_on_grid, r_on = _r_on_grid(r_on_grid)
+    args = (profile, r_on, cell.ratio_ideal, setup.n_cells, setup.v_read)
+    try:  # one kernel call for the four variants, each curve a row of it
+        grids = zip(*_sensed(*args, _ABLATION_TOGGLES))
+    except (SolverError, ValueError):  # the first variant that fails names the error
+        grids = [_sensed(*args, toggles) for toggles in _ABLATION_TOGGLES]
     series = []
-    for label, toggles in _ABLATION_VARIANTS:
-        grid = _sensed(profile, r_on, cell.ratio_ideal, setup.n_cells, setup.v_read, toggles)
+    for (label, toggles), grid in zip(_ABLATION_VARIANTS, grids):
         meta = {
             "n_cells": setup.n_cells,
             "v_read": setup.v_read,
@@ -265,7 +298,7 @@ def find_optimal_range(
     """Maximal r_on interval within the grid's span whose margin stays at
     or above threshold: the band of the module docstring, exactly.
 
-    Its ends are the roots q/a and c/q, q = -(b + sqrt(b**2 - 4*a*c))/2,
+    Its ends are the roots q/a and c/q, q = -(b + sgn(b)*sqrt(b**2 - 4*a*c))/2,
     and the margin peaks between them at R* = sqrt(S*(S + V/L)/k).
     Without leakage (n = 1) there is no upper end; for threshold*k <= 1
     every r_on qualifies.  The band is clipped to the grid's ends, and
@@ -290,7 +323,7 @@ def find_optimal_range(
         disc = b * b - 4 * a * c
         if disc < 0:  # the peak falls short; b < 0 gives two roots below 0
             return None
-        q = -(b + math.sqrt(disc)) / 2
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2  # free of cancellation
         lo, hi = c / q, q / a
     else:  # b > 0 and the quadratic term vanishes or helps: R >= -c/b
         lo, hi = -c / b, math.inf

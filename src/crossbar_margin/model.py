@@ -21,8 +21,10 @@ leakage I_Tleak) can be switched off individually for ablation studies.
 sense_grid checks its inputs and evaluates this over arrays of R_on and n,
 for this model and for the oracle module's distributed ladder, which for
 the worst-case cell differs only in its drive term.  The studies check
-their inputs once and call its unchecked part, _sensed; read_currents and
-oracle.oracle_margin are its scalar views on a CellSpec and a ReadSetup.
+their inputs once and call its unchecked part, _sensed, which also takes a
+tuple of toggle sets as a leading axis, so that a study computes each plane
+of toggle sets in one kernel call; read_currents and oracle.oracle_margin
+are its scalar views on a CellSpec and a ReadSetup.
 
 Leakage is a measured function of read voltage, carried as a table on the
 technology profile; lookups interpolate linearly between measured points
@@ -267,10 +269,18 @@ def leakage_at(profile: TechnologyProfile, v_read: float) -> float:
 
 
 def element_values(
-    profile: TechnologyProfile, toggles: FactorToggles, v_read: float
-) -> tuple[float, float, float]:
+    profile: TechnologyProfile, toggles: FactorToggles | tuple[FactorToggles, ...],
+    v_read: float,
+) -> tuple:
     """(r_line, r_t, i_leak) with toggled-off factors as exact zeros, so
-    that both engines degenerate the same way."""
+    that both engines degenerate the same way: three floats for one
+    FactorToggles, three float64 arrays with one entry per set for a tuple
+    of them (a plane of toggle sets, one leakage lookup)."""
+    if isinstance(toggles, tuple):  # x * True is x and x * False is 0.0, for finite x >= 0
+        on = np.array([(t.line_resistance, t.transistor_resistance, t.leakage)
+                       for t in toggles]).T
+        i_leak = leakage_at(profile, v_read) if on[2].any() else 0.0
+        return on[0] * profile.r_unit, on[1] * profile.r_transistor, on[2] * i_leak
     return (
         profile.r_unit if toggles.line_resistance else 0.0,
         profile.r_transistor if toggles.transistor_resistance else 0.0,
@@ -305,8 +315,12 @@ def _all(ok) -> bool:
 def _sense(profile, r_on, ratio_ideal, n, v_read, toggles, engine):
     """sense_grid's kernel, on valid inputs: r_on and n are float arrays
     that broadcast against each other, or Python scalars as sense_point
-    passes them."""
+    passes them.  A tuple of toggle sets adds a leading axis, one entry
+    per set, to the grid."""
     r_line, r_t, i_leak = element_values(profile, toggles, v_read)
+    if isinstance(toggles, tuple):  # each set's values against the whole R_on x n grid
+        axes = (-1,) + (1,) * max(np.ndim(r_on), np.ndim(n))
+        r_line, r_t, i_leak = r_line.reshape(axes), r_t.reshape(axes), i_leak.reshape(axes)
     r_off = ratio_ideal * r_on
     leak_total = (n - 1.0) * i_leak
     if engine == "lumped":
@@ -315,9 +329,13 @@ def _sense(profile, r_on, ratio_ideal, n, v_read, toggles, engine):
     elif engine == "oracle":
         drive = _worst_case_drive(v_read, i_leak, r_line, n)
         if not _all(drive > 0):
+            unread = np.asarray(drive <= 0)
+            if isinstance(toggles, tuple):  # the first toggle set that fails names the error
+                at = int(np.argwhere(unread)[0, 0])
+                i_leak, r_line, unread = i_leak.flat[at], r_line.flat[at], unread[at]
             bound = _largest_readable_n(v_read, i_leak, r_line)
             raise SolverError(
-                f"column of n={int(np.asarray(n)[np.asarray(drive <= 0)].min())}"
+                f"column of n={int(np.broadcast_to(n, unread.shape)[unread].min())}"
                 f" cells cannot be read at V_read={v_read:g} V: leakage IR drop"
                 f" on the worst-case path reaches the read voltage; the largest"
                 f" readable column has n={bound}"
@@ -384,14 +402,19 @@ def sense_grid(
         r_on = np.empty(shape)
     r_on = _array("r_on", r_on)
     n = _array("n_cells", n if r_on.size else np.broadcast_to(n, r_on.shape))
-    if k_array:  # its kernel errors name the grid shape
-        r_on, n = np.broadcast_arrays(r_on, n)
+    if k_array:  # all four results, and the kernel's errors, take the broadcast shape
+        r_on, n, _ = np.broadcast_arrays(r_on, n, ratio_ideal)
     return _sensed(profile, r_on, ratio_ideal, n, v_read, toggles, engine)
 
 
 def _sensed(profile, r_on, ratio_ideal, n, v_read, toggles=FactorToggles(), engine="lumped"):
     """sense_grid on inputs it would accept, already checked: r_on and n arrays or numbers
-    (converted to float64 here), ratio_ideal a float or float array, v_read a float."""
+    (converted to float64 here), ratio_ideal a float or float array, v_read a float.
+
+    toggles is one FactorToggles, or a tuple of them: a plane, whose four arrays carry one
+    leading entry per set, each bit for bit that set's own call, in one kernel call.  A
+    failing plane raises the SolverError or ValueError of one of its sets, not always the
+    first set's own; a study that names its slices calls them one by one after that."""
     # Overflow and underflow are reported as SolverError, not as warnings; n is
     # converted as Python's int * float does, exactly below 2**53.
     r_on, n = np.asarray(r_on, dtype=float), np.asarray(n, dtype=float)

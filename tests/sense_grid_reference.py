@@ -107,6 +107,8 @@ def sense_grid_reference(
     _require("r_on", r_on, np.isfinite(r_on) & (r_on > 0), "finite and > 0")
     _require("n_cells", n, np.array(n.dtype.kind in "iu"), "integers")
     _require("n_cells", n, n >= 1, ">= 1")
+    if isinstance(ratio_ideal, np.ndarray):  # all four results take the broadcast shape
+        r_on, n, _ = np.broadcast_arrays(r_on, n, ratio_ideal)
     # Overflow and underflow are reported as SolverError, not as warnings; n is
     # converted as Python's int * float does, exactly below 2**53.
     with np.errstate(all="ignore"):

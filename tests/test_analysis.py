@@ -20,6 +20,7 @@ from crossbar_margin import (
     MarginCurve,
     ReadSetup,
     SenseResult,
+    SolverError,
     SweepSpec,
     ablation_series,
     argmax_resistance,
@@ -208,6 +209,70 @@ class TestSweepGrid:
         spec = SweepSpec((1e4, 1e5), (64,), (0.2, 0.4), 10.0)
         with pytest.raises(TypeError, match="^defect in one slice$"):
             sweep_grid(spec, profile22)
+
+    @pytest.mark.parametrize("engine", ["lumped", "oracle"])
+    def test_plane_rows_bit_identical_to_slice_calls(self, profile22, engine):
+        # Leakage off, and all factors off, take the kernel's _where branch for only
+        # part of a plane; n = 1 has no leakage either.
+        toggles = (FactorToggles(), FactorToggles(leakage=False),
+                   FactorToggles(False, False, False),
+                   FactorToggles(transistor_resistance=False),
+                   FactorToggles(line_resistance=False))
+        spec = SweepSpec(COARSE_R_ON_GRID, (1, 64, 1024, 16384), (0.2, 0.35, 0.6), 7.5,
+                         toggles, engine)
+        curves = sweep_grid(spec, profile22)
+        assert len(curves) == 5 * 3 * 4
+        for curve in curves:
+            meta = curve.meta
+            want = sense_grid(profile22, spec.r_on_grid, 7.5, meta["n_cells"], meta["v_read"],
+                              meta["toggles"], engine)
+            assert curve.x == spec.r_on_grid
+            assert np.array(curve.y).tobytes() == want[3].tobytes()
+            assert [a.tobytes() for a in curve.sensed] == [w.tobytes() for w in want]
+
+    def test_failing_plane_falls_back_slice_by_slice(self, profile22):
+        # At 0.1 V the leakage table has no value, and at 0.2 V a column of 70000 cells
+        # cannot be read with leakage on: both planes fail, some of their slices do not.
+        spec = SweepSpec((1e4, 1e5), (64, 70000), (0.1, 0.2), 10.0,
+                         (FactorToggles(), FactorToggles(leakage=False)), "oracle")
+        with pytest.warns(UserWarning) as dropped:
+            curves = sweep_grid(spec, profile22)
+        assert [c.label for c in curves] == [
+            "r+R_T+I_Tleak, V=0.2V, n=64",
+            "r+R_T, V=0.1V, n=64",
+            "r+R_T, V=0.1V, n=70000",
+            "r+R_T, V=0.2V, n=64",
+            "r+R_T, V=0.2V, n=70000",
+        ]
+        table = ("read voltage 0.1 V outside leakage table range [0.2 V, 0.6 V]"
+                 " of profile '22nm-FDSOI'")
+        assert [str(w.message) for w in dropped] == [
+            f"sweep slice r+R_T+I_Tleak, V=0.1V, n=64 dropped: {table}",
+            f"sweep slice r+R_T+I_Tleak, V=0.1V, n=70000 dropped: {table}",
+            "sweep slice r+R_T+I_Tleak, V=0.2V, n=70000 dropped: column of n=70000 cells"
+            " cannot be read at V_read=0.2 V: leakage IR drop on the worst-case path"
+            " reaches the read voltage; the largest readable column has n=63246",
+        ]
+        for curve in curves:
+            meta = curve.meta
+            want = sense_grid(profile22, (1e4, 1e5), 10.0, meta["n_cells"], meta["v_read"],
+                              meta["toggles"], "oracle")
+            assert [a.tobytes() for a in curve.sensed] == [w.tobytes() for w in want]
+
+    def test_one_kernel_call_per_read_voltage(self, profile22, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[5])
+            return _sensed(*args)
+
+        monkeypatch.setattr(analysis, "_sensed", counting)
+        toggles = (FactorToggles(), FactorToggles(leakage=False), FactorToggles(False, True))
+        sweep_grid(SweepSpec((1e4, 1e5), (64, 128), (0.2, 0.4), 10.0, toggles), profile22)
+        assert calls == [toggles, toggles]
+        calls.clear()
+        ablation_series(profile22, CellSpec(1e4, 10.0), ReadSetup(0.2, 64), (1e4, 1e5))
+        assert len(calls) == 1 and len(calls[0]) == 4
 
     def test_total_failure_raises(self, profile22):
         spec = SweepSpec(
@@ -533,6 +598,41 @@ class TestAblationSeries:
         assert gain_r[0] > gain_leak[0]
         assert gain_r[1] < gain_leak[1]
 
+    @pytest.mark.parametrize("plane_fails", [False, True], ids=["plane", "fallback"])
+    def test_curves_bit_identical_to_variant_calls(self, profile22, monkeypatch,
+                                                   plane_fails):
+        def failing_planes(profile, r_on, k, n, v_read, toggles, *args):
+            if isinstance(toggles, tuple):
+                raise SolverError("plane")
+            return _sensed(profile, r_on, k, n, v_read, toggles, *args)
+
+        if plane_fails:  # the variants are then computed one by one
+            monkeypatch.setattr(analysis, "_sensed", failing_planes)
+        for n, v in ((1, 0.2), (64, 0.4), (16384, 0.6)):
+            series = ablation_series(profile22, CellSpec(1e4, 10.0), ReadSetup(v, n),
+                                     COARSE_R_ON_GRID)
+            for (label, curve), (_, toggles) in zip(series, analysis._ABLATION_VARIANTS):
+                want = sense_grid(profile22, COARSE_R_ON_GRID, 10.0, n, v, toggles)
+                assert curve.meta["toggles"] == toggles and curve.x == COARSE_R_ON_GRID
+                assert np.array(curve.y).tobytes() == want[3].tobytes()
+                assert [a.tobytes() for a in curve.sensed] == [w.tobytes() for w in want]
+
+    def test_a_failing_plane_raises_the_first_failing_variants_error(self, profile22,
+                                                                     monkeypatch):
+        errors = {FactorToggles(line_resistance=False): SolverError("-r fails"),
+                  FactorToggles(leakage=False): ValueError("-I_Tleak fails")}
+
+        def failing(profile, r_on, k, n, v_read, toggles, *args):
+            if isinstance(toggles, tuple):
+                raise ValueError("plane fails")
+            if toggles in errors:
+                raise errors[toggles]
+            return _sensed(profile, r_on, k, n, v_read, toggles, *args)
+
+        monkeypatch.setattr(analysis, "_sensed", failing)
+        with pytest.raises(SolverError, match="^-r fails$"):
+            ablation_series(profile22, CellSpec(1e4, 10.0), ReadSetup(0.2, 64), (1e4, 1e5))
+
     def test_requires_all_factors_enabled(self, profile22):
         with pytest.raises(ValueError):
             ablation_series(
@@ -567,6 +667,12 @@ class TestFindOptimalRange:
             read_currents(profile22, CellSpec(r_high * 1.02, 10), setup).margin_normalized
             < 0.80
         )
+
+    @pytest.mark.parametrize("k", [1e19, 2**64])
+    def test_large_ratio_with_both_roots_below_zero_returns_none(self, profile22, k):
+        # b < 0 here, where the root form without copysign cancels to q = 0.
+        assert find_optimal_range(profile22, k, 16384, 0.4, 0.8) is None
+        assert sense_grid(profile22, DENSE_GRID, k, 16384, 0.4)[3].max() < 1e-17
 
     def test_threshold_above_peak_returns_none(self, profile22):
         assert find_optimal_range(profile22, 10.0, 4096, 0.2, 0.99) is None

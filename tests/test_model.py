@@ -327,6 +327,50 @@ class TestSenseGrid:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sense_grid(profile22, *args)
 
+    @pytest.mark.parametrize("r_on, n", [(1e4, 64), ([1e4], np.array([64]))])
+    def test_a_longer_k_array_sets_the_shape_of_all_four(self, profile22, r_on, n):
+        grid = sense_grid(profile22, r_on, [10.0, 20.0], n, 0.2)
+        assert [a.shape for a in grid] == [(2,)] * 4
+        for i, k in enumerate((10.0, 20.0)):
+            want = sense_grid(profile22, 1e4, k, 64, 0.2)
+            assert [a[i].tobytes() for a in grid] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_toggle_sets_lead_the_grid(self, profile22, engine):
+        # model._sensed on a tuple of toggle sets: one leading entry per set, each bit for
+        # bit that set's own call, for an R_on row, an n column and scalars.
+        sets = tuple(FactorToggles(*bits) for bits in product((True, False), repeat=3))
+        for r_on, n in ((np.array([1e4, 3e5, 1e7]), np.array([[1.0], [64.0], [16384.0]])),
+                        (np.array([1e4, 3e5]), 1024), (2e4, 512)):
+            plane = model._sensed(profile22, r_on, 10.0, n, 0.35, sets, engine)
+            assert [a.shape for a in plane] == [(8, *np.broadcast_shapes(
+                np.shape(r_on), np.shape(n)))] * 4
+            for t, toggles in enumerate(sets):
+                want = model._sensed(profile22, r_on, 10.0, n, 0.35, toggles, engine)
+                assert [a[t].tobytes() for a in plane] == [w.tobytes() for w in want]
+
+    def test_toggle_sets_share_one_leakage_lookup(self, profile22, monkeypatch):
+        looked_up = []
+        monkeypatch.setattr(model, "leakage_at",
+                            lambda *args: looked_up.append(args) or leakage_at(*args))
+        sets = (FactorToggles(), FactorToggles(leakage=False), FactorToggles(True, False))
+        r_line, r_t, i_leak = model.element_values(profile22, sets, 0.4)
+        assert len(looked_up) == 1
+        assert (r_line.tolist(), r_t.tolist(), i_leak.tolist()) == (
+            [2.5, 2.5, 2.5], [1700.0, 1700.0, 0.0], [5.5e-11, 0.0, 5.5e-11])
+        no_leakage = model.element_values(profile22, (FactorToggles(leakage=False),), 0.9)
+        assert no_leakage[2].tolist() == [0.0]  # no lookup, so no LeakageRangeError
+
+    def test_toggle_sets_past_breakdown_name_the_first_failing_set(self, profile22):
+        sets = (FactorToggles(leakage=False), FactorToggles(),
+                FactorToggles(line_resistance=False))
+        with pytest.raises(SolverError) as want:
+            model._sensed(profile22, np.array([1e4]), 10.0, 70000, 0.2, sets[1], "oracle")
+        for n in (70000, np.array([[64.0], [70000.0]])):
+            with pytest.raises(SolverError) as got:
+                model._sensed(profile22, np.array([1e4]), 10.0, n, 0.2, sets, "oracle")
+            assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("toggles", [FactorToggles(), FactorToggles(False, False, False)])
     @pytest.mark.parametrize("k", [10.0, 10])
     def test_scalar_inputs_give_0d_float64_arrays(self, profile22, toggles, k):
