@@ -403,7 +403,7 @@ def sense_grid(
     r_on = _array("r_on", r_on)
     n = _array("n_cells", n if r_on.size else np.broadcast_to(n, r_on.shape))
     if k_array:  # all four results, and the kernel's errors, take the broadcast shape
-        r_on, n, _ = np.broadcast_arrays(r_on, n, ratio_ideal)
+        r_on, n, _ = np.broadcast_arrays(*np.broadcast_arrays(r_on, n), ratio_ideal)
     return _sensed(profile, r_on, ratio_ideal, n, v_read, toggles, engine)
 
 
