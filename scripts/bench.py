@@ -8,7 +8,8 @@ same script times any commit it is copied into.  Five layers:
 
   model     one read_currents point; sense_grid over the default R_on x n grid
             and, per engine, over one R_on row at n = 1024
-  oracle    oracle_margin, solve_column and kcl_residuals as n grows, and
+  oracle    oracle_margin and the network stages build_column, solve_column,
+            kcl_residuals and kvl_loop_residual as n grows, and
             compare_lumped_distributed over 20 log-spaced cells at n = 64, 1024
             and 16384 (the oracle-validation workload's shape)
   analysis  find_optimal_range, argmax_resistance, sweep_grid, ablation_series
@@ -67,6 +68,7 @@ from crossbar_margin import (  # noqa: E402
     compensation_curve,
     find_optimal_range,
     kcl_residuals,
+    kvl_loop_residual,
     load_bundled_profile,
     oracle_margin,
     read_currents,
@@ -144,8 +146,10 @@ def oracle_cases(profile):
         net = build_column(profile, cell, setup, "on")
         sol = solve_column(net)
         yield f"oracle.oracle_margin.n{n}", lambda s=setup: oracle_margin(profile, cell, s)
+        yield f"oracle.build_column.n{n}", lambda s=setup: build_column(profile, cell, s, "on")
         yield f"oracle.solve_column.n{n}", lambda net=net: solve_column(net)
         yield f"oracle.kcl_residuals.n{n}", lambda net=net, sol=sol: kcl_residuals(net, sol)
+        yield f"oracle.kvl_loop_residual.n{n}", lambda net=net, sol=sol: kvl_loop_residual(net, sol)
     cells = [CellSpec(r_on=r, ratio_ideal=K) for r in COMPARE_R_ON]
     for n in COMPARE_N:
         setups = [ReadSetup(v_read=V_READ, n_cells=n)]

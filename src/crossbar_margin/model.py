@@ -64,7 +64,7 @@ _DOMAIN = {
     **dict.fromkeys(("leakage_table voltage", "v_drive"),
                     (*_NUMBER, "finite", lambda x: abs(x) < math.inf)),
     "ratio_ideal": (*_NUMBER, "finite and >= 1", lambda x: (x >= 1) & (x < math.inf)),
-    "n_cells": (*_INTEGER, ">= 1", lambda x: x >= 1),
+    **dict.fromkeys(("n_cells", "selected_index"), (*_INTEGER, ">= 1", lambda x: x >= 1)),
 }
 
 

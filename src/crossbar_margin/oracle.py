@@ -67,8 +67,8 @@ class ColumnNetwork:
     """Distributed description of one column read.
 
     selected_index counts cells from the drive end, 1-based; the cell at
-    n_cells is the worst case (its path crosses every segment the others
-    share).
+    n_cells is the far end, whose path crosses every bit-line segment.  It
+    is not the cell with the most leakage on its path (ROADMAP item 3).
     """
 
     n_cells: int
@@ -79,12 +79,12 @@ class ColumnNetwork:
     v_drive: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_cells", _checked("n_cells", self.n_cells))
-        if not (1 <= self.selected_index <= self.n_cells):
-            raise ValueError(
-                f"selected_index must lie in [1, {self.n_cells}], "
-                f"got {self.selected_index}"
-            )
+        n = _checked("n_cells", self.n_cells)
+        index = _checked("selected_index", self.selected_index)
+        if index > n:
+            raise ValueError(f"selected_index must lie in [1, {n}], got {index}")
+        object.__setattr__(self, "n_cells", n)
+        object.__setattr__(self, "selected_index", index)
         for name in ("r_segment", "r_cell_on_path", "i_leak_per_cell", "v_drive"):
             _checked(name, getattr(self, name))
 
@@ -122,7 +122,7 @@ def build_column(
 
     state is "on" or "off"; toggled-off factors enter as exact zeros so
     the network degenerates the same way the lumped model does.  The
-    selected position defaults to the far (worst-case) end.
+    selected position defaults to the far end, n_cells (ROADMAP item 3).
     """
     if state not in ("on", "off"):
         raise ValueError(f'state must be "on" or "off", got {state!r}')
@@ -144,13 +144,14 @@ def solve_column(net: ColumnNetwork) -> NetworkSolution:
     Every bit-line segment j carries the cell current (if the selected
     cell lies at or beyond j) plus the leakage of the unselected cells at
     or beyond j; source-line segments mirror this toward the sense.  The
-    loop through the selected cell then fixes the cell current:
+    loop through the selected cell s then fixes the cell current:
 
         i_cell = (V - I_leak * r * W) / (r_cell + n * r)
 
-    with W counting, over the n segments of the selected path, how many
-    leakage extractions each one carries.  Raises SolverError if the
-    element values admit no finite solution.
+    with W = s(n+1-s) - n + n(n-1)/2 counting, over the n segments of the
+    selected path, how many leakage extractions each one carries.  W is
+    n(n-1)/2 at s = 1 and s = n and largest at s = (n+1)//2.  Raises
+    SolverError if the element values admit no finite solution.
     """
     n = net.n_cells
     sel = net.selected_index
@@ -158,17 +159,9 @@ def solve_column(net: ColumnNetwork) -> NetworkSolution:
     i_leak = net.i_leak_per_cell
     v = net.v_drive
 
-    unselected = np.ones(n, dtype=np.int64)
-    unselected[sel - 1] = 0
-    # leak_at_or_beyond[j-1] = unselected cells in [j, n]; leak_up_to[j-1] in [1, j]
-    leak_at_or_beyond = np.cumsum(unselected[::-1])[::-1]
-    leak_up_to = np.cumsum(unselected)
-
-    # Leakage extractions crossed by the selected path: bit-line segments
-    # 1..sel plus source-line segments sel..n-1.  Integer arithmetic, exact.
-    w = int(leak_at_or_beyond[:sel].sum())
-    if sel <= n - 1:
-        w += int(leak_up_to[sel - 1 : n - 1].sum())
+    # Bit-line segment j <= sel carries the n-j unselected cells in [j, n];
+    # source-line segment j >= sel carries the j-1 in [1, j].  Integer, exact.
+    w = sel * (n + 1 - sel) - n + n * (n - 1) // 2
 
     denominator = net.r_cell_on_path + n * r
     i_cell = (v - i_leak * r * float(w)) / denominator
@@ -178,14 +171,29 @@ def solve_column(net: ColumnNetwork) -> NetworkSolution:
             f"(r_cell_on_path={net.r_cell_on_path:g}, n*r={n * r:g})"
         )
 
-    idx = np.arange(1, n + 1)
-    f_bl = i_cell * (idx <= sel) + i_leak * leak_at_or_beyond
-    f_sl = i_cell * (idx[: n - 1] >= sel) + i_leak * leak_up_to[: n - 1]
+    # bl first holds leak[k], the leakage of k cells (k < n).  Bit-line
+    # segment j carries n-j unselected cells up to sel and n-j+1 past it;
+    # source-line segment j carries j below sel and j-1 from sel on.  Where
+    # the cell current does not flow, i_cell * 0.0 is still added: every
+    # entry is the sum i_cell * [flows] + leakage, signed zeros included.
+    bl = leak = np.arange(n, dtype=float)
+    leak *= i_leak
+    down = leak[::-1]  # down[k] = leak[n - 1 - k]
+    no_cell = i_cell * 0.0
+    f_bl = np.empty(n)
+    np.add(down[:sel], i_cell, out=f_bl[:sel])
+    np.add(down[sel - 1 : n - 1], no_cell, out=f_bl[sel:])
+    f_sl = np.empty(n - 1)
+    np.add(leak[1:sel], no_cell, out=f_sl[: sel - 1])
+    np.add(leak[sel - 1 : n - 1], i_cell, out=f_sl[sel - 1 :])
 
-    bl = v - r * np.cumsum(f_bl)
-    sl = np.zeros(n)
-    if n >= 2:
-        sl[: n - 1] = r * np.cumsum(f_sl[::-1])[::-1]
+    np.cumsum(f_bl, out=bl)
+    bl *= r
+    np.subtract(v, bl, out=bl)
+    sl = np.empty(n)
+    sl[n - 1] = 0.0
+    np.cumsum(f_sl[::-1], out=sl[: n - 1][::-1])
+    sl[: n - 1] *= r
 
     # Current into the sense node: last source-line segment plus the end
     # cell's own contribution (the selected resistor or its leakage).
@@ -211,20 +219,47 @@ def kcl_residuals(net: ColumnNetwork, sol: NetworkSolution) -> np.ndarray:
     by the n-1 source-line nodes.
     """
     n, sel = net.n_cells, net.selected_index
+    i_leak, i_cell = net.i_leak_per_cell, sol.i_selected_cell
     f_bl, f_sl = sol.bl_segment_currents, sol.sl_segment_currents
+    tiny = np.finfo(float).tiny
+    residuals, scale = np.empty(2 * n - 1), np.empty(n)
     # Cell j carries its current from bit-line node j to source-line node j;
-    # a line current past either end of a line is 0.
-    cell = np.full(n, net.i_leak_per_cell)
-    cell[sel - 1] = sol.i_selected_cell
-    bl_out = np.concatenate((f_bl[1:], [0.0]))
-    sl_in = np.concatenate(([0.0], f_sl))[: n - 1]
-    residuals = np.concatenate((f_bl - bl_out - cell, sl_in + cell[: n - 1] - f_sl))
-    scales = np.concatenate((
-        np.maximum(np.maximum(abs(f_bl), abs(bl_out)), abs(cell)),
-        np.maximum(np.maximum(abs(sl_in), abs(cell[: n - 1])), abs(f_sl)),
-    ))
-    scales = np.maximum(scales, np.finfo(float).tiny)
-    return np.abs(residuals) / scales
+    # a line current past either end of a line is 0.  Each line's nodes are
+    # filled as an unselected cell's, node sel is patched, and the line's
+    # |f| is staged in its residuals before they are computed.
+    res = residuals[:n]
+    np.abs(f_bl, out=res)
+    np.maximum(res[:-1], res[1:], out=scale[:-1])
+    scale[-1] = res[-1]  # max(|f|, 0.0) is |f|
+    line_scale = scale[sel - 1]
+    np.maximum(scale, abs(i_leak), out=scale)
+    scale[sel - 1] = np.maximum(line_scale, abs(i_cell))
+    np.subtract(f_bl[:-1], f_bl[1:], out=res[:-1])
+    res[-1] = f_bl[-1]  # f - 0.0 is f
+    res -= i_leak
+    outflow = f_bl[sel] if sel < n else 0.0
+    res[sel - 1] = f_bl[sel - 1] - outflow - i_cell
+    np.maximum(scale, tiny, out=scale)
+    np.abs(res, out=res)
+    res /= scale
+
+    res, scale = residuals[n:], scale[: n - 1]
+    np.abs(f_sl, out=res)
+    scale[:1] = abs(i_leak)  # max(0.0, |i_leak|); [:1] is empty when n = 1
+    np.maximum(res[:-1], abs(i_leak), out=scale[1:])
+    if sel < n:
+        inflow = f_sl[sel - 2] if sel > 1 else 0.0
+        scale[sel - 1] = np.maximum(abs(inflow), abs(i_cell))
+    np.maximum(scale, res, out=scale)
+    res[:1] = 0.0 + i_leak
+    np.add(f_sl[:-1], i_leak, out=res[1:])
+    if sel < n:
+        res[sel - 1] = inflow + i_cell
+    res -= f_sl
+    np.maximum(scale, tiny, out=scale)
+    np.abs(res, out=res)
+    res /= scale
+    return residuals
 
 
 def kvl_loop_residual(net: ColumnNetwork, sol: NetworkSolution) -> float:
@@ -235,10 +270,40 @@ def kvl_loop_residual(net: ColumnNetwork, sol: NetworkSolution) -> float:
     sensitive to single-ulp defects.
     """
     n, sel, r = net.n_cells, net.selected_index, net.r_segment
-    drops = (r * sol.bl_segment_currents[:sel]).tolist()
-    drops += (r * sol.sl_segment_currents[sel - 1 : n - 1]).tolist()
-    drops.append(sol.i_selected_cell * net.r_cell_on_path)
-    return abs(math.fsum(drops) - net.v_drive) / abs(net.v_drive)
+    drops = np.empty(n + 1)
+    np.multiply(sol.bl_segment_currents[:sel], r, out=drops[:sel])
+    np.multiply(sol.sl_segment_currents[sel - 1 : n - 1], r, out=drops[sel:n])
+    drops[n] = sol.i_selected_cell * net.r_cell_on_path
+    return abs(_exact_sum(drops) - net.v_drive) / abs(net.v_drive)
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()), the correctly rounded sum, bit for bit, in array passes.
+
+    Each pass splits x error-free into q + (x - q), with q = (x + sigma) - sigma
+    for sigma = 2**(e + b), max|x| < 2**e and len(x) < 2**b: every q is a
+    multiple of 2**(e + b - 53) and their sum stays below sigma, so q.sum() is
+    exact in any order, and the remainder is at most 2**(e + b - 53) (Rump,
+    Ogita & Oishi, SIAM J. Sci. Comput. 2008, ExtractVector).  After at most
+    three passes fsum rounds the exact partial sums and what is left.  All
+    zeros, inf, NaN or |x| >= 2**900 go to fsum whole, and so do fewer than
+    1024 values (the list is cheaper than the passes) and 2**26 or more (the
+    partial sums would no longer be exact).
+    """
+    bits = len(x).bit_length()
+    if not (10 < bits <= 26 and 0.0 < (top := max(x.max(), -x.min())) < 2.0**900):
+        return math.fsum(x.tolist())
+    partials, q, rest = [], np.empty_like(x), None
+    for _ in range(3):
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + bits)
+        np.add(x, sigma, out=q)
+        q -= sigma
+        partials.append(float(q.sum()))
+        x = rest = np.subtract(x, q, out=rest)  # a new array on the first pass only
+        top = max(x.max(), -x.min())
+        if top == 0.0:
+            break
+    return math.fsum(partials + x[x != 0.0].tolist())
 
 
 def oracle_margin(

@@ -69,6 +69,9 @@ def routes(p):
                 p, CellSpec(1e4, 10.0), ReadSetup(0.2, n), GRID)),
             "ColumnNetwork": lambda n: ColumnNetwork(n, 2.5, 2e4, 4e-11, 1, 0.2),
         },
+        "selected_index": {
+            "ColumnNetwork": lambda s: ColumnNetwork(64, 2.5, 2e4, 4e-11, s, 0.2),
+        },
         "v_read": {
             "ReadSetup": lambda v: ReadSetup(v, 64),
             "sense_grid": lambda v: _arrays(sense_grid(p, 1e4, 10.0, 64, v)),
@@ -122,9 +125,9 @@ class Same:
 
 
 TYPE_RULE = {"r_on": "a number", "ratio_ideal": "a number", "n_cells": "integers",
-             "v_read": "a number"}
+             "v_read": "a number", "selected_index": "integers"}
 BOUND = {"r_on": "finite and > 0", "ratio_ideal": "finite and >= 1", "n_cells": ">= 1",
-         "v_read": "finite and > 0"}
+         "v_read": "finite and > 0", "selected_index": ">= 1"}
 # (id, value, the Python value an error names, whether it breaks the type rule
 # of a number and of an integer)
 COMMON = [
@@ -146,7 +149,7 @@ def _message(name, named, breaks_type):
 
 
 CASES = [
-    (name, cid, value, _message(name, named, by_type[name == "n_cells"]))
+    (name, cid, value, _message(name, named, by_type[TYPE_RULE[name] == "integers"]))
     for name in TYPE_RULE
     for cid, value, named, *by_type in COMMON
 ] + [
@@ -156,6 +159,11 @@ CASES = [
     ("n_cells", "64.0", 64.0, "n_cells must be integers, got 64.0"),
     ("n_cells", "np.int64", np.int64(64), Same(64)),
     ("n_cells", "2**64", 2**64, "n_cells must be integers, got 18446744073709551616"),
+    ("selected_index", "2.0", 2.0, "selected_index must be integers, got 2.0"),
+    ("selected_index", "np.int64", np.int64(64), Same(64)),
+    ("selected_index", "past-n", 65, "selected_index must lie in [1, 64], got 65"),
+    ("selected_index", "2**64", 2**64,
+     "selected_index must be integers, got 18446744073709551616"),
 ]
 # (input, case id, route) -> the outcome where a route may differ from the rest: none.
 EXCEPTIONS = {}
@@ -176,4 +184,5 @@ def test_one_outcome_on_every_route(profile22, name, cid, value, want):
 def test_setup_keeps_a_numpy_integer_n_as_int():
     for n in (np.int64(64), np.uint16(64)):
         assert type(ReadSetup(0.2, n).n_cells) is int
-        assert type(ColumnNetwork(n, 2.5, 2e4, 4e-11, 1, 0.2).n_cells) is int
+        net = ColumnNetwork(n, 2.5, 2e4, 4e-11, n, 0.2)
+        assert (type(net.n_cells), type(net.selected_index)) == (int, int)

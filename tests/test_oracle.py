@@ -8,6 +8,7 @@ limits.
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -33,10 +34,11 @@ from crossbar_margin import (
 from crossbar_margin import model, oracle
 from crossbar_margin.analysis import DEFAULT_R_ON_GRID
 from compare_reference import compare_lumped_distributed as compare_reference
-from kirchhoff_reference import kcl_residuals_loop, kvl_loop_residual_loop
+from kirchhoff_reference import kcl_residuals_loop, kvl_loop_residual_loop, solve_column_cumsum
 from nodal_reference import dense_nodal_solution
 
 REL = 1e-12
+TOGGLE_SETS = [FactorToggles(*bits) for bits in itertools.product((True, False), repeat=3)]
 
 
 class TestBuildColumn:
@@ -201,6 +203,47 @@ class TestSolveColumn:
             solve_column(ColumnNetwork(4, 0.0, 5e-324, 0.0, 4, 0.2))
 
 
+def assert_same_solution(got, want):
+    """Every NetworkSolution field equal bit for bit: arrays by bytes, floats with their sign."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+        else:
+            assert (type(a), a, math.copysign(1.0, a)) == (type(b), b, math.copysign(1.0, b)), (
+                field.name)
+
+
+class TestSolveColumnEqualsCumsumReference:
+    """solve_column's closed-form leakage counts give the cumsum solve's bits."""
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_every_position_toggle_set_and_state(self, profile22, n):
+        for toggles, state, sel in itertools.product(TOGGLE_SETS, ("on", "off"), range(1, n + 1)):
+            net = build_column(profile22, CellSpec(2e4, 10), ReadSetup(0.2, n, toggles), state, sel)
+            assert_same_solution(solve_column(net), solve_column_cumsum(net))
+
+    @pytest.mark.parametrize("n", [1024, 16384])
+    def test_long_columns_at_both_ends_and_the_middle(self, profile22, n):
+        for toggles, state, sel in itertools.product(
+                TOGGLE_SETS, ("on", "off"), (1, (n + 1) // 2, n)):
+            net = build_column(profile22, CellSpec(2e4, 10), ReadSetup(0.2, n, toggles), state, sel)
+            assert_same_solution(solve_column(net), solve_column_cumsum(net))
+
+    @pytest.mark.parametrize("i_leak, v_drive", [(1.0, 0.2), (0.0, -0.2), (-0.0, -0.2),
+                                                 (-0.0, 0.2)])
+    def test_negative_drive_and_signed_zero_leakage(self, i_leak, v_drive):
+        # i_leak = 1 A on 50 ohm segments drives the cell current negative; a
+        # zero leakage of either sign meets a cell current of either sign.
+        for sel in range(1, 65):
+            net = ColumnNetwork(64, 50.0, 1e4, i_leak, sel, v_drive)
+            sol = solve_column(net)
+            assert_same_solution(sol, solve_column_cumsum(net))
+            assert kcl_residuals(net, sol).tobytes() == kcl_residuals_loop(net, sol).tobytes()
+            assert kvl_loop_residual(net, sol) == kvl_loop_residual_loop(net, sol)
+        assert solve_column(ColumnNetwork(64, 50.0, 1e4, 1.0, 32, 0.2)).i_selected_cell < 0
+
+
 class TestAgainstDenseNodalReference:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -272,6 +315,61 @@ class TestPhysicsChecks:
         bad = dataclasses.replace(sol, bl_segment_currents=f_bl, sl_segment_currents=f_sl)
         flagged = np.flatnonzero(kcl_residuals(net, bad) > 1e-12)
         assert flagged.tolist() == [9, 10, n + 20, n + 21]
+
+
+@st.composite
+def float_arrays(draw):
+    """float64 arrays of 0..5000 values: magnitudes from subnormal to about 1e300 over a
+    drawn exponent span, either sign, optional zeros of either sign, inf and NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(0, 5000))
+    lo = draw(st.integers(-1075, 997))
+    hi = min(997, lo + draw(st.sampled_from([0, 1, 60, 120, 400, 2100])))
+    x = np.ldexp(rng.random(size) + 0.5, rng.integers(lo, hi + 1, size))
+    x[rng.random(size) < draw(st.sampled_from([0.0, 0.5, 1.0]))] *= -1.0
+    zeros = rng.random(size) < draw(st.sampled_from([0.0, 0.01, 1.0]))
+    x[zeros] = np.copysign(0.0, rng.random(zeros.sum()) - 0.5)
+    for special in draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=2)):
+        if size:
+            x[rng.integers(size)] = special
+    return x
+
+
+def fsum_outcome(total, x):
+    try:
+        return repr(total(x))
+    except (ValueError, OverflowError) as exc:  # fsum's inf - inf and intermediate overflow
+        return type(exc), str(exc)
+
+
+class TestExactSum:
+    """oracle._exact_sum is math.fsum over the array's values, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=float_arrays())
+    def test_equals_fsum(self, x):
+        want = fsum_outcome(lambda v: math.fsum(v.tolist()), x)
+        assert fsum_outcome(oracle._exact_sum, x) == want
+
+    @pytest.mark.parametrize("size", [1023, 1024, 1025, 2047, 2048, 4096, 16385])
+    def test_equal_magnitudes_fill_the_extraction_range(self, size):
+        # size values just below 2**e of one sign sum to nearly size * 2**e, the
+        # most that the first pass's sigma = 2**(e + bit_length(size)) must hold.
+        for seed in range(20):
+            x = np.random.default_rng(seed).uniform(1.0 - 2**-20, 1.0, size) * 2.0**-3
+            for v in (x, -x):
+                assert repr(oracle._exact_sum(v)) == repr(math.fsum(v.tolist()))
+
+    def test_three_passes_leave_only_their_partial_sums(self, monkeypatch):
+        # 4096 values from 2**-61 to 1.5: each pass extracts 40 bits, so three
+        # passes take every bit and fsum rounds just the three partial sums.
+        x = np.ldexp(np.random.default_rng(5).random(4096) + 0.5,
+                     np.random.default_rng(6).integers(-60, 1, 4096))
+        want = math.fsum(x.tolist())
+        seen, fsum = [], math.fsum
+        monkeypatch.setattr(math, "fsum", lambda values: seen.append(len(values)) or fsum(values))
+        assert oracle._exact_sum(x) == want
+        assert seen == [3]
 
 
 class TestOracleMargin:
@@ -364,9 +462,6 @@ class TestCompareLumpedDistributed:
         out_of_table = [ReadSetup(0.7, 64)]
         assert compare_lumped_distributed(profile22, [], out_of_table) == []
         assert compare_lumped_distributed(profile22, [CellSpec(1e4, 10)], []) == []
-
-
-TOGGLE_SETS = [FactorToggles(*bits) for bits in itertools.product((True, False), repeat=3)]
 
 
 # A profile whose leakage is so large that the lumped model's summed
