@@ -308,12 +308,13 @@ def find_optimal_range(
     rounding keeps an end below threshold.  r_on_grid is a Grid, list or
     tuple of R_on values; only its ends are used.
     """
-    if not (0.0 < threshold < 1.0):
+    t = _checked("threshold", threshold)  # a number, by the input domain's type rule
+    if not (0.0 < t < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     r_on_grid = _r_on_grid(r_on_grid)[0]  # only its ends are read
     setup = ReadSetup(v_read=v_read, n_cells=n_cells)
     n_cells, v_read = setup.n_cells, setup.v_read
-    k, t = _checked("ratio_ideal", ratio_ideal), threshold
+    k = _checked("ratio_ideal", ratio_ideal)
     r_line, r_t, i_leak = element_values(profile, setup.toggles, v_read)
     s, leak, g = r_t + n_cells * r_line, (n_cells - 1.0) * i_leak, 1.0 - t * k
     a = g * leak * k

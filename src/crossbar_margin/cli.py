@@ -89,7 +89,7 @@ def _add_ron_grid_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _ron_grid(args: argparse.Namespace) -> Grid:
-    if args.ron_min <= 0 or args.ron_max <= args.ron_min or args.ron_points < 2:
+    if not 0 < args.ron_min < args.ron_max < np.inf or args.ron_points < 2:  # NaN fails too
         raise ValueError("need 0 < --ron-min < --ron-max and --ron-points >= 2")
     return Grid(map(float, np.logspace(
         np.log10(args.ron_min), np.log10(args.ron_max), args.ron_points

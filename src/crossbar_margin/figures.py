@@ -1,8 +1,10 @@
 """Every table and plot layout the package writes, as deterministic CSV + SVG.
 
 Two kinds of output live here.  The preset studies run from the bundled
-technology profile alone, so two runs of the same study are
-byte-identical; they are exposed through the fig3..fig6 CLI subcommands:
+technology profile and the package's pre-checked grids alone, so two runs
+of the same study are byte-identical.  Each fig3 panel, fig4 layer and fig6
+read voltage is one model._sensed call, and each of its curves a row of that
+call.  The studies are exposed through the fig3..fig6 CLI subcommands:
 
   fig3  joint-effect curves: margin versus column size with each
         non-ideality family isolated, then combined
@@ -24,14 +26,14 @@ from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     COARSE_R_ON_GRID,
     DEFAULT_N_GRID,
     DEFAULT_R_ON_GRID,
     VALIDATION_N_GRID,
     MarginCurve,
-    _r_on_grid,
-    _scalars,
     ablation_series,
     compensation_curve,
 )
@@ -39,9 +41,9 @@ from .model import (
     CellSpec,
     FactorToggles,
     ReadSetup,
+    SolverError,
     TechnologyProfile,
     _sensed,
-    sense_grid,
 )
 from .oracle import ComparisonRow
 from .results import ResultTable, write_csv
@@ -58,6 +60,18 @@ def _plot_vs_r_on(curves: list[MarginCurve], path: str | Path, title: str, **sty
     render_plot(curves, path, title=title, x_label="R_on (ohm)", **styles)
 
 
+def _sensed_rows(profile, r_on, ratio_ideal, n, toggles=FactorToggles(), engine="lumped"):
+    """model._sensed over an R_on x n plane at V_READ_DEFAULT, as one curve's four arrays per
+    row, each bit for bit that curve's own call.  A failing plane is computed again row by
+    row, so that a figure raises the error of its first failing curve."""
+    try:
+        return list(zip(*_sensed(profile, r_on, ratio_ideal, n, V_READ_DEFAULT, toggles, engine)))
+    except (SolverError, ValueError):
+        for r_row, n_row in zip(*np.broadcast_arrays(r_on, n)):
+            _sensed(profile, r_row, ratio_ideal, n_row, V_READ_DEFAULT, toggles, engine)
+        raise
+
+
 def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     """Margin versus column size, per non-ideality family and combined."""
     outdir = Path(outdir)
@@ -66,20 +80,15 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
         ("b", "leakage only", FactorToggles(False, True, True), (1e4, 1e5)),
         ("c", "all factors", FactorToggles(True, True, True), (1e4, 5e4, 1e5)),
     ]
+    n_row = np.fromiter(DEFAULT_N_GRID, float, len(DEFAULT_N_GRID))
     blocks = []
     written = []
     for key, desc, toggles, r_ons in panels:
-        curves = []
-        for r_on in r_ons:
-            grid = sense_grid(
-                profile, r_on, RATIO_DEFAULT, DEFAULT_N_GRID, V_READ_DEFAULT, toggles
-            )
-            meta = {"r_on": r_on, "toggles": toggles, "v_read": V_READ_DEFAULT}
-            curves.append(MarginCurve(f"R_on={r_on:g}", DEFAULT_N_GRID, grid[3], grid, meta))
-        blocks += [
-            (key, r_on, curve.x, V_READ_DEFAULT, *curve.sensed)
-            for r_on, curve in zip(r_ons, curves)
-        ]
+        rows = list(zip(r_ons, _sensed_rows(
+            profile, np.array(r_ons)[:, None], RATIO_DEFAULT, n_row, toggles)))
+        curves = [MarginCurve(f"R_on={r_on:g}", DEFAULT_N_GRID, sensed[3], sensed)
+                  for r_on, sensed in rows]
+        blocks += [(key, r_on, DEFAULT_N_GRID, V_READ_DEFAULT, *sensed) for r_on, sensed in rows]
         svg_path = outdir / f"fig3{key}.svg"
         render_plot(
             curves,
@@ -97,22 +106,6 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     return [csv_path] + written
 
 
-def _margin_vs_r(
-    profile: TechnologyProfile,
-    label: str,
-    ratio_ideal: float,
-    n: int,
-    grid: tuple[float, ...],
-    v_read: float = V_READ_DEFAULT,
-    engine: str = "lumped",
-) -> MarginCurve:
-    # Checked once, as a study checks its inputs, then the kernel.
-    sensed = _sensed(profile, _r_on_grid(grid)[1], *_scalars(ratio_ideal, n, v_read),
-                     engine=engine)
-    meta = {"n_cells": n, "engine": engine, "ratio_ideal": ratio_ideal, "v_read": v_read}
-    return MarginCurve(label, grid, sensed[3], sensed, meta)
-
-
 def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     """Margin versus on-resistance; panel (a) overlays the network solver."""
     outdir = Path(outdir)
@@ -124,12 +117,15 @@ def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
          "Sensing margin vs R_on (k=10), model lines, network points"),
         ("b", 100.0, (model,), "Sensing margin vs R_on (k=100)"),
     ]
+    n_column = np.fromiter(VALIDATION_N_GRID, float, len(VALIDATION_N_GRID))[:, None]
     written = []
     for key, ratio, layers, title in panels:
         curves = [
-            _margin_vs_r(profile, f"n={n}{suffix}", ratio, n, grid, engine=engine)
+            MarginCurve(f"n={n}{suffix}", grid, sensed[3], sensed,
+                        {"n_cells": n, "engine": engine})
             for engine, suffix, grid in layers
-            for n in VALIDATION_N_GRID
+            for n, sensed in zip(VALIDATION_N_GRID, _sensed_rows(
+                profile, np.fromiter(grid, float, len(grid)), ratio, n_column, engine=engine))
         ]
         blocks = tuple(
             (curve.meta["engine"], curve.meta["n_cells"], curve.x, curve.y) for curve in curves
@@ -146,11 +142,10 @@ def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
 def write_ablation_csv(series: list[tuple[str, MarginCurve]], path: str | Path) -> int:
     """The ablation table, one (variant, r_on_ohm, margin) row per point; returns the row count."""
     blocks = tuple((label, curve.x, curve.y) for label, curve in series)
-    write_csv(
+    return write_csv(
         ResultTable(header=("variant", "r_on_ohm", "margin_normalized"), blocks=blocks),
         path,
     )
-    return sum(len(curve.x) for _, curve in series)
 
 
 def render_ablation_svg(series: list[tuple[str, MarginCurve]], path: str | Path) -> None:
@@ -169,8 +164,7 @@ def write_sweep_csv(curves: list[MarginCurve], path: str | Path) -> int:
         for curve in curves
     )
     header = ("factors", "v_read_v", "n_cells", "r_on_ohm", *SENSED_COLUMNS)
-    write_csv(ResultTable(header=header, blocks=blocks), path)
-    return sum(len(curve.x) for curve in curves)
+    return write_csv(ResultTable(header=header, blocks=blocks), path)
 
 
 def render_sweep_svg(curves: list[MarginCurve], path: str | Path) -> None:
@@ -180,8 +174,8 @@ def render_sweep_svg(curves: list[MarginCurve], path: str | Path) -> None:
 
 def write_compensation_csv(curve: MarginCurve, path: str | Path) -> int:
     """The compensation table, one (r_on_ohm, margin_gain) row per point; returns the row count."""
-    write_csv(ResultTable(header=("r_on_ohm", "margin_gain"), blocks=((curve.x, curve.y),)), path)
-    return len(curve.x)
+    return write_csv(
+        ResultTable(header=("r_on_ohm", "margin_gain"), blocks=((curve.x, curve.y),)), path)
 
 
 def render_compensation_svg(curve: MarginCurve, path: str | Path) -> None:
@@ -201,8 +195,7 @@ def write_validation_csv(rows: list[ComparisonRow], path: str | Path) -> int:
     header = ("r_on_ohm", "ratio_ideal", "n_cells", "v_read_v", "margin_lumped",
               "margin_oracle", "relative_gap", "error")
     blocks = (tuple(zip(*map(_comparison_cells, rows))),) if rows else ()
-    write_csv(ResultTable(header=header, blocks=blocks), path)
-    return len(rows)
+    return write_csv(ResultTable(header=header, blocks=blocks), path)
 
 
 def write_fig5(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
@@ -221,11 +214,11 @@ def write_fig5(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
 def write_fig6(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     """Read-voltage compensation at n=1024: margins and margin gains."""
     outdir = Path(outdir)
-    n = 1024
-    margins = [
-        _margin_vs_r(profile, f"V_read={v:g}V", RATIO_DEFAULT, n, DEFAULT_R_ON_GRID, v)
-        for v in (0.2, 0.4, 0.6)
-    ]
+    n, r_on = 1024, np.fromiter(DEFAULT_R_ON_GRID, float, len(DEFAULT_R_ON_GRID))
+    margins = []
+    for v in (0.2, 0.4, 0.6):  # one kernel call per read voltage
+        sensed = _sensed(profile, r_on, RATIO_DEFAULT, n, v)
+        margins.append(MarginCurve(f"V_read={v:g}V", DEFAULT_R_ON_GRID, sensed[3], sensed))
     gain_04 = compensation_curve(profile, RATIO_DEFAULT, n, 0.2, 0.4, DEFAULT_R_ON_GRID)
     gain_06 = compensation_curve(profile, RATIO_DEFAULT, n, 0.2, 0.6, DEFAULT_R_ON_GRID)
 

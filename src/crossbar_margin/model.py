@@ -65,6 +65,7 @@ _DOMAIN = {
                     (*_NUMBER, "finite", lambda x: abs(x) < math.inf)),
     "ratio_ideal": (*_NUMBER, "finite and >= 1", lambda x: (x >= 1) & (x < math.inf)),
     **dict.fromkeys(("n_cells", "selected_index"), (*_INTEGER, ">= 1", lambda x: x >= 1)),
+    "threshold": (*_NUMBER, "a number", lambda x: True),  # find_optimal_range bounds it
 }
 
 
@@ -404,6 +405,8 @@ def sense_grid(
     n = _array("n_cells", n if r_on.size else np.broadcast_to(n, r_on.shape))
     if k_array:  # all four results, and the kernel's errors, take the broadcast shape
         r_on, n, _ = np.broadcast_arrays(*np.broadcast_arrays(r_on, n), ratio_ideal)
+    if not isinstance(toggles, FactorToggles):  # a tuple of them is model._sensed's plane
+        raise ValueError(f"toggles must be a FactorToggles, got {toggles!r}")
     return _sensed(profile, r_on, ratio_ideal, n, v_read, toggles, engine)
 
 

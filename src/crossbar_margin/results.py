@@ -90,10 +90,11 @@ def _format_column(cells) -> list[str]:
     return [_quote(format_cell(cell)) for cell in cells]
 
 
-def write_csv(table: ResultTable, path: str | Path) -> None:
+def write_csv(table: ResultTable, path: str | Path) -> int:
     """RFC-4180-style CSV: UTF-8, LF endings, header first, deterministic bytes;
     a cell holding ',', '"', CR or LF is quoted, so csv.reader reads it back.
-    Each scalar is formatted once per block, each sequence object once per table."""
+    Each scalar is formatted once per block, each sequence object once per table.
+    Returns the number of rows written, the header not counted."""
     formatted = {}  # id of a sequence -> its cells; the table keeps every sequence alive
     lines = [",".join(map(_quote, table.header))]
     for block in table.blocks:
@@ -110,6 +111,7 @@ def write_csv(table: ResultTable, path: str | Path) -> None:
         lines += map(",".join, zip(*columns))
     text = "\n".join([line or '""' for line in lines]) + "\n"  # csv's "" for one empty cell
     write_text(path, text)
+    return len(lines) - 1
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -6,7 +6,8 @@ the same bytes.  Each block is first expanded into rows: a sequence
 (tuple, list or ndarray) gives one cell per row, a scalar the same cell on
 every row, and a block of scalars is one row.  Rows are written with a
 CRLF terminator, so csv.writer quotes a field holding "\r" as well as
-"\n", and each row's final CRLF is then turned into LF.
+"\n", and each row's final CRLF is then turned into LF.  It returns the
+number of rows it wrote, the header not counted.
 """
 
 import csv
@@ -38,3 +39,4 @@ def write_csv_reference(table, path):
         writer.writerow([format_cell(cell) for cell in row])
         lines.append(buffer.getvalue()[:-2] + "\n")
     Path(path).write_text("".join(lines), encoding="utf-8", newline="")
+    return len(rows)

@@ -705,6 +705,23 @@ class TestFindOptimalRange:
         with pytest.raises(ValueError):
             find_optimal_range(profile22, 10.0, 1024, 0.2, 1.0)
 
+    @pytest.mark.parametrize("threshold, message", [
+        (1.0, "threshold must lie in (0, 1), got 1.0"),
+        (math.nan, "threshold must lie in (0, 1), got nan"),
+        (np.float64(1.5), "threshold must lie in (0, 1), got 1.5"),
+        ("0.5", "threshold must be a number, got '0.5'"),
+        (None, "threshold must be a number, got None"),
+        (True, "threshold must be a number, got True"),
+    ])
+    def test_threshold_error_names_its_value(self, profile22, threshold, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            find_optimal_range(profile22, 10.0, 1024, 0.2, threshold)
+
+    def test_numpy_threshold_acts_as_its_python_value(self, profile22):
+        band = find_optimal_range(profile22, 10.0, 1024, 0.2, np.float64(0.8))
+        assert band == find_optimal_range(profile22, 10.0, 1024, 0.2, 0.8)
+        assert all(type(end) is float for end in band)
+
     @pytest.mark.parametrize("grid, message", BAD_GRIDS, ids=BAD_GRID_IDS)
     def test_grid_validation(self, profile22, grid, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

@@ -266,6 +266,15 @@ class TestAblateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: need 0 < --ron-min < --ron-max")
 
+    @pytest.mark.parametrize("flag", ["--ron-min", "--ron-max"])
+    @pytest.mark.parametrize("end", ["nan", "inf"])
+    def test_non_finite_grid_end_names_the_flag(self, capsys, flag, end):
+        # Rejected before np.logspace, which would add a RuntimeWarning on stderr.
+        assert run_cli(["sweep", "--k", "10", flag, end]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need 0 < --ron-min < --ron-max")
+        assert err.count("\n") == 1
+
 
 class TestFigureCommands:
     def test_fig5_writes_expected_files(self, tmp_path, capsys):

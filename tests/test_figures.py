@@ -1,10 +1,13 @@
 """Content checks for the preset fig3..fig6 studies and the CLI commands' tables."""
 
 import csv
+import dataclasses
+import re
 
+import numpy as np
 import pytest
 
-from crossbar_margin import ComparisonRow
+from crossbar_margin import ComparisonRow, SolverError, figures
 from crossbar_margin.figures import (
     write_fig3,
     write_fig4,
@@ -12,6 +15,7 @@ from crossbar_margin.figures import (
     write_fig6,
     write_validation_csv,
 )
+from crossbar_margin.model import _sensed
 
 
 def read_rows(path):
@@ -42,6 +46,39 @@ class TestFig3:
                 if r["panel"] == "a" and r["r_on_ohm"] == r_on
             ]
             assert margins == sorted(margins, reverse=True)
+
+
+# Per figure, the R_on x n shape of each kernel call: fig3 one per panel (its R_on values
+# against the n grid), fig4 one per layer (the n grid against the layer's R_on grid), fig6
+# one per read voltage.
+KERNEL_CALLS = {
+    write_fig3: [(2, 7), (2, 7), (3, 7)],
+    write_fig4: [(5, 200), (5, 20), (5, 200)],
+    write_fig6: [(200,)] * 3,
+}
+
+
+@pytest.mark.parametrize("writer", KERNEL_CALLS, ids=lambda writer: writer.__name__)
+def test_one_kernel_call_per_panel_layer_or_read_voltage(tmp_path, profile22, monkeypatch,
+                                                          writer):
+    shapes = []
+
+    def counting(profile, r_on, ratio_ideal, n, *args, **kwargs):
+        shapes.append(np.broadcast_shapes(np.shape(r_on), np.shape(n)))
+        return _sensed(profile, r_on, ratio_ideal, n, *args, **kwargs)
+
+    monkeypatch.setattr(figures, "_sensed", counting)
+    writer(profile22, tmp_path)
+    assert shapes == KERNEL_CALLS[writer]
+
+
+def test_a_failing_panel_raises_its_first_curves_error(tmp_path, profile22):
+    # Lines this resistive make the path infinite from n = 256 on, so with leakage off
+    # (fig3's first panel) every curve's off-state current underflows to 0.  The error
+    # names the first curve's R_off, k * 1e4 ohm, not the panel's largest.
+    profile = dataclasses.replace(profile22, r_unit=1e306)
+    with pytest.raises(SolverError, match=re.escape("(r_off up to 100000 ohm)")):
+        write_fig3(profile, tmp_path)
 
 
 class TestFig4:

@@ -191,6 +191,14 @@ class TestSenseGrid:
         with pytest.raises(ValueError):
             sense_grid(profile22, r_on, 10.0, n_cells, 0.2, engine=engine)
 
+    @pytest.mark.parametrize("toggles", [None, [FactorToggles()], (), (FactorToggles(),),
+                                         (FactorToggles(), FactorToggles(leakage=False))])
+    def test_toggles_must_be_one_factor_toggles(self, profile22, toggles):
+        # A tuple of sets is model._sensed's plane, not a sense_grid input.
+        message = f"toggles must be a FactorToggles, got {toggles!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sense_grid(profile22, 1e4, 10.0, 64, 0.2, toggles)
+
     def test_non_finite_margin_is_solver_error(self, profile22):
         # R_on this small overflows both currents; with leakage on their
         # quotient is inf/inf, in the array and in the scalar view alike.
