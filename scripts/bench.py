@@ -7,7 +7,9 @@ Imports the package from src/ of the checkout this file lives in, so the
 same script times any commit it is copied into.  Five layers:
 
   model     one read_currents point; sense_grid over the default R_on x n grid
-            and, per engine, over one R_on row at n = 1024
+            and, per engine, over one R_on row at n = 1024; the studies' kernel
+            entry _sensed on that row (.row) and on a plane of four toggle sets
+            over it (.plane4): the kernel call and result check behind each study
   oracle    oracle_margin and the network stages build_column, solve_column,
             kcl_residuals and kvl_loop_residual as n grows, and
             compare_lumped_distributed over 20 log-spaced cells at n = 64, 1024
@@ -79,6 +81,7 @@ from crossbar_margin import (  # noqa: E402
 from crossbar_margin import figures, results, svg  # noqa: E402
 from crossbar_margin.analysis import DEFAULT_N_GRID, DEFAULT_R_ON_GRID, MarginCurve  # noqa: E402
 from crossbar_margin.cli import build_parser, run_cli  # noqa: E402
+from crossbar_margin.model import _sensed  # noqa: E402
 
 LOOP_SECONDS = 0.05
 ORACLE_N = (256, 1024, 4096, 16384)
@@ -87,6 +90,9 @@ COMPARE_R_ON = tuple(float(r) for r in np.logspace(4.0, 8.0, 20))
 GAP_N = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
 GAP_R_ON = tuple(float(r) for r in np.logspace(4.0, 8.0, 40))
 K, V_READ = 10.0, 0.2
+# The design-space sweep's and the ablation's toggle sets: all factors, then one off at a time.
+TOGGLES4 = (FactorToggles(), FactorToggles(transistor_resistance=False),
+            FactorToggles(line_resistance=False), FactorToggles(leakage=False))
 
 
 def summary(per_call: list[float]) -> dict[str, float]:
@@ -137,6 +143,9 @@ def model_cases(profile):
     for engine in ("lumped", "oracle"):  # one margin curve, the call behind each sweep slice
         yield f"model.sense_grid.row.{engine}", lambda e=engine: sense_grid(
             profile, DEFAULT_R_ON_GRID, K, 1024, V_READ, engine=e)
+    row = np.fromiter(DEFAULT_R_ON_GRID, float, len(DEFAULT_R_ON_GRID))
+    yield "model._sensed.row", lambda: _sensed(profile, row, K, 1024, V_READ)
+    yield "model._sensed.plane4", lambda: _sensed(profile, row, K, 1024, V_READ, TOGGLES4)
 
 
 def oracle_cases(profile):
@@ -162,9 +171,7 @@ def analysis_cases(profile):
     cell, setup = CellSpec(r_on=1e4, ratio_ideal=K), ReadSetup(v_read=V_READ, n_cells=1024)
     row = sense_grid(profile, DEFAULT_R_ON_GRID, K, 1024, V_READ)
     plain = tuple(DEFAULT_R_ON_GRID)
-    toggles4 = SweepSpec(plain, (1024,), (V_READ,), K, (
-        FactorToggles(), FactorToggles(transistor_resistance=False),
-        FactorToggles(line_resistance=False), FactorToggles(leakage=False)))
+    toggles4 = SweepSpec(plain, (1024,), (V_READ,), K, TOGGLES4)
     yield "analysis.find_optimal_range", lambda: find_optimal_range(profile, K, 1024, V_READ, 0.8)
     yield "analysis.find_optimal_range.tuple_grid", lambda: find_optimal_range(
         profile, K, 1024, V_READ, 0.8, plain)
@@ -199,6 +206,17 @@ def figure_cases(profile, outdir):
                 raise RuntimeError(f"run_cli({argv}) failed")
 
     yield "figures.validate_full", validate
+
+
+def in_process_cases(outdir):
+    """(name, call) for every case timed in this interpreter, layer by layer; the figure
+    writers write into outdir."""
+    profile = load_bundled_profile()
+    yield from model_cases(profile)
+    yield from oracle_cases(profile)
+    yield from analysis_cases(profile)
+    yield from figure_cases(profile, outdir)
+    yield "cli.build_parser", build_parser.__wrapped__
 
 
 CLI_IMPORTS = (
@@ -265,15 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
-    profile = load_bundled_profile()
     cases: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as outdir:
-        groups = (model_cases(profile), oracle_cases(profile), analysis_cases(profile),
-                  figure_cases(profile, outdir),
-                  [("cli.build_parser", build_parser.__wrapped__)])
-        for group in groups:
-            for name, fn in group:
-                cases[name] = time_call(fn, args.repeat)
+        for name, fn in in_process_cases(outdir):
+            cases[name] = time_call(fn, args.repeat)
     for name in figures.FIGURE_WRITERS:  # derived: the writer's time outside its output calls
         whole, csv_case, svg_case = (cases[f"figures.{name}{part}"]["median_s"]
                                      for part in ("", ".write_csv", ".render_plot"))
@@ -283,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         case["layer"] = name.split(".")[0]
 
     record = {"facts": facts(), "repeat": args.repeat, "cases": cases,
-              "accuracy": {"gap_max_pct": gap_column(profile)}}
+              "accuracy": {"gap_max_pct": gap_column(load_bundled_profile())}}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     width = max(map(len, cases))
     for name, case in cases.items():

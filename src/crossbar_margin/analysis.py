@@ -3,12 +3,12 @@
 A Grid is a tuple checked when built (numbers, non-empty, strictly
 increasing, finite): the grid constants, SweepSpec's grids, each
 MarginCurve's x.  A study checks each input once, at entry (an R_on Grid by
-its least value, any other grid by the input domain and then by shape),
-and then calls model._sensed, sense_grid's unchecked part.  A study
-computes each plane of toggle sets (a sweep's at each read voltage, the
-ablation's four variants) in one such call and takes each curve from a row
-of it; a plane that fails falls back to one call per slice, so that each
-slice keeps its own error.
+its least value, a plain R_on row in one pass, any other grid by the input
+domain and then by shape), then calls model._sensed, sense_grid's unchecked
+part.  A study computes each plane of toggle sets (a sweep's at each read
+voltage, the ablation's four variants) in one such call and takes each
+curve from a row of it; a plane that fails falls back to one call per
+slice, so that each slice keeps its own error.
 
 The optimal R_on band needs no sweep at all.  With S = R_T + n*r,
 L = (n-1)*I_leak, drive V, fabricated ratio k and threshold t, the lumped
@@ -25,6 +25,7 @@ lower end, leakage (L) the upper one.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ from .model import (
     ReadSetup,
     SolverError,
     TechnologyProfile,
+    _DOMAIN,
     _array,
     _checked,
     _sensed,
@@ -87,13 +89,26 @@ def _check_grid(name: str, values: np.ndarray) -> None:
 
 def _r_on_grid(values) -> tuple[Grid, np.ndarray]:
     """A study's R_on grid as a Grid and as the float64 array it computes with: a Grid
-    (checked when built) bounded by its least value, anything else checked by the input
-    domain (model._array) and then by shape."""
+    (checked when built) bounded by its least value, a row that passes _r_on_row as it is,
+    anything else checked by the input domain (model._array) and then by shape."""
     if isinstance(values, Grid):
         _checked("r_on", values[0])
         return values, np.fromiter(values, float, len(values))
-    _check_grid("r_on_grid", r_on := _array("r_on", values))
+    if (r_on := _r_on_row(values)) is None:
+        _check_grid("r_on_grid", r_on := _array("r_on", values))
     return tuple.__new__(Grid, values), r_on  # it passed every check Grid makes
+
+
+def _r_on_row(values) -> np.ndarray | None:
+    """A list or tuple of numbers as a float64 array where it strictly increases (NaN fails)
+    and then its two ends, its extremes, lie in the R_on domain; else None."""
+    ok = _DOMAIN["r_on"][-1]
+    if isinstance(values, (list, tuple)) and values and {int, float}.issuperset(map(type, values)):
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            row = np.fromiter(values, float, len(values))
+            if np.logical_and.reduce(row[1:] > row[:-1]) and ok(row[0]) and ok(row[-1]):
+                return row
+    return None
 
 
 def _scalars(ratio_ideal, n_cells, v_read) -> tuple[float, int, float]:
@@ -382,6 +397,11 @@ def compensation_curve(
     k, n, v = _scalars(ratio_ideal, n_cells, v_base)
     base = _sensed(profile, r_on, k, n, v)
     alt = _sensed(profile, r_on, k, n, _checked("v_read", v_alt))  # after v_base's errors
+    return _gain_curve(r_on_grid, base, alt, ratio_ideal, n_cells, v_base, v_alt)
+
+
+def _gain_curve(r_on_grid, base, alt, ratio_ideal, n_cells, v_base, v_alt) -> MarginCurve:
+    """compensation_curve's curve from the sensed arrays at its two read voltages."""
     meta = {"n_cells": n_cells, "v_base": v_base, "v_alt": v_alt, "ratio_ideal": ratio_ideal}
     return MarginCurve(f"margin gain {v_base:g}V->{v_alt:g}V", r_on_grid,
                        alt[3] - base[3], alt, meta, "delta")

@@ -91,9 +91,9 @@ def _add_ron_grid_args(parser: argparse.ArgumentParser) -> None:
 def _ron_grid(args: argparse.Namespace) -> Grid:
     if not 0 < args.ron_min < args.ron_max < np.inf or args.ron_points < 2:  # NaN fails too
         raise ValueError("need 0 < --ron-min < --ron-max and --ron-points >= 2")
-    return Grid(map(float, np.logspace(
-        np.log10(args.ron_min), np.log10(args.ron_max), args.ron_points
-    )), "r_on_grid")
+    with np.errstate(over="ignore"):  # an end near the float limit may round up to inf
+        ends = np.log10(args.ron_min), np.log10(args.ron_max)
+        return Grid(map(float, np.logspace(*ends, args.ron_points)), "r_on_grid")
 
 
 def _toggles(args: argparse.Namespace) -> FactorToggles:

@@ -4,7 +4,8 @@ Two kinds of output live here.  The preset studies run from the bundled
 technology profile and the package's pre-checked grids alone, so two runs
 of the same study are byte-identical.  Each fig3 panel, fig4 layer and fig6
 read voltage is one model._sensed call, and each of its curves a row of that
-call.  The studies are exposed through the fig3..fig6 CLI subcommands:
+call; fig6's gains are compensation_curve's curves, built from its margins.
+The studies are exposed through the fig3..fig6 CLI subcommands:
 
   fig3  joint-effect curves: margin versus column size with each
         non-ideality family isolated, then combined
@@ -34,8 +35,8 @@ from .analysis import (
     DEFAULT_R_ON_GRID,
     VALIDATION_N_GRID,
     MarginCurve,
+    _gain_curve,
     ablation_series,
-    compensation_curve,
 )
 from .model import (
     CellSpec,
@@ -219,24 +220,18 @@ def write_fig6(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     for v in (0.2, 0.4, 0.6):  # one kernel call per read voltage
         sensed = _sensed(profile, r_on, RATIO_DEFAULT, n, v)
         margins.append(MarginCurve(f"V_read={v:g}V", DEFAULT_R_ON_GRID, sensed[3], sensed))
-    gain_04 = compensation_curve(profile, RATIO_DEFAULT, n, 0.2, 0.4, DEFAULT_R_ON_GRID)
-    gain_06 = compensation_curve(profile, RATIO_DEFAULT, n, 0.2, 0.6, DEFAULT_R_ON_GRID)
+    gains = [_gain_curve(DEFAULT_R_ON_GRID, margins[0].sensed, alt.sensed, RATIO_DEFAULT, n,
+                         0.2, v) for alt, v in zip(margins[1:], (0.4, 0.6))]  # from 0.2 V
 
     csv_path = outdir / "fig6.csv"
-    write_csv(
-        ResultTable(
-            header=("r_on_ohm", "margin_0.2v", "margin_0.4v", "margin_0.6v", "gain_0.4v",
-                    "gain_0.6v"),
-            blocks=((DEFAULT_R_ON_GRID, *(c.y for c in margins + [gain_04, gain_06])),),
-        ),
-        csv_path,
-    )
+    header = ("r_on_ohm", "margin_0.2v", "margin_0.4v", "margin_0.6v", "gain_0.4v", "gain_0.6v")
+    blocks = ((DEFAULT_R_ON_GRID, *(c.y for c in margins + gains)),)
+    write_csv(ResultTable(header=header, blocks=blocks), csv_path)
     svg_margins = outdir / "fig6_margins.svg"
     _plot_vs_r_on(margins, svg_margins, "Sensing margin vs R_on at three read voltages (n=1024)",
                   dash_labels=["V_read=0.4V", "V_read=0.6V"])
     svg_gain = outdir / "fig6.svg"
-    _plot_vs_r_on([gain_04, gain_06], svg_gain,
-                  "Margin gain from raising the read voltage (n=1024)")
+    _plot_vs_r_on(gains, svg_gain, "Margin gain from raising the read voltage (n=1024)")
     return [csv_path, svg_margins, svg_gain]
 
 

@@ -24,7 +24,9 @@ the worst-case cell differs only in its drive term.  The studies check
 their inputs once and call its unchecked part, _sensed, which also takes a
 tuple of toggle sets as a leading axis, so that a study computes each plane
 of toggle sets in one kernel call; read_currents and oracle.oracle_margin
-are its scalar views on a CellSpec and a ReadSetup.
+are its scalar views on a CellSpec and a ReadSetup.  _sensed checks a
+result by one set of reductions in the kernel's order (drive, underflow,
+finite margin, SenseResult invariants); only a failure is named by point.
 
 Leakage is a measured function of read voltage, carried as a table on the
 technology profile; lookups interpolate linearly between measured points
@@ -231,19 +233,13 @@ class SenseResult:
         if not (self.i_off > 0):
             raise ValueError(f"i_off must be > 0, got {self.i_off}")
         if self.i_on < self.i_off:
-            raise ValueError(
-                f"i_on must be >= i_off, got i_on={self.i_on}, i_off={self.i_off}"
-            )
+            raise ValueError(f"i_on must be >= i_off, got i_on={self.i_on}, i_off={self.i_off}")
         if self.ratio_effective < 1.0:
-            raise ValueError(
-                f"ratio_effective must be >= 1, got {self.ratio_effective}"
-            )
+            raise ValueError(f"ratio_effective must be >= 1, got {self.ratio_effective}")
         # 1e-9 slack guards against spurious rejections from float rounding;
         # physically the margin never exceeds 1.
         if not (0.0 < self.margin_normalized <= 1.0 + 1e-9):
-            raise ValueError(
-                f"margin_normalized must lie in (0, 1], got {self.margin_normalized}"
-            )
+            raise ValueError(f"margin_normalized must lie in (0, 1], got {self.margin_normalized}")
 
 
 def leakage_at(profile: TechnologyProfile, v_read: float) -> float:
@@ -304,6 +300,11 @@ def _largest_readable_n(v_read: float, i_leak: float, r_line: float) -> int:
     return n
 
 
+_UNDERFLOW = "off-state current underflows to 0 (r_off up to {:g} ohm)"
+_NOT_FINITE = "sensing margin is not finite (r_on down to {:g} ohm)"
+_MIN, _MAX, _ALL = np.minimum.reduce, np.maximum.reduce, np.logical_and.reduce
+
+
 # np.where and ndarray.all that also take the Python scalars of sense_point.
 def _where(cond, a, b):
     return (a if cond else b) if isinstance(cond, bool) else np.where(cond, a, b)
@@ -314,10 +315,10 @@ def _all(ok) -> bool:
 
 
 def _sense(profile, r_on, ratio_ideal, n, v_read, toggles, engine):
-    """sense_grid's kernel, on valid inputs: r_on and n are float arrays
-    that broadcast against each other, or Python scalars as sense_point
-    passes them.  A tuple of toggle sets adds a leading axis, one entry
-    per set, to the grid."""
+    """sense_grid's kernel, on valid inputs: r_on and n are float arrays that broadcast
+    against each other, or Python scalars as sense_point passes them, which it checks for
+    underflow and a finite margin (_sensed checks arrays).  A tuple of toggle sets adds a
+    leading axis, one entry per set, to the grid."""
     r_line, r_t, i_leak = element_values(profile, toggles, v_read)
     if isinstance(toggles, tuple):  # each set's values against the whole R_on x n grid
         axes = (-1,) + (1,) * max(np.ndim(r_on), np.ndim(n))
@@ -347,10 +348,8 @@ def _sense(profile, r_on, ratio_ideal, n, v_read, toggles, engine):
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     i_on = drive / path_on + leak_total
     i_off = drive / path_off + leak_total
-    if not _all(i_off > 0):
-        raise SolverError(
-            f"off-state current underflows to 0 (r_off up to {np.max(r_off):g} ohm)"
-        )
+    if isinstance(i_off, float) and not i_off > 0:  # sense_point's; _sensed checks arrays
+        raise SolverError(_UNDERFLOW.format(np.max(r_off)))
     ratio = i_on / i_off
     if engine == "lumped" and not _all(leak_total > 0.0):
         # Without leakage, the better-conditioned quotient of the paths,
@@ -358,10 +357,8 @@ def _sense(profile, r_on, ratio_ideal, n, v_read, toggles, engine):
         resistive = _where(series == 0.0, ratio_ideal, path_off / path_on)
         ratio = _where(leak_total == 0.0, resistive, ratio)
     margin = ratio / ratio_ideal
-    if not _all(abs(margin) < math.inf):  # isfinite, also for Python floats
-        raise SolverError(
-            f"sensing margin is not finite (r_on down to {np.min(r_on):g} ohm)"
-        )
+    if isinstance(margin, float) and not abs(margin) < math.inf:  # math.isfinite
+        raise SolverError(_NOT_FINITE.format(np.min(r_on)))
     return i_on, i_off, ratio, margin
 
 
@@ -417,24 +414,26 @@ def _sensed(profile, r_on, ratio_ideal, n, v_read, toggles=FactorToggles(), engi
     toggles is one FactorToggles, or a tuple of them: a plane, whose four arrays carry one
     leading entry per set, each bit for bit that set's own call, in one kernel call.  A
     failing plane raises the SolverError or ValueError of one of its sets, not always the
-    first set's own; a study that names its slices calls them one by one after that."""
+    first set's own; a study that names its slices calls them one by one after that.
+    Five ufunc reductions (ndarray.min's work, without its Python wrapper) check the result."""
     # Overflow and underflow are reported as SolverError, not as warnings; n is
     # converted as Python's int * float does, exactly below 2**53.
     r_on, n = np.asarray(r_on, dtype=float), np.asarray(n, dtype=float)
     with np.errstate(all="ignore"):
         grid = _sense(profile, r_on, ratio_ideal, n, v_read, toggles, engine)
-    if r_on.ndim == n.ndim == 0:  # numpy arithmetic on 0-d arrays returns scalars
-        grid = tuple(np.asarray(a, dtype=float) for a in grid)
-    i_on, i_off, ratio, margin = grid
-    if not (margin.size and i_off.min() > 0 and ratio.min() >= 1.0 and margin.min() > 0.0
-            and margin.max() <= 1.0 + 1e-9 and (i_on >= i_off).all()):
-        ok = (i_off > 0) & (i_on >= i_off) & (ratio >= 1.0)
-        ok &= (margin > 0.0) & (margin <= 1.0 + 1e-9)
-        if not ok.all():
-            # Rebuilding the first offending point raises the message of the
-            # invariant it breaks.
-            at = int(np.argmin(ok))
-            SenseResult(*(float(a.flat[at]) for a in grid))
+        if r_on.ndim == n.ndim == 0:  # numpy arithmetic on 0-d arrays returns scalars
+            grid = tuple(np.asarray(a, dtype=float) for a in grid)
+        i_on, i_off, ratio, margin = grid
+        if margin.size:  # NaN fails every test below, as it fails the element-wise ones
+            i_off_min, lo, hi = _MIN(i_off, None), _MIN(margin, None), _MAX(margin, None)
+            if not (i_off_min > 0 and lo > 0.0 and hi <= 1.0 + 1e-9 and _MIN(ratio, None) >= 1.0
+                    and _ALL(i_on >= i_off, None)):
+                if not i_off_min > 0:
+                    raise SolverError(_UNDERFLOW.format(np.max(ratio_ideal * r_on)))
+                if not -math.inf < lo <= hi < math.inf:
+                    raise SolverError(_NOT_FINITE.format(np.min(r_on)))
+                ok = (i_on >= i_off) & (ratio >= 1.0) & (margin > 0.0) & (margin <= 1.0 + 1e-9)
+                SenseResult(*(float(a.flat[np.argmin(ok)]) for a in grid))  # first breach raises
     return grid
 
 

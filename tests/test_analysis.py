@@ -410,6 +410,8 @@ class TestGrid:
             raise AssertionError(f"{name} checked again")
 
         monkeypatch.setattr(analysis, "_check_grid", unexpected_check)
+        # A plain row of numbers is checked by _r_on_row's one pass, before _check_grid.
+        monkeypatch.setattr(analysis, "_r_on_row", lambda row: unexpected_check("r_on_grid", row))
         spec = SweepSpec(DEFAULT_R_ON_GRID, DEFAULT_N_GRID, v_grid, 10.0)
         assert all(c.x is DEFAULT_R_ON_GRID for c in sweep_grid(spec, profile22))
         series = ablation_series(profile22, CellSpec(1e4, 10), ReadSetup(0.2, 1024))
@@ -420,6 +422,43 @@ class TestGrid:
         assert argmax_resistance(profile22, 10.0, 1024, 0.2, DEFAULT_R_ON_GRID) > 0
         with pytest.raises(AssertionError, match="r_on_grid checked again"):
             argmax_resistance(profile22, 10.0, 1024, 0.2, tuple(DEFAULT_R_ON_GRID))
+
+    # A plain row that fails _r_on_row's one pass is checked as before, by the input domain
+    # and then by shape, so it names the same fault: the first value out of bounds, in the
+    # row's order, before a decrease; a row that increases names its end.
+    @pytest.mark.parametrize("values, message", [
+        ((0.0, 1e4, 1e5), "r_on must be finite and > 0, got 0.0"),
+        ((-1.0, 1e4), "r_on must be finite and > 0, got -1.0"),
+        ([0, 1e4], "r_on must be finite and > 0, got 0"),
+        ((1e4, 1e5, math.inf), "r_on must be finite and > 0, got inf"),
+        ((-math.inf, 1.0), "r_on must be finite and > 0, got -inf"),
+        ((math.inf,), "r_on must be finite and > 0, got inf"),
+        ((1, 10**400), f"r_on must be finite and > 0, got {10**400}"),
+        ((0.5, True, 2.0), "r_on must be a number, got True"),
+        ([1e4, True, 1e5], "r_on must be a number, got True"),
+        ((1e4, math.nan, 1e5), "r_on must be finite and > 0, got nan"),
+        ((math.nan,), "r_on must be finite and > 0, got nan"),
+        ((2.0, -1.0, 0.0), "r_on must be finite and > 0, got -1.0"),
+        ((1e5, 1e4, math.inf), "r_on must be finite and > 0, got inf"),
+        ((1e5, -1.0, 1e6), "r_on must be finite and > 0, got -1.0"),
+        ((3e5, 2e5, 1e5), "r_on_grid must be strictly increasing, got 300000.0 then 200000.0"),
+        ((2**53, 2**53 + 1), "r_on_grid must be strictly increasing, "
+                             "got 9007199254740992.0 then 9007199254740992.0"),
+        ((), "r_on_grid must be non-empty"),
+        ([[1e4, 1e5]], "r_on_grid must be one-dimensional, got shape (1, 2)"),
+    ])
+    def test_a_row_that_fails_the_one_pass_names_its_fault(self, profile22, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            analysis._r_on_grid(values)
+        assert analysis._r_on_row(values) is None
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            argmax_resistance(profile22, 10.0, 64, 0.2, values)
+
+    def test_a_row_that_passes_the_one_pass_is_the_checked_row(self):
+        for values in [(1e4, 2e4, 1e8), [1, 2.5, 3], (7e3,), tuple(DEFAULT_R_ON_GRID)]:
+            grid, r_on = analysis._r_on_grid(values)
+            assert type(grid) is Grid and grid == tuple(values)
+            assert r_on.tobytes() == model._array("r_on", values).tobytes()
 
     def test_each_input_is_checked_once_per_call(self, profile22, monkeypatch):
         # A study checks each input once, at entry, or takes it as a SweepSpec, CellSpec
@@ -443,18 +482,25 @@ class TestGrid:
             for name, check in originals.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(check))
+        one_pass = analysis._r_on_row
+
+        def counted_row(values):  # a plain row of R_on values is checked in one pass
+            checks.append(("_r_on_row", "r_on"))
+            return one_pass(values)
+
+        monkeypatch.setattr(analysis, "_r_on_row", counted_row)
 
         def checked(call, *args):
             checks.clear()
             call(*args)
             return Counter(checks)
 
-        assert checked(ablation_series, profile22, cell, setup, grid) == {("_require", "r_on"): 1}
+        assert checked(ablation_series, profile22, cell, setup, grid) == {("_r_on_row", "r_on"): 1}
         assert checked(compensation_curve, profile22, 10.0, 64, 0.2, 0.4, grid) == {
-            ("_require", "r_on"): 1, ("_checked", "ratio_ideal"): 1, ("_checked", "n_cells"): 1,
+            ("_r_on_row", "r_on"): 1, ("_checked", "ratio_ideal"): 1, ("_checked", "n_cells"): 1,
             ("_checked", "v_read"): 2}
         assert checked(argmax_resistance, profile22, 10.0, 64, 0.2, grid) == {
-            ("_require", "r_on"): 1, ("_checked", "ratio_ideal"): 1, ("_checked", "n_cells"): 1,
+            ("_r_on_row", "r_on"): 1, ("_checked", "ratio_ideal"): 1, ("_checked", "n_cells"): 1,
             ("_checked", "v_read"): 1}
         assert checked(sweep_grid, spec, profile22) == {("_checked", "r_on"): 1}  # its lower bound
         assert checked(compare_lumped_distributed, profile22, cells, setups) == {}

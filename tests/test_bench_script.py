@@ -33,6 +33,8 @@ def test_bench_script_reports_every_layer(tmp_path):
         assert f"cli.{name}" in cases
     for engine in ("lumped", "oracle"):
         assert f"model.sense_grid.row.{engine}" in cases
+    for name in ("row", "plane4"):
+        assert cases[f"model._sensed.{name}"]["layer"] == "model"
     for name in ("find_optimal_range", "argmax_resistance", "sweep_grid", "sweep_grid.toggles4",
                  "ablation_series", "compensation_curve", "MarginCurve"):
         assert cases[f"analysis.{name}"]["layer"] == "analysis"

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,15 @@ class TestAblateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: need 0 < --ron-min < --ron-max")
         assert err.count("\n") == 1
+
+    def test_a_grid_end_that_rounds_to_inf_is_one_error_line(self, capsys):
+        # 10**log10(max float) rounds past the float range; numpy's overflow warning
+        # stays off stderr, and Grid names the inf.
+        argv = ["sweep", "--k", "10", "--ron-max", "1.7976931348623157e308", "--ron-points", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == 1
+        assert capsys.readouterr().err == "error: r_on_grid must be finite, got inf\n"
 
 
 class TestFigureCommands:

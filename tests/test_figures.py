@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from crossbar_margin import ComparisonRow, SolverError, figures
+from crossbar_margin import ComparisonRow, SolverError, analysis, figures
 from crossbar_margin.figures import (
     write_fig3,
     write_fig4,
@@ -50,7 +50,7 @@ class TestFig3:
 
 # Per figure, the R_on x n shape of each kernel call: fig3 one per panel (its R_on values
 # against the n grid), fig4 one per layer (the n grid against the layer's R_on grid), fig6
-# one per read voltage.
+# one per read voltage and none through analysis.
 KERNEL_CALLS = {
     write_fig3: [(2, 7), (2, 7), (3, 7)],
     write_fig4: [(5, 200), (5, 20), (5, 200)],
@@ -67,9 +67,16 @@ def test_one_kernel_call_per_panel_layer_or_read_voltage(tmp_path, profile22, mo
         shapes.append(np.broadcast_shapes(np.shape(r_on), np.shape(n)))
         return _sensed(profile, r_on, ratio_ideal, n, *args, **kwargs)
 
+    def through_a_study(*args, **kwargs):
+        studies.append(args)
+        return _sensed(*args, **kwargs)
+
+    studies = []
     monkeypatch.setattr(figures, "_sensed", counting)
+    monkeypatch.setattr(analysis, "_sensed", through_a_study)
     writer(profile22, tmp_path)
     assert shapes == KERNEL_CALLS[writer]
+    assert studies == []  # fig6's gains come from its margins' calls, not compensation_curve's
 
 
 def test_a_failing_panel_raises_its_first_curves_error(tmp_path, profile22):

@@ -77,6 +77,36 @@ def assert_matches_reference(*args, reference_args=None):
         assert (g.shape, g.tobytes()) == (w.shape, w.tobytes())
 
 
+# Grids (R_on row, n column, toggles) with several faults at once, or none at all.
+FAULT_GRIDS = {
+    # I_off underflows at (1e308, n = 1), and the margin is inf/inf at (5e-324, n = 2).
+    "underflow and non-finite": (
+        [5e-324, 1e4, 1e308], np.array([[1], [2]]), FactorToggles(False, False, True)),
+    # The oracle breaks down at n = 63 247, and I_off underflows at (1e308, n = 1).
+    "breakdown and underflow": ([1e4, 1e308], np.array([[1], [63247]]), FactorToggles()),
+    "non-finite alone": ([5e-324, 1e4], np.array([[2], [3]]), FactorToggles(False, False, True)),
+    "empty row": (np.empty(0), 64, FactorToggles()),
+    "empty column": ([1e4, 1e5], np.empty((0, 1), dtype=int), FactorToggles()),
+}
+
+
+def plane_reference(profile, r_on, k, n, v, sets, engine):
+    """model._sensed over a plane of toggle sets from sense_grid_reference, set by set: the
+    sets' arrays stacked, or else the error that the plane's checks meet first, in the
+    order drive, underflow, non-finite margin, invariant, and then by set."""
+    outcomes = []
+    for toggles in sets:
+        try:
+            outcomes.append(reference.sense_grid_reference(profile, r_on, k, n, v, toggles, engine))
+        except (SolverError, ValueError) as exc:
+            outcomes.append(exc)
+    errors = [outcome for outcome in outcomes if isinstance(outcome, Exception)]
+    if errors:
+        order = ("cannot be read", "underflows", "not finite", "must")
+        raise min(errors, key=lambda exc: [word in str(exc) for word in order].index(True))
+    return tuple(np.stack([np.asarray(a, dtype=float) for a in arrays]) for arrays in zip(*outcomes))
+
+
 def exact_margin(profile, r_on, k, n, v, line=True, transistor=True, leak=True):
     """Rational-arithmetic evaluation of the lumped column expressions."""
     r = Fraction(profile.r_unit) if line else Fraction(0)
@@ -249,13 +279,14 @@ class TestSenseGrid:
         assert_matches_reference(profile22, r_on, k, n, v, toggles, engine)
 
     @pytest.mark.parametrize(
-        "at, value", [(0, 1e-12), (1, 0.0), (2, 0.5), (3, 1.5), (3, -0.1)]
+        "at, value", [(0, 1e-12), (1, 1.0), (2, 0.5), (3, 1.5), (3, -0.1)]
     )
     def test_invariant_breach_raises_the_reference_error(
         self, profile22, monkeypatch, at, value
     ):
         # No valid input makes the kernel break a SenseResult invariant, so
-        # both kernels are patched to break one at the second point.
+        # both kernels are patched to break one at the second point.  (1, 1.0)
+        # breaks I_on >= I_off alone.
         def breach(kernel):
             def patched(*args):
                 grid = [np.array(a, dtype=float) for a in kernel(*args)]
@@ -268,6 +299,43 @@ class TestSenseGrid:
         with pytest.raises(ValueError, match="must"):
             reference.sense_grid_reference(profile22, [1e4, 5e4, 1e6], 10.0, 1024, 0.2)
         assert_matches_reference(profile22, [1e4, 5e4, 1e6], 10.0, 1024, 0.2)
+
+    def test_a_patched_zero_off_current_is_the_kernels_underflow(self, profile22, monkeypatch):
+        # _sensed's check pass, not the kernel, raises the underflow of an array result, so
+        # an I_off of 0 that a patched kernel returns is an underflow, not an invariant breach.
+        kernel = model._sense
+
+        def zero_off_current(*args):
+            grid = [np.array(a, dtype=float) for a in kernel(*args)]
+            grid[1][1] = 0.0
+            return tuple(grid)
+
+        monkeypatch.setattr(model, "_sense", zero_off_current)
+        with pytest.raises(SolverError, match=re.escape("(r_off up to 1e+07 ohm)")):
+            sense_grid(profile22, [1e4, 5e4, 1e6], 10.0, 1024, 0.2)
+
+    @pytest.mark.parametrize("fault", FAULT_GRIDS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_several_faults_meet_the_reference_order(self, profile22, engine, fault):
+        r_on, n, toggles = FAULT_GRIDS[fault]
+        assert_matches_reference(profile22, r_on, 10.0, n, 0.2, toggles, engine)
+
+    @pytest.mark.parametrize("fault", FAULT_GRIDS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_several_faults_on_a_plane_meet_the_reference_order(self, profile22, engine, fault):
+        r_on, n, toggles = FAULT_GRIDS[fault]
+        sets = (FactorToggles(), toggles, FactorToggles(leakage=False),
+                FactorToggles(False, False, False))
+        args = (profile22, r_on, 10.0, n, 0.2, sets, engine)
+        try:
+            want = plane_reference(*args)
+        except Exception as exc:
+            with pytest.raises(Exception) as got:
+                model._sensed(*args)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            return
+        got = model._sensed(*args)
+        assert [(g.shape, g.tobytes()) for g in got] == [(w.shape, w.tobytes()) for w in want]
 
     # A profile whose leakage table covers integer read voltages.
     WIDE = TechnologyProfile("wide", 2.5, 1700.0, ((0.0, 0.0), (1.0, 4e-11), (3.0, 9e-11)))
