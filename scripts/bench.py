@@ -15,12 +15,13 @@ same script times any commit it is copied into.  Five layers:
             compare_lumped_distributed over 20 log-spaced cells at n = 64, 1024
             and 16384 (the oracle-validation workload's shape)
   analysis  find_optimal_range, argmax_resistance, sweep_grid, ablation_series
-            and compensation_curve, and MarginCurve alone on one sense_grid row;
-            all but sweep_grid also as .tuple_grid, on a plain tuple of the
-            default grid's values (the design-space workload's kind of grid),
-            which they check on every call where the package's grid is
-            pre-checked; sweep_grid.toggles4 is a design-space sweep, four
-            toggle sets at one n and one V_read on that tuple
+            and compensation_curve, MarginCurve alone on one sense_grid row, and
+            SweepSpec on the default grid; all but sweep_grid also as
+            .tuple_grid, on a plain tuple of the default grid's values (the
+            design-space workload's kind of grid), which they check on every
+            call where the package's grid is pre-checked; sweep_grid.toggles4
+            is a design-space sweep, four toggle sets at one n and one V_read
+            on that tuple, and SweepSpec.tuple_grid builds its spec
   figures   each figure writer whole, and its write_csv and render_plot
             calls replayed on the same arguments, apart from curve compute;
             validate --grid full --csv, in process
@@ -172,6 +173,8 @@ def analysis_cases(profile):
     row = sense_grid(profile, DEFAULT_R_ON_GRID, K, 1024, V_READ)
     plain = tuple(DEFAULT_R_ON_GRID)
     toggles4 = SweepSpec(plain, (1024,), (V_READ,), K, TOGGLES4)
+    yield "analysis.SweepSpec", lambda: SweepSpec(DEFAULT_R_ON_GRID, (1024,), (V_READ,), K)
+    yield "analysis.SweepSpec.tuple_grid", lambda: SweepSpec(plain, (1024,), (V_READ,), K, TOGGLES4)
     yield "analysis.find_optimal_range", lambda: find_optimal_range(profile, K, 1024, V_READ, 0.8)
     yield "analysis.find_optimal_range.tuple_grid", lambda: find_optimal_range(
         profile, K, 1024, V_READ, 0.8, plain)

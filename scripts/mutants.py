@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Run the mutation catalogue: every mutant of the package must fail its tests.
+
+    python3 scripts/mutants.py
+
+Each entry of MUTANTS names a file of the checkout, an exact old text (found
+there exactly once), the new text that replaces it, and the pytest node ids
+expected to fail with it.  The checkout's src/ and tests/ and its
+pyproject.toml are copied to a temporary directory.  The node ids are run
+there once unmutated (they must pass); then each mutant in turn is applied,
+its node ids run in one pytest subprocess, and the file restored.  Mutants
+run one after another, never in parallel.  A mutant is killed when pytest
+reports a failed test (exit status 1).  The script exits 1 if a mutant
+survives or a run goes wrong (any other status, say a node id that no
+longer exists), else 0.
+
+tests/test_mutants_script.py checks, without running a mutant, that each
+old text occurs exactly once, so a change that moves mutated code updates
+its entry here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the checkout
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the checkout
+
+
+MODEL, ANALYSIS, ORACLE = (f"src/crossbar_margin/{name}.py"
+                           for name in ("model", "analysis", "oracle"))
+
+MUTANTS = (
+    Mutant(
+        "underflow and non-finite checks swapped", MODEL,
+        "                if not i_off_min > 0:\n"
+        "                    raise SolverError(_UNDERFLOW.format(np.max(ratio_ideal * r_on)))\n"
+        "                if not -math.inf < lo <= hi < math.inf:\n"
+        "                    raise SolverError(_NOT_FINITE.format(np.min(r_on)))\n",
+        "                if not -math.inf < lo <= hi < math.inf:\n"
+        "                    raise SolverError(_NOT_FINITE.format(np.min(r_on)))\n"
+        "                if not i_off_min > 0:\n"
+        "                    raise SolverError(_UNDERFLOW.format(np.max(ratio_ideal * r_on)))\n",
+        ("tests/test_model.py::TestSenseGrid::test_several_faults_meet_the_reference_order",
+         "tests/test_analysis.py::test_sensed_rows_are_each_rows_own_call"),
+    ),
+    Mutant(
+        "the i_on >= i_off reduction dropped", MODEL,
+        "\n                    and _ALL(i_on >= i_off, None)):",
+        "):",
+        ("tests/test_model.py::TestSenseGrid::test_invariant_breach_raises_the_reference_error",),
+    ),
+    Mutant(
+        "_exact_sum's sigma one bit too small", ORACLE,
+        "sigma = math.ldexp(1.0, math.frexp(top)[1] + bits)",
+        "sigma = math.ldexp(1.0, math.frexp(top)[1] + bits - 1)",
+        ("tests/test_oracle.py::TestExactSum::test_equal_magnitudes_fill_the_extraction_range",),
+    ),
+    Mutant(
+        "no k broadcast", MODEL,
+        "        r_on, n, _ = np.broadcast_arrays(*np.broadcast_arrays(r_on, n), ratio_ideal)\n",
+        "        pass\n",
+        ("tests/test_model.py::TestSenseGrid::test_a_longer_k_array_sets_the_shape_of_all_four",),
+    ),
+    Mutant(
+        "_grid's one pass bounds only row[0]", ANALYSIS,
+        "and ok(row[0]) and ok(row[-1]):",
+        "and ok(row[0]):",
+        ("tests/test_analysis.py::TestGrid::test_a_row_that_fails_the_one_pass_names_its_fault",),
+    ),
+    Mutant(
+        "_grid's one pass without the strict-increase test", ANALYSIS,
+        "if np.logical_and.reduce(row[1:] > row[:-1]) and ok(row[0])",
+        "if ok(row[0])",
+        ("tests/test_analysis.py::TestGrid::test_a_row_that_fails_the_one_pass_names_its_fault",
+         "tests/test_analysis.py::TestAblationSeries::test_grid_validation"),
+    ),
+    Mutant(
+        "_sensed_rows' fallback walks the rows in reverse", ANALYSIS,
+        "zip(r_rows, n_rows)  # each row a plane",
+        "zip(r_rows[::-1], n_rows[::-1])  # each row a plane",
+        ("tests/test_analysis.py::test_sensed_rows_are_each_rows_own_call",
+         "tests/test_analysis.py::TestSweepGrid::test_failing_plane_falls_back_slice_by_slice",
+         "tests/test_figures.py::test_a_failing_panel_raises_its_first_curves_error"),
+    ),
+    Mutant(
+        "the margin bound back at 1e-12", MODEL,
+        "_MARGIN_MAX = 1.0 + 1e-9\n",
+        "_MARGIN_MAX = 1.0 + 1e-12\n",
+        ("tests/test_analysis.py::TestMarginCurve::test_margin_bound_is_the_models",
+         "tests/test_model.py::TestValidation::test_sense_result_margin_bound_is_the_models"),
+    ),
+)
+
+
+def pytest_status(tree: Path, node_ids: tuple[str, ...]) -> int:
+    """pytest's exit status for node_ids, run in tree on tree's own src/."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *node_ids],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def run_mutant(tree: Path, mutant: Mutant) -> str:
+    """'killed', 'survived' or what went wrong, for one mutant applied in tree."""
+    path = tree / mutant.file
+    source = path.read_text(encoding="utf-8")
+    if source.count(mutant.old) != 1:
+        return f"error: old text found {source.count(mutant.old)} times in {mutant.file}"
+    path.write_text(source.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        status = pytest_status(tree, mutant.tests)
+    finally:
+        path.write_text(source, encoding="utf-8")
+    return {0: "survived", 1: "killed"}.get(status, f"error: pytest exited {status}")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, tree / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, tree / name)
+        node_ids = tuple(dict.fromkeys(t for mutant in MUTANTS for t in mutant.tests))
+        if (status := pytest_status(tree, node_ids)) != 0:
+            print(f"error: the catalogue's tests exit {status} without a mutant")
+            return 1
+        outcomes = [(mutant, run_mutant(tree, mutant)) for mutant in MUTANTS]
+    for mutant, outcome in outcomes:
+        print(f"{outcome:<9} {mutant.name}")
+    failed = sum(outcome != "killed" for _, outcome in outcomes)
+    print(f"{len(outcomes) - failed} of {len(outcomes)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

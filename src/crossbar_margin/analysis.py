@@ -2,13 +2,13 @@
 
 A Grid is a tuple checked when built (numbers, non-empty, strictly
 increasing, finite): the grid constants, SweepSpec's grids, each
-MarginCurve's x.  A study checks each input once, at entry (an R_on Grid by
-its least value, a plain R_on row in one pass, any other grid by the input
-domain and then by shape), then calls model._sensed, sense_grid's unchecked
-part.  A study computes each plane of toggle sets (a sweep's at each read
-voltage, the ablation's four variants) in one such call and takes each
-curve from a row of it; a plane that fails falls back to one call per
-slice, so that each slice keeps its own error.
+MarginCurve's x.  SweepSpec and the studies check a grid once, at entry,
+by one rule (_grid): a Grid of R_on or V_read by its least value, a plain
+row of their numbers in one pass, any other grid by the input domain and
+then by shape.  Each plane (a sweep's at one read voltage, the ablation's
+variants, a fig3 panel, a fig4 layer) is one model._sensed call, each curve
+a row of it (_sensed_rows); a failing plane falls back to one call per row,
+so each row keeps its own error: a sweep drops it, the others raise the first.
 
 The optimal R_on band needs no sweep at all.  With S = R_T + n*r,
 L = (n-1)*I_leak, drive V, fabricated ratio k and threshold t, the lumped
@@ -41,6 +41,7 @@ from .model import (
     SolverError,
     TechnologyProfile,
     _DOMAIN,
+    _MARGIN_MAX,
     _array,
     _checked,
     _sensed,
@@ -87,28 +88,30 @@ def _check_grid(name: str, values: np.ndarray) -> None:
             raise ValueError(f"{name} must be finite, got {v}")
 
 
-def _r_on_grid(values) -> tuple[Grid, np.ndarray]:
-    """A study's R_on grid as a Grid and as the float64 array it computes with: a Grid
-    (checked when built) bounded by its least value, a row that passes _r_on_row as it is,
-    anything else checked by the input domain (model._array) and then by shape."""
-    if isinstance(values, Grid):
-        _checked("r_on", values[0])
-        return values, np.fromiter(values, float, len(values))
-    if (r_on := _r_on_row(values)) is None:
-        _check_grid("r_on_grid", r_on := _array("r_on", values))
-    return tuple.__new__(Grid, values), r_on  # it passed every check Grid makes
+def _grid(quantity: str, values, name: str) -> tuple[Grid, np.ndarray]:
+    """A grid of the model input `quantity`, checked as `name`, as a Grid of the model's
+    numbers (floats for R_on and V_read, ints for n) and as the array it computes with.
 
-
-def _r_on_row(values) -> np.ndarray | None:
-    """A list or tuple of numbers as a float64 array where it strictly increases (NaN fails)
-    and then its two ends, its extremes, lie in the R_on domain; else None."""
-    ok = _DOMAIN["r_on"][-1]
-    if isinstance(values, (list, tuple)) and values and {int, float}.issuperset(map(type, values)):
-        with contextlib.suppress(OverflowError):  # an int past the float range
-            row = np.fromiter(values, float, len(values))
-            if np.logical_and.reduce(row[1:] > row[:-1]) and ok(row[0]) and ok(row[-1]):
-                return row
-    return None
+    A Grid of R_on or V_read is bounded by its least value.  A plain list or tuple of R_on
+    or V_read numbers takes one pass: it strictly increases (NaN fails), then its two ends,
+    its extremes, lie in the domain.  Anything else, every n grid too, is checked by the
+    input domain (model._array) and then, unless a Grid, by shape."""
+    if quantity != "n_cells":
+        if isinstance(values, Grid):
+            _checked(quantity, values[0])
+            return values, np.fromiter(values, float, len(values))
+        ok = _DOMAIN[quantity][-1]
+        if isinstance(values, (list, tuple)) and values and (
+                kinds := set(map(type, values))) <= {int, float}:
+            with contextlib.suppress(OverflowError):  # an int past the float range
+                row = np.fromiter(values, float, len(values))
+                if np.logical_and.reduce(row[1:] > row[:-1]) and ok(row[0]) and ok(row[-1]):
+                    return tuple.__new__(Grid, values if kinds == {float} else row.tolist()), row
+    array = _array(quantity, values)
+    if not isinstance(values, Grid):
+        _check_grid(name, array)
+        values = tuple.__new__(Grid, array.tolist())  # it passed every check Grid makes
+    return values, array
 
 
 def _scalars(ratio_ideal, n_cells, v_read) -> tuple[float, int, float]:
@@ -139,9 +142,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         for name, quantity in (("r_on_grid", "r_on"), ("n_grid", "n_cells"),
                                ("v_read_grid", "v_read")):
-            values = _array(quantity, grid := getattr(self, name))  # before the shape
-            if not isinstance(grid, Grid):  # held as the model's numbers
-                object.__setattr__(self, name, Grid(values.tolist(), name))
+            object.__setattr__(self, name, _grid(quantity, getattr(self, name), name)[0])
         object.__setattr__(self, "ratio_ideal", _checked("ratio_ideal", self.ratio_ideal))
         if not (isinstance(self.toggles, tuple) and self.toggles):
             raise ValueError(f"toggles must be a non-empty tuple, got {self.toggles!r}")
@@ -185,10 +186,10 @@ class MarginCurve:
 
 
 def _check_y(y: np.ndarray, y_kind: str) -> None:
-    """Margins must lie in (0, 1] (to 1e-12), deltas must be finite."""
-    if y_kind == "margin" and y.min() > 0.0 and y.max() <= 1.0 + 1e-12:
+    """Margins must lie in (0, 1] (to model._MARGIN_MAX), deltas must be finite."""
+    if y_kind == "margin" and y.min() > 0.0 and y.max() <= _MARGIN_MAX:
         return  # a NaN fails both reductions; the test below names it
-    ok = (y > 0.0) & (y <= 1.0 + 1e-12) if y_kind == "margin" else np.isfinite(y)
+    ok = (y > 0.0) & (y <= _MARGIN_MAX) if y_kind == "margin" else np.isfinite(y)
     if not ok.all():
         rule = "lie in (0, 1]" if y_kind == "margin" else "be finite"
         raise ValueError(f"{y_kind} values must {rule}, got {float(y[np.argmin(ok)])}")
@@ -206,13 +207,15 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     slice keeps its own error.  The sweep itself fails, re-raising the first
     error, only when no slice survives.
     """
-    r_on = _r_on_grid(spec.r_on_grid)[1]
-    planes = [_sweep_plane(spec, profile, r_on, v_read) for v_read in spec.v_read_grid]
+    r_on = np.fromiter(spec.r_on_grid, float, len(spec.r_on_grid))  # checked by the spec
+    n_column = np.fromiter(spec.n_grid, float, len(spec.n_grid))[:, None]
+    planes = [_sensed_rows(profile, r_on, spec.ratio_ideal, n_column, float(v_read),
+                           spec.toggles, spec.engine) for v_read in spec.v_read_grid]
     curves = []
     dropped: list[tuple[str, Exception]] = []
     for t, toggles in enumerate(spec.toggles):
         for v_read, plane in zip(spec.v_read_grid, planes):
-            for n, grid in zip(spec.n_grid, plane[t]):
+            for n, grid in zip(spec.n_grid, plane[t * len(spec.n_grid):]):
                 label = f"{toggles.describe()}, V={v_read:g}V, n={n}"
                 if isinstance(grid, Exception):
                     dropped.append((label, grid))
@@ -232,27 +235,31 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
     return curves
 
 
-def _sweep_plane(spec: SweepSpec, profile: TechnologyProfile, r_on: np.ndarray,
-                 v_read: float) -> list[list]:
-    """A sweep's slices at one read voltage, [toggles][n]: each slice's four arrays, a row
-    of one kernel call over the plane or, where that call fails, of the slice's own call,
-    or the SolverError or ValueError that the slice's own call raised."""
-    n_column = np.fromiter(spec.n_grid, float, len(spec.n_grid))[:, None]
-    v_read = float(v_read)  # the spec's grids hold numbers, and float() is _checked's conversion
-    k, engine = spec.ratio_ideal, spec.engine
-    plane = _sensed_or_error(profile, r_on, k, n_column, v_read, spec.toggles, engine)
-    if isinstance(plane, Exception):
-        return [[_sensed_or_error(profile, r_on, k, n, v_read, toggles, engine)
-                 for n in spec.n_grid] for toggles in spec.toggles]
-    return [list(zip(*rows)) for rows in zip(*plane)]
-
-
-def _sensed_or_error(*args):
-    """model._sensed(*args), or the SolverError or ValueError it raised."""
+def _sensed_rows(profile, r_on, ratio_ideal, n, v_read, toggles=FactorToggles(), engine="lumped"):
+    """The rows of one model._sensed call over a plane, toggle set first, then the rows of
+    R_on and n broadcast: each row's four arrays, bit for bit the row's own call.  Where the
+    plane's call fails, each row is computed by its own call, and a row that fails comes
+    back as the SolverError or ValueError it raised."""
     try:
-        return _sensed(*args)
+        grid = _sensed(profile, r_on, ratio_ideal, n, v_read, toggles, engine)
     except (SolverError, ValueError) as exc:
-        return exc
+        sets = toggles if isinstance(toggles, tuple) else (toggles,)
+        r_rows, n_rows = (a.reshape(-1, a.shape[-1]) for a in np.broadcast_arrays(r_on, n))
+        if len(r_rows) == 1 and not isinstance(toggles, tuple):  # this call is the row's own
+            return [exc]
+        return [row for t in sets for r_row, n_row in zip(r_rows, n_rows)  # each row a plane
+                for row in _sensed_rows(profile, r_row, ratio_ideal, n_row, v_read, t, engine)]
+    if grid[0].ndim != 2:  # a sweep's toggles x n x R_on; any other plane is one row per entry
+        grid = [a.reshape(-1, a.shape[-1]) for a in grid]
+    return list(zip(*grid))
+
+
+def _raise_first(rows: list) -> list:
+    """_sensed_rows' rows, where none failed; else the error of the first that did."""
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return rows
 
 
 # ablation_series' variants: the baseline, then one factor switched off at a time.
@@ -280,12 +287,9 @@ def ablation_series(
     """
     if setup.toggles != FactorToggles():
         raise ValueError("ablation baseline requires all factors enabled")
-    r_on_grid, r_on = _r_on_grid(r_on_grid)
-    args = (profile, r_on, cell.ratio_ideal, setup.n_cells, setup.v_read)
-    try:  # one kernel call for the four variants, each curve a row of it
-        grids = zip(*_sensed(*args, _ABLATION_TOGGLES))
-    except (SolverError, ValueError):  # the first variant that fails names the error
-        grids = [_sensed(*args, toggles) for toggles in _ABLATION_TOGGLES]
+    r_on_grid, r_on = _grid("r_on", r_on_grid, "r_on_grid")
+    grids = _raise_first(_sensed_rows(profile, r_on, cell.ratio_ideal, setup.n_cells,
+                                      setup.v_read, _ABLATION_TOGGLES))
     series = []
     for (label, toggles), grid in zip(_ABLATION_VARIANTS, grids):
         meta = {
@@ -326,7 +330,7 @@ def find_optimal_range(
     t = _checked("threshold", threshold)  # a number, by the input domain's type rule
     if not (0.0 < t < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    r_on_grid = _r_on_grid(r_on_grid)[0]  # only its ends are read
+    r_on_grid = _grid("r_on", r_on_grid, "r_on_grid")[0]  # only its ends are read
     setup = ReadSetup(v_read=v_read, n_cells=n_cells)
     n_cells, v_read = setup.n_cells, setup.v_read
     k = _checked("ratio_ideal", ratio_ideal)
@@ -373,7 +377,7 @@ def argmax_resistance(
     The tie rule favors read speed and is fixed so results are reproducible.
     r_on_grid is a Grid, list or tuple of R_on values.
     """
-    r_on_grid, r_on = _r_on_grid(r_on_grid)
+    r_on_grid, r_on = _grid("r_on", r_on_grid, "r_on_grid")
     margins = _sensed(profile, r_on, *_scalars(ratio_ideal, n_cells, v_read))[3]
     return r_on_grid[int(np.argmax(margins))]
 
@@ -393,7 +397,7 @@ def compensation_curve(
     The attached sensed arrays are those at the raised voltage.  r_on_grid
     is a Grid, list or tuple of R_on values.
     """
-    r_on_grid, r_on = _r_on_grid(r_on_grid)
+    r_on_grid, r_on = _grid("r_on", r_on_grid, "r_on_grid")
     k, n, v = _scalars(ratio_ideal, n_cells, v_base)
     base = _sensed(profile, r_on, k, n, v)
     alt = _sensed(profile, r_on, k, n, _checked("v_read", v_alt))  # after v_base's errors

@@ -2,9 +2,9 @@
 
 Two kinds of output live here.  The preset studies run from the bundled
 technology profile and the package's pre-checked grids alone, so two runs
-of the same study are byte-identical.  Each fig3 panel, fig4 layer and fig6
-read voltage is one model._sensed call, and each of its curves a row of that
-call; fig6's gains are compensation_curve's curves, built from its margins.
+of the same study are byte-identical.  Each fig3 panel and fig4 layer is one
+analysis._sensed_rows plane, each fig6 read voltage one model._sensed call,
+each curve a row of it; fig6's gains are compensation_curve's, from its margins.
 The studies are exposed through the fig3..fig6 CLI subcommands:
 
   fig3  joint-effect curves: margin versus column size with each
@@ -36,13 +36,14 @@ from .analysis import (
     VALIDATION_N_GRID,
     MarginCurve,
     _gain_curve,
+    _raise_first,
+    _sensed_rows,
     ablation_series,
 )
 from .model import (
     CellSpec,
     FactorToggles,
     ReadSetup,
-    SolverError,
     TechnologyProfile,
     _sensed,
 )
@@ -61,18 +62,6 @@ def _plot_vs_r_on(curves: list[MarginCurve], path: str | Path, title: str, **sty
     render_plot(curves, path, title=title, x_label="R_on (ohm)", **styles)
 
 
-def _sensed_rows(profile, r_on, ratio_ideal, n, toggles=FactorToggles(), engine="lumped"):
-    """model._sensed over an R_on x n plane at V_READ_DEFAULT, as one curve's four arrays per
-    row, each bit for bit that curve's own call.  A failing plane is computed again row by
-    row, so that a figure raises the error of its first failing curve."""
-    try:
-        return list(zip(*_sensed(profile, r_on, ratio_ideal, n, V_READ_DEFAULT, toggles, engine)))
-    except (SolverError, ValueError):
-        for r_row, n_row in zip(*np.broadcast_arrays(r_on, n)):
-            _sensed(profile, r_row, ratio_ideal, n_row, V_READ_DEFAULT, toggles, engine)
-        raise
-
-
 def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     """Margin versus column size, per non-ideality family and combined."""
     outdir = Path(outdir)
@@ -85,8 +74,8 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     blocks = []
     written = []
     for key, desc, toggles, r_ons in panels:
-        rows = list(zip(r_ons, _sensed_rows(
-            profile, np.array(r_ons)[:, None], RATIO_DEFAULT, n_row, toggles)))
+        rows = list(zip(r_ons, _raise_first(_sensed_rows(
+            profile, np.array(r_ons)[:, None], RATIO_DEFAULT, n_row, V_READ_DEFAULT, toggles))))
         curves = [MarginCurve(f"R_on={r_on:g}", DEFAULT_N_GRID, sensed[3], sensed)
                   for r_on, sensed in rows]
         blocks += [(key, r_on, DEFAULT_N_GRID, V_READ_DEFAULT, *sensed) for r_on, sensed in rows]
@@ -125,8 +114,9 @@ def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
             MarginCurve(f"n={n}{suffix}", grid, sensed[3], sensed,
                         {"n_cells": n, "engine": engine})
             for engine, suffix, grid in layers
-            for n, sensed in zip(VALIDATION_N_GRID, _sensed_rows(
-                profile, np.fromiter(grid, float, len(grid)), ratio, n_column, engine=engine))
+            for n, sensed in zip(VALIDATION_N_GRID, _raise_first(_sensed_rows(
+                profile, np.fromiter(grid, float, len(grid)), ratio, n_column, V_READ_DEFAULT,
+                engine=engine)))
         ]
         blocks = tuple(
             (curve.meta["engine"], curve.meta["n_cells"], curve.x, curve.y) for curve in curves

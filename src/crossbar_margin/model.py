@@ -52,6 +52,11 @@ class SolverError(RuntimeError):
     """The network has no finite solution for the given element values."""
 
 
+# The largest normalized margin accepted anywhere: the slack guards against spurious
+# rejections from float rounding; physically the margin never exceeds 1.
+_MARGIN_MAX = 1.0 + 1e-9
+
+
 # The input domain of the model, its profile and the oracle's ladder: per input its type
 # rule (scalar types, array dtype kinds, words, the conversion used; a bool is never a
 # number, an integer is below 2**64 as numpy's) and its bound, an interval to +inf.
@@ -236,9 +241,7 @@ class SenseResult:
             raise ValueError(f"i_on must be >= i_off, got i_on={self.i_on}, i_off={self.i_off}")
         if self.ratio_effective < 1.0:
             raise ValueError(f"ratio_effective must be >= 1, got {self.ratio_effective}")
-        # 1e-9 slack guards against spurious rejections from float rounding;
-        # physically the margin never exceeds 1.
-        if not (0.0 < self.margin_normalized <= 1.0 + 1e-9):
+        if not (0.0 < self.margin_normalized <= _MARGIN_MAX):
             raise ValueError(f"margin_normalized must lie in (0, 1], got {self.margin_normalized}")
 
 
@@ -426,13 +429,13 @@ def _sensed(profile, r_on, ratio_ideal, n, v_read, toggles=FactorToggles(), engi
         i_on, i_off, ratio, margin = grid
         if margin.size:  # NaN fails every test below, as it fails the element-wise ones
             i_off_min, lo, hi = _MIN(i_off, None), _MIN(margin, None), _MAX(margin, None)
-            if not (i_off_min > 0 and lo > 0.0 and hi <= 1.0 + 1e-9 and _MIN(ratio, None) >= 1.0
+            if not (i_off_min > 0 and lo > 0.0 and hi <= _MARGIN_MAX and _MIN(ratio, None) >= 1.0
                     and _ALL(i_on >= i_off, None)):
                 if not i_off_min > 0:
                     raise SolverError(_UNDERFLOW.format(np.max(ratio_ideal * r_on)))
                 if not -math.inf < lo <= hi < math.inf:
                     raise SolverError(_NOT_FINITE.format(np.min(r_on)))
-                ok = (i_on >= i_off) & (ratio >= 1.0) & (margin > 0.0) & (margin <= 1.0 + 1e-9)
+                ok = (i_on >= i_off) & (ratio >= 1.0) & (margin > 0.0) & (margin <= _MARGIN_MAX)
                 SenseResult(*(float(a.flat[np.argmin(ok)]) for a in grid))  # first breach raises
     return grid
 

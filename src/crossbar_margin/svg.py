@@ -88,7 +88,7 @@ def render_plot(
     if tx_hi == tx_lo:
         tx_lo, tx_hi = tx_lo - 0.5, tx_hi + 0.5
 
-    if kinds == ["margin"]:  # margins lie in (0, 1 + 1e-12]: at most 4e-10 px above the frame
+    if kinds == ["margin"]:  # margins lie in (0, model._MARGIN_MAX]: under 4e-7 px above the frame
         y_label, y_min, y_max = "normalized margin", 0.0, 1.0
     else:
         data_lo, data_hi = min(min(c.y) for c in curves), max(max(c.y) for c in curves)

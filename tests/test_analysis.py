@@ -320,6 +320,18 @@ class TestSweepGrid:
             SweepSpec((1e4, 1e5), (64,), (0.2,), 10.0, toggles)
 
     @pytest.mark.parametrize(
+        "grids, message",
+        [((1e4, (64,), (0.2,)), "r_on_grid must be one-dimensional, got shape ()"),
+         (((1e4,), 64, (0.2,)), "n_grid must be one-dimensional, got shape ()"),
+         (((1e4,), (64,), 0.2), "v_read_grid must be one-dimensional, got shape ()"),
+         (((1e4,), (64,), [[0.2]]), "v_read_grid must be one-dimensional, got shape (1, 1)")],
+        ids=["r_on-scalar", "n-scalar", "v_read-scalar", "v_read-nested"],
+    )
+    def test_spec_grids_must_be_rows(self, grids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(*grids, 10.0)
+
+    @pytest.mark.parametrize(
         "n_grid, value",
         [((64.9, 128), "64.9"), ((64.2, 64.9), "64.2"), ((True, 2), "True"),
          (("64",), "'64'"), ((math.inf,), "inf"), ((64, math.nan), "nan"),
@@ -410,8 +422,6 @@ class TestGrid:
             raise AssertionError(f"{name} checked again")
 
         monkeypatch.setattr(analysis, "_check_grid", unexpected_check)
-        # A plain row of numbers is checked by _r_on_row's one pass, before _check_grid.
-        monkeypatch.setattr(analysis, "_r_on_row", lambda row: unexpected_check("r_on_grid", row))
         spec = SweepSpec(DEFAULT_R_ON_GRID, DEFAULT_N_GRID, v_grid, 10.0)
         assert all(c.x is DEFAULT_R_ON_GRID for c in sweep_grid(spec, profile22))
         series = ablation_series(profile22, CellSpec(1e4, 10), ReadSetup(0.2, 1024))
@@ -420,10 +430,10 @@ class TestGrid:
         assert curve.x is DEFAULT_R_ON_GRID
         assert find_optimal_range(profile22, 10.0, 1024, 0.2, 0.8) is not None
         assert argmax_resistance(profile22, 10.0, 1024, 0.2, DEFAULT_R_ON_GRID) > 0
-        with pytest.raises(AssertionError, match="r_on_grid checked again"):
-            argmax_resistance(profile22, 10.0, 1024, 0.2, tuple(DEFAULT_R_ON_GRID))
+        with pytest.raises(AssertionError, match="r_on_grid checked again"):  # a plain row is
+            argmax_resistance(profile22, 10.0, 1024, 0.2, tuple(DEFAULT_R_ON_GRID)[::-1])
 
-    # A plain row that fails _r_on_row's one pass is checked as before, by the input domain
+    # A plain row that fails _grid's one pass is checked as before, by the input domain
     # and then by shape, so it names the same fault: the first value out of bounds, in the
     # row's order, before a decrease; a row that increases names its end.
     @pytest.mark.parametrize("values, message", [
@@ -447,18 +457,26 @@ class TestGrid:
         ((), "r_on_grid must be non-empty"),
         ([[1e4, 1e5]], "r_on_grid must be one-dimensional, got shape (1, 2)"),
     ])
-    def test_a_row_that_fails_the_one_pass_names_its_fault(self, profile22, values, message):
+    def test_a_row_that_fails_the_one_pass_names_its_fault(self, profile22, monkeypatch,
+                                                           values, message):
+        domain = []  # the rows the one pass hands to the input domain
+        monkeypatch.setattr(analysis, "_array",
+                            lambda name, row: domain.append(row) or model._array(name, row))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            analysis._r_on_grid(values)
-        assert analysis._r_on_row(values) is None
+            analysis._grid("r_on", values, "r_on_grid")
+        assert len(domain) == 1 and domain[0] is values
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             argmax_resistance(profile22, 10.0, 64, 0.2, values)
 
-    def test_a_row_that_passes_the_one_pass_is_the_checked_row(self):
-        for values in [(1e4, 2e4, 1e8), [1, 2.5, 3], (7e3,), tuple(DEFAULT_R_ON_GRID)]:
-            grid, r_on = analysis._r_on_grid(values)
-            assert type(grid) is Grid and grid == tuple(values)
-            assert r_on.tobytes() == model._array("r_on", values).tobytes()
+    def test_a_row_that_passes_the_one_pass_is_the_checked_row(self, profile22, monkeypatch):
+        monkeypatch.setattr(analysis, "_array", None)  # the one pass alone checks these
+        assert type(argmax_resistance(profile22, 10.0, 64, 0.2, [10_000, 20_000])) is float
+        for quantity in ("r_on", "v_read"):
+            for values in [(1e4, 2e4, 1e8), [1, 2.5, 3], (7e3,), tuple(DEFAULT_R_ON_GRID)]:
+                grid, row = analysis._grid(quantity, values, "g")
+                assert type(grid) is Grid and grid == tuple(values)
+                assert all(type(v) is float for v in grid)  # the model's numbers
+                assert row.tobytes() == model._array(quantity, values).tobytes()
 
     def test_each_input_is_checked_once_per_call(self, profile22, monkeypatch):
         # A study checks each input once, at entry, or takes it as a SweepSpec, CellSpec
@@ -482,27 +500,27 @@ class TestGrid:
             for name, check in originals.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(check))
-        one_pass = analysis._r_on_row
+        one_grid = analysis._grid
 
-        def counted_row(values):  # a plain row of R_on values is checked in one pass
-            checks.append(("_r_on_row", "r_on"))
-            return one_pass(values)
+        def counted_grid(quantity, values, name):  # a plain row of R_on values: one pass
+            checks.append(("_grid", quantity))
+            return one_grid(quantity, values, name)
 
-        monkeypatch.setattr(analysis, "_r_on_row", counted_row)
+        monkeypatch.setattr(analysis, "_grid", counted_grid)
 
         def checked(call, *args):
             checks.clear()
             call(*args)
             return Counter(checks)
 
-        assert checked(ablation_series, profile22, cell, setup, grid) == {("_r_on_row", "r_on"): 1}
+        assert checked(ablation_series, profile22, cell, setup, grid) == {("_grid", "r_on"): 1}
         assert checked(compensation_curve, profile22, 10.0, 64, 0.2, 0.4, grid) == {
-            ("_r_on_row", "r_on"): 1, ("_checked", "ratio_ideal"): 1, ("_checked", "n_cells"): 1,
+            ("_grid", "r_on"): 1, ("_checked", "ratio_ideal"): 1, ("_checked", "n_cells"): 1,
             ("_checked", "v_read"): 2}
         assert checked(argmax_resistance, profile22, 10.0, 64, 0.2, grid) == {
-            ("_r_on_row", "r_on"): 1, ("_checked", "ratio_ideal"): 1, ("_checked", "n_cells"): 1,
+            ("_grid", "r_on"): 1, ("_checked", "ratio_ideal"): 1, ("_checked", "n_cells"): 1,
             ("_checked", "v_read"): 1}
-        assert checked(sweep_grid, spec, profile22) == {("_checked", "r_on"): 1}  # its lower bound
+        assert checked(sweep_grid, spec, profile22) == {}  # its spec checked every input
         assert checked(compare_lumped_distributed, profile22, cells, setups) == {}
 
     def test_grid_and_curve_survive_pickle_and_deepcopy(self, profile22):
@@ -549,6 +567,15 @@ class TestMarginCurve:
             MarginCurve("c", (1.0, 2.0), (0.0, 0.5), sensed)
         with pytest.raises(ValueError):
             MarginCurve("c", (1.0, 2.0), (0.5, 1.5), sensed)
+
+    def test_margin_bound_is_the_models(self, profile22):
+        # One margin rule (model._MARGIN_MAX), shared with SenseResult.
+        sensed = self._sensed(profile22)
+        curve = MarginCurve("c", (1.0, 2.0), (0.5, 1 + 5e-10), sensed)
+        assert curve.y == (0.5, 1 + 5e-10)
+        message = f"margin values must lie in (0, 1], got {1 + 2e-9}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MarginCurve("c", (1.0, 2.0), (0.5, 1 + 2e-9), sensed)
 
     def test_delta_curves_may_touch_zero(self, profile22):
         sensed = self._sensed(profile22)
@@ -598,6 +625,51 @@ class TestMarginCurve:
         monkeypatch.setattr(analysis, "_sensed", nan_margin)
         with pytest.raises(ValueError, match="delta values must be finite, got nan"):
             compensation_curve(profile22, 10.0, 1024, 0.2, 0.4, (1e4, 1e5, 1e6))
+
+
+# The planes _sensed_rows serves, as (R_on, n, toggles, engine) and each row's own call,
+# (R_on, n, toggle set): sweep T x N x R, ablation T x R, fig3 P x N and fig4 N x R.  With
+# k = 1e10, R_on = 1e300 makes R_off infinite, so a row without leakage (n = 1, or leakage
+# off) underflows; R_on = 1e-320 with no series resistance makes both currents infinite, so
+# a leaking row's margin is NaN.  Every plane has rows that fail in both ways.
+_R_ROW = np.array([1e-320, 1e4, 1e300])
+_LEAK_ONLY = FactorToggles(False, False, True)
+_SWEEP_SETS = (FactorToggles(), _LEAK_ONLY)
+_ABLATION_SETS = (FactorToggles(), FactorToggles(False, False, False), _LEAK_ONLY,
+                  FactorToggles(True, False, True))
+ROW_PLANES = {
+    "sweep": ((_R_ROW, np.array([[1.0], [64.0]]), _SWEEP_SETS, "lumped"),
+              [(_R_ROW, n, t) for t in _SWEEP_SETS for n in (1, 64)]),
+    "ablation": ((_R_ROW, 64, _ABLATION_SETS, "lumped"),
+                 [(_R_ROW, 64, t) for t in _ABLATION_SETS]),
+    "fig3": ((np.array([[1e4], [1e300], [1e-320]]), np.array([1.0, 64.0, 1024.0]),
+              _LEAK_ONLY, "lumped"),
+             [(r, np.array([1.0, 64.0, 1024.0]), _LEAK_ONLY) for r in (1e4, 1e300, 1e-320)]),
+    "fig4": ((_R_ROW, np.array([[1.0], [64.0], [1024.0]]), _LEAK_ONLY, "oracle"),
+             [(_R_ROW, n, _LEAK_ONLY) for n in (1, 64, 1024)]),
+}
+
+
+@pytest.mark.parametrize("plane", ROW_PLANES)
+def test_sensed_rows_are_each_rows_own_call(profile22, plane):
+    (r_on, n, toggles, engine), own_calls = ROW_PLANES[plane]
+    rows = analysis._sensed_rows(profile22, r_on, 1e10, n, 0.2, toggles, engine)
+    assert len(rows) == len(own_calls)
+    errors = []
+    for row, (r_own, n_own, t_own) in zip(rows, own_calls):
+        try:
+            want = _sensed(profile22, r_own, 1e10, n_own, 0.2, t_own, engine)
+        except (SolverError, ValueError) as exc:
+            assert (type(row), str(row)) == (type(exc), str(exc))
+            errors.append(str(exc))
+        else:
+            assert [a.tobytes() for a in row] == [w.tobytes() for w in want]
+    assert {e.split(" (")[0] for e in errors} == {
+        "off-state current underflows to 0", "sensing margin is not finite"}
+    first = next(row for row in rows if isinstance(row, Exception))
+    with pytest.raises(SolverError) as raised:
+        analysis._raise_first(rows)
+    assert raised.value is first
 
 
 class TestAblationSeries:

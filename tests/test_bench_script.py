@@ -36,10 +36,10 @@ def test_bench_script_reports_every_layer(tmp_path):
     for name in ("row", "plane4"):
         assert cases[f"model._sensed.{name}"]["layer"] == "model"
     for name in ("find_optimal_range", "argmax_resistance", "sweep_grid", "sweep_grid.toggles4",
-                 "ablation_series", "compensation_curve", "MarginCurve"):
+                 "ablation_series", "compensation_curve", "MarginCurve", "SweepSpec"):
         assert cases[f"analysis.{name}"]["layer"] == "analysis"
     for name in ("find_optimal_range", "argmax_resistance", "ablation_series",
-                 "compensation_curve", "MarginCurve"):
+                 "compensation_curve", "MarginCurve", "SweepSpec"):
         assert cases[f"analysis.{name}.tuple_grid"]["layer"] == "analysis"
     for n in (64, 1024, 16384):
         assert cases[f"oracle.compare_lumped_distributed.n{n}"]["layer"] == "oracle"

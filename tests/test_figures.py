@@ -48,35 +48,33 @@ class TestFig3:
             assert margins == sorted(margins, reverse=True)
 
 
-# Per figure, the R_on x n shape of each kernel call: fig3 one per panel (its R_on values
-# against the n grid), fig4 one per layer (the n grid against the layer's R_on grid), fig6
-# one per read voltage and none through analysis.
+# Per figure, the module and R_on x n shape of each kernel call: fig3 one per panel (its
+# R_on values against the n grid) and fig4 one per layer (the n grid against the layer's
+# R_on grid), each through analysis._sensed_rows; fig6 one per read voltage, its own, so
+# that its gains come from its margins' calls, not compensation_curve's.
 KERNEL_CALLS = {
-    write_fig3: [(2, 7), (2, 7), (3, 7)],
-    write_fig4: [(5, 200), (5, 20), (5, 200)],
-    write_fig6: [(200,)] * 3,
+    write_fig3: [("analysis", (2, 7)), ("analysis", (2, 7)), ("analysis", (3, 7))],
+    write_fig4: [("analysis", (5, 200)), ("analysis", (5, 20)), ("analysis", (5, 200))],
+    write_fig6: [("figures", (200,))] * 3,
 }
 
 
 @pytest.mark.parametrize("writer", KERNEL_CALLS, ids=lambda writer: writer.__name__)
 def test_one_kernel_call_per_panel_layer_or_read_voltage(tmp_path, profile22, monkeypatch,
                                                           writer):
-    shapes = []
+    calls = []
 
-    def counting(profile, r_on, ratio_ideal, n, *args, **kwargs):
-        shapes.append(np.broadcast_shapes(np.shape(r_on), np.shape(n)))
-        return _sensed(profile, r_on, ratio_ideal, n, *args, **kwargs)
+    def counting(module):
+        def count(profile, r_on, ratio_ideal, n, *args, **kwargs):
+            calls.append((module.__name__.rsplit(".", 1)[1],
+                          np.broadcast_shapes(np.shape(r_on), np.shape(n))))
+            return _sensed(profile, r_on, ratio_ideal, n, *args, **kwargs)
+        return count
 
-    def through_a_study(*args, **kwargs):
-        studies.append(args)
-        return _sensed(*args, **kwargs)
-
-    studies = []
-    monkeypatch.setattr(figures, "_sensed", counting)
-    monkeypatch.setattr(analysis, "_sensed", through_a_study)
+    for module in (figures, analysis):
+        monkeypatch.setattr(module, "_sensed", counting(module))
     writer(profile22, tmp_path)
-    assert shapes == KERNEL_CALLS[writer]
-    assert studies == []  # fig6's gains come from its margins' calls, not compensation_curve's
+    assert calls == KERNEL_CALLS[writer]
 
 
 def test_a_failing_panel_raises_its_first_curves_error(tmp_path, profile22):

@@ -561,3 +561,10 @@ class TestValidation:
             SenseResult(i_on=1e-7, i_off=1e-6, ratio_effective=0.1, margin_normalized=0.1)
         with pytest.raises(ValueError):
             SenseResult(i_on=1e-6, i_off=1e-7, ratio_effective=10.0, margin_normalized=1.5)
+
+    def test_sense_result_margin_bound_is_the_models(self):
+        # One margin rule (model._MARGIN_MAX), shared with MarginCurve.
+        assert SenseResult(1e-6, 1e-7, 10.0, 1 + 5e-10).margin_normalized == 1 + 5e-10
+        message = f"margin_normalized must lie in (0, 1], got {1 + 2e-9}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SenseResult(1e-6, 1e-7, 10.0, 1 + 2e-9)
