@@ -102,11 +102,12 @@ def _grid(quantity: str, values, name: str) -> tuple[Grid, np.ndarray]:
             return values, np.fromiter(values, float, len(values))
         ok = _DOMAIN[quantity][-1]
         if isinstance(values, (list, tuple)) and values and (
-                kinds := set(map(type, values))) <= {int, float}:
+                (floats := {float}.issuperset(map(type, values)))
+                or {int, float}.issuperset(map(type, values))):
             with contextlib.suppress(OverflowError):  # an int past the float range
                 row = np.fromiter(values, float, len(values))
                 if np.logical_and.reduce(row[1:] > row[:-1]) and ok(row[0]) and ok(row[-1]):
-                    return tuple.__new__(Grid, values if kinds == {float} else row.tolist()), row
+                    return tuple.__new__(Grid, values if floats else row.tolist()), row
     array = _array(quantity, values)
     if not isinstance(values, Grid):
         _check_grid(name, array)
