@@ -92,10 +92,10 @@ def _grid(quantity: str, values, name: str) -> tuple[Grid, np.ndarray]:
     """A grid of the model input `quantity`, checked as `name`, as a Grid of the model's
     numbers (floats for R_on and V_read, ints for n) and as the array it computes with.
 
-    A Grid of R_on or V_read is bounded by its least value.  A plain list or tuple of R_on
-    or V_read numbers takes one pass: it strictly increases (NaN fails), then its two ends,
-    its extremes, lie in the domain.  Anything else, every n grid too, is checked by the
-    input domain (model._array) and then, unless a Grid, by shape."""
+    A Grid comes back as it is, one of R_on or V_read bounded by its least value.  A plain
+    list or tuple of R_on or V_read numbers takes one pass: it strictly increases (NaN
+    fails), then its two ends, its extremes, lie in the domain.  Anything else, every n grid
+    too, is checked by the input domain (model._array) and then, unless a Grid, by shape."""
     if quantity != "n_cells":
         if isinstance(values, Grid):
             _checked(quantity, values[0])
