@@ -104,6 +104,13 @@ MUTANTS = (
         ("tests/test_analysis.py::TestMarginCurve::test_margin_bound_is_the_models",
          "tests/test_model.py::TestValidation::test_sense_result_margin_bound_is_the_models"),
     ),
+    Mutant(
+        "_sensed without its margin upper bound", MODEL,
+        "lo > 0.0 and hi <= _MARGIN_MAX and ",
+        "lo > 0.0 and ",
+        ("tests/test_analysis.py::TestMarginCurve::"
+         "test_the_models_margin_check_guards_study_curves",),
+    ),
 )
 
 

@@ -52,7 +52,8 @@ from .model import (
 
 class Grid(tuple):
     """Grid values, checked (as `name`) when built, also when copy or pickle rebuild one:
-    numbers, non-empty, strictly increasing and finite.  A Grid passed in comes back as is."""
+    numbers, non-empty, strictly increasing and finite, numpy numbers kept as Python's.  A
+    Grid passed in comes back as is."""
 
     __slots__ = ()
 
@@ -61,9 +62,11 @@ class Grid(tuple):
             return values
         grid = super().__new__(cls, values)
         if not {int, float}.issuperset(map(type, grid)):  # numpy numbers, or an offender
-            for v in grid:
-                if type(v.item() if isinstance(v, np.generic) else v) not in (int, float):
+            items = [v.item() if isinstance(v, np.generic) else v for v in grid]
+            for v, item in zip(grid, items):
+                if type(item) not in (int, float):
                     raise ValueError(f"{name} values must be numbers, got {v!r}")
+            grid = super().__new__(cls, items)  # Python's numbers, as a plain row gives
         with np.errstate(invalid="ignore"):  # Python's order (ints stay exact), NaN unordered
             _check_grid(name, np.array(grid, dtype=object))
         return grid
@@ -158,16 +161,20 @@ class SweepSpec:
 class MarginCurve:
     """Ordered (x, y) samples with the model's arrays behind them.
 
-    x goes through Grid and y is stored as a tuple of floats.  sensed
-    is the (i_on, i_off, ratio_effective, margin_normalized) arrays of the
-    model call behind the curve, one entry per x.  y_kind is "margin"
-    for normalized-margin curves (values in (0, 1]) and "delta" for
-    margin-difference curves, which may touch zero.
+    x is a Grid and y a float64 array.  sensed is the (i_on, i_off,
+    ratio_effective, margin_normalized) arrays of the model call behind
+    the curve, one entry per x.  The constructor checks x (through Grid),
+    the lengths and y, and keeps its own copy of y.  A study's margin
+    curve is a row of a model._sensed plane, which _sensed has checked:
+    _of_row makes it without a second check, its y the row's margins,
+    sensed[3] itself.  y_kind is "margin" for normalized-margin curves
+    (values in (0, 1]) and "delta" for margin-difference curves, which
+    may touch zero.
     """
 
     label: str
     x: Grid
-    y: tuple[float, ...]
+    y: np.ndarray
     sensed: tuple[np.ndarray, ...]
     meta: dict[str, Any]
     y_kind: str
@@ -179,17 +186,24 @@ class MarginCurve:
             raise ValueError("x, y and the sensed arrays must have equal length")
         if y_kind not in ("margin", "delta"):
             raise ValueError(f'y_kind must be "margin" or "delta", got {y_kind!r}')
-        y = np.asarray(y, dtype=float)
+        y = np.array(y, dtype=float)  # a copy: the caller's array may change after the check
         _check_y(y, y_kind)
         # Frozen: bypass __setattr__, as dataclass's own __init__ does.
-        self.__dict__.update(label=label, x=x, y=tuple(y.tolist()), sensed=sensed,
+        self.__dict__.update(label=label, x=x, y=y, sensed=sensed,
                              meta={} if meta is None else meta, y_kind=y_kind)
+
+    @classmethod
+    def _of_row(cls, label: str, x: Grid, sensed: tuple[np.ndarray, ...],
+                meta: dict[str, Any] | None = None) -> MarginCurve:
+        """The margin curve on x of one row of a model._sensed plane, as _sensed checked it."""
+        curve = object.__new__(cls)
+        curve.__dict__.update(label=label, x=x, y=sensed[3], sensed=sensed,
+                              meta={} if meta is None else meta, y_kind="margin")
+        return curve
 
 
 def _check_y(y: np.ndarray, y_kind: str) -> None:
     """Margins must lie in (0, 1] (to model._MARGIN_MAX), deltas must be finite."""
-    if y_kind == "margin" and y.min() > 0.0 and y.max() <= _MARGIN_MAX:
-        return  # a NaN fails both reductions; the test below names it
     ok = (y > 0.0) & (y <= _MARGIN_MAX) if y_kind == "margin" else np.isfinite(y)
     if not ok.all():
         rule = "lie in (0, 1]" if y_kind == "margin" else "be finite"
@@ -228,7 +242,7 @@ def sweep_grid(spec: SweepSpec, profile: TechnologyProfile) -> list[MarginCurve]
                     "ratio_ideal": spec.ratio_ideal,
                     "engine": spec.engine,
                 }
-                curves.append(MarginCurve(label, spec.r_on_grid, grid[3], grid, meta))
+                curves.append(MarginCurve._of_row(label, spec.r_on_grid, grid, meta))
     if not curves:
         raise dropped[0][1]
     for label, exc in dropped:
@@ -300,7 +314,7 @@ def ablation_series(
             "ratio_ideal": cell.ratio_ideal,
             "removed": label if label != "baseline" else "",
         }
-        series.append((label, MarginCurve(label, r_on_grid, grid[3], grid, meta)))
+        series.append((label, MarginCurve._of_row(label, r_on_grid, grid, meta)))
     return series
 
 

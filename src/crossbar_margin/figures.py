@@ -76,7 +76,7 @@ def write_fig3(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     for key, desc, toggles, r_ons in panels:
         rows = list(zip(r_ons, _raise_first(_sensed_rows(
             profile, np.array(r_ons)[:, None], RATIO_DEFAULT, n_row, V_READ_DEFAULT, toggles))))
-        curves = [MarginCurve(f"R_on={r_on:g}", DEFAULT_N_GRID, sensed[3], sensed)
+        curves = [MarginCurve._of_row(f"R_on={r_on:g}", DEFAULT_N_GRID, sensed)
                   for r_on, sensed in rows]
         blocks += [(key, r_on, DEFAULT_N_GRID, V_READ_DEFAULT, *sensed) for r_on, sensed in rows]
         svg_path = outdir / f"fig3{key}.svg"
@@ -111,8 +111,7 @@ def write_fig4(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     written = []
     for key, ratio, layers, title in panels:
         curves = [
-            MarginCurve(f"n={n}{suffix}", grid, sensed[3], sensed,
-                        {"n_cells": n, "engine": engine})
+            MarginCurve._of_row(f"n={n}{suffix}", grid, sensed, {"n_cells": n, "engine": engine})
             for engine, suffix, grid in layers
             for n, sensed in zip(VALIDATION_N_GRID, _raise_first(_sensed_rows(
                 profile, np.fromiter(grid, float, len(grid)), ratio, n_column, V_READ_DEFAULT,
@@ -209,7 +208,7 @@ def write_fig6(profile: TechnologyProfile, outdir: str | Path) -> list[Path]:
     margins = []
     for v in (0.2, 0.4, 0.6):  # one kernel call per read voltage
         sensed = _sensed(profile, r_on, RATIO_DEFAULT, n, v)
-        margins.append(MarginCurve(f"V_read={v:g}V", DEFAULT_R_ON_GRID, sensed[3], sensed))
+        margins.append(MarginCurve._of_row(f"V_read={v:g}V", DEFAULT_R_ON_GRID, sensed))
     gains = [_gain_curve(DEFAULT_R_ON_GRID, margins[0].sensed, alt.sensed, RATIO_DEFAULT, n,
                          0.2, v) for alt, v in zip(margins[1:], (0.4, 0.6))]  # from 0.2 V
 

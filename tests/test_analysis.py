@@ -405,6 +405,15 @@ class TestGrid:
         with pytest.raises(ValueError, match=r"^r_on must be finite and > 0, got -1\.0$"):
             argmax_resistance(profile22, 10.0, 64, 0.2, Grid((-1.0, 1e4)))
 
+    def test_a_grid_of_numpy_numbers_holds_pythons(self, profile22):
+        grid = Grid(np.array([1e4, 2e4]), "g")
+        assert grid == (1e4, 2e4) and all(type(v) is float for v in grid)
+        assert [type(v) for v in Grid([np.int64(64), np.uint16(128)], "g")] == [int, int]
+        spec = SweepSpec(Grid(np.array([1e4, 2e4])), Grid([np.int64(64)]), (0.2,), 10.0)
+        assert [type(v) for v in spec.r_on_grid + spec.n_grid] == [float, float, int]
+        (curve,) = sweep_grid(spec, profile22)
+        assert type(curve.meta["n_cells"]) is int and curve.label.endswith(", n=64")
+
     @pytest.mark.parametrize(
         "values, name, message",
         [((3e5, 2e5, 1e5), None, "grid must be strictly increasing, got 300000.0 then 200000.0"),
@@ -527,8 +536,9 @@ class TestGrid:
         curve = compensation_curve(profile22, 10.0, 1024, 0.2, 0.4, COARSE_R_ON_GRID)
         for clone in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)):
             assert type(clone) is MarginCurve and type(clone.x) is Grid
-            assert (clone.label, clone.x, clone.y, clone.meta, clone.y_kind) == (
-                curve.label, curve.x, curve.y, curve.meta, curve.y_kind)
+            assert (clone.label, clone.x, clone.y.tolist(), clone.meta, clone.y_kind) == (
+                curve.label, curve.x, curve.y.tolist(), curve.meta, curve.y_kind)
+            assert clone.y.dtype == np.float64
             assert all(np.array_equal(a, b) for a, b in zip(clone.sensed, curve.sensed))
         for clone in (pickle.loads(pickle.dumps(DEFAULT_N_GRID)), copy.deepcopy(DEFAULT_N_GRID)):
             assert type(clone) is Grid and clone == DEFAULT_N_GRID
@@ -572,7 +582,7 @@ class TestMarginCurve:
         # One margin rule (model._MARGIN_MAX), shared with SenseResult.
         sensed = self._sensed(profile22)
         curve = MarginCurve("c", (1.0, 2.0), (0.5, 1 + 5e-10), sensed)
-        assert curve.y == (0.5, 1 + 5e-10)
+        assert curve.y.tolist() == [0.5, 1 + 5e-10]
         message = f"margin values must lie in (0, 1], got {1 + 2e-9}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MarginCurve("c", (1.0, 2.0), (0.5, 1 + 2e-9), sensed)
@@ -580,7 +590,7 @@ class TestMarginCurve:
     def test_delta_curves_may_touch_zero(self, profile22):
         sensed = self._sensed(profile22)
         curve = MarginCurve("c", (1.0, 2.0), (0.0, -0.1), sensed, y_kind="delta")
-        assert curve.y == (0.0, -0.1)
+        assert curve.y.tolist() == [0.0, -0.1]
 
     def test_length_mismatch(self, profile22):
         with pytest.raises(ValueError):
@@ -611,10 +621,56 @@ class TestMarginCurve:
     def test_margin_curve_names_the_first_bad_margin(self, profile22, bad, named):
         sensed = [a.copy() for a in self._sensed(profile22, 3)]
         good = MarginCurve("c", (1.0, 2.0, 3.0), sensed[3], tuple(sensed), {})
-        assert good == MarginCurve("c", (1.0, 2.0, 3.0), good.y, good.sensed, {})
+        again = MarginCurve("c", (1.0, 2.0, 3.0), good.y, good.sensed, {})
+        assert (again.label, again.x, again.y.tolist(), again.sensed, again.meta,
+                again.y_kind) == (good.label, good.x, good.y.tolist(), good.sensed, good.meta,
+                                  good.y_kind)
         sensed[3][1:] = bad, 2.0
         with pytest.raises(ValueError, match=rf"must lie in \(0, 1\], got {named}$"):
             MarginCurve("c", (1.0, 2.0, 3.0), sensed[3], tuple(sensed), {})
+
+    def test_the_constructor_keeps_its_own_y(self, profile22):
+        sensed = self._sensed(profile22)
+        y = np.array([0.5, 0.75])
+        curve = MarginCurve("c", (1.0, 2.0), y, sensed)
+        y[:] = 2.0, math.nan  # past the check, which the curve's y must not see
+        assert curve.y is not y and curve.y.tolist() == [0.5, 0.75]
+        assert curve.y.dtype == np.float64
+        assert MarginCurve("c", (1.0, 2.0), [1, 1], sensed).y.dtype == np.float64
+
+    def test_a_study_curve_is_its_kernel_row(self, profile22):
+        spec = SweepSpec(COARSE_R_ON_GRID, (64, 1024), (0.2, 0.4), 10.0,
+                         (FactorToggles(), FactorToggles(leakage=False)))
+        series = ablation_series(profile22, CellSpec(1e4, 10.0), ReadSetup(0.2, 64),
+                                 COARSE_R_ON_GRID)
+        curves = sweep_grid(spec, profile22) + [curve for _, curve in series]
+        assert len(curves) == 8 + 4
+        for curve in curves:
+            assert curve.y is curve.sensed[3] and curve.y_kind == "margin"
+            assert curve.x is COARSE_R_ON_GRID
+        gain = compensation_curve(profile22, 10.0, 64, 0.2, 0.4, COARSE_R_ON_GRID)
+        assert gain.y_kind == "delta" and not np.shares_memory(gain.y, gain.sensed[3])
+
+    def test_the_models_margin_check_guards_study_curves(self, profile22, monkeypatch):
+        # A study curve is not checked again, so model._sensed's margin bound is the one
+        # guard: inflated margins (at 0.4 V only, for the sweep) must meet it.
+        sense = model._sense
+
+        def inflated(profile, r_on, k, n, v_read, *args):
+            i_on, i_off, ratio, margin = sense(profile, r_on, k, n, v_read, *args)
+            return i_on, i_off, ratio, margin + 1.0 if v_read == 0.4 else margin
+
+        monkeypatch.setattr(model, "_sense", inflated)
+        message = "margin_normalized must lie in (0, 1], got "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ablation_series(profile22, CellSpec(1e4, 10.0), ReadSetup(0.4, 64), (1e4, 1e5))
+        spec = SweepSpec((1e4, 1e5), (64,), (0.2, 0.4), 10.0)
+        with pytest.warns(UserWarning) as dropped:
+            curves = sweep_grid(spec, profile22)
+        assert [c.meta["v_read"] for c in curves] == [0.2]
+        (warning,) = dropped
+        assert str(warning.message).startswith(
+            f"sweep slice r+R_T+I_Tleak, V=0.4V, n=64 dropped: {message}")
 
     def test_non_finite_gain_rejected(self, profile22, monkeypatch):
         def nan_margin(*args):

@@ -129,6 +129,15 @@ class TestCompensateCommand:
         assert "x4" in out  # quadratic read-power cost
         assert csv_path.exists()
 
+    def test_a_tied_gain_reports_its_first_maximum(self, capsys, monkeypatch):
+        sensed = sense_grid(load_bundled_profile(), (1e4, 2e4, 3e4), 10.0, 64, 0.4)
+        tied = analysis.MarginCurve("gain", (1e4, 2e4, 3e4), (0.1, 0.3, 0.3), sensed,
+                                    {}, "delta")
+        monkeypatch.setattr(cli, "compensation_curve", lambda *args: tied)
+        assert run_cli(["compensate", "--k", "10", "--n", "64", "--valt", "0.4"]) == 0
+        assert capsys.readouterr().out == (
+            "max margin gain 0.2V->0.4V at n=64: 0.3000 at R_on=2e+04 ohm (read power x4)\n")
+
     def test_svg_has_fig6_gain_axes(self, capsys, tmp_path):
         svg_path = tmp_path / "gain.svg"
         args = ["compensate", "--k", "10", "--n", "1024", "--valt", "0.4", "--svg", str(svg_path)]

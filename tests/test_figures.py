@@ -77,6 +77,19 @@ def test_one_kernel_call_per_panel_layer_or_read_voltage(tmp_path, profile22, mo
     assert calls == KERNEL_CALLS[writer]
 
 
+@pytest.mark.parametrize("writer, plotted", [(write_fig3, 7), (write_fig4, 15),
+                                             (write_fig6, 5)],
+                         ids=["fig3", "fig4", "fig6"])
+def test_each_margin_curve_is_its_kernel_row(tmp_path, profile22, monkeypatch, writer, plotted):
+    curves = []
+    monkeypatch.setattr(figures, "render_plot", lambda plot, *args, **kwargs: curves.extend(plot))
+    writer(profile22, tmp_path)
+    assert len(curves) == plotted
+    for curve in curves:  # fig6's gains are differences of two rows, checked as built
+        assert (curve.y is curve.sensed[3]) == (curve.y_kind == "margin")
+    assert sum(curve.y_kind == "delta" for curve in curves) == (2 if writer is write_fig6 else 0)
+
+
 def test_a_failing_panel_raises_its_first_curves_error(tmp_path, profile22):
     # Lines this resistive make the path infinite from n = 256 on, so with leakage off
     # (fig3's first panel) every curve's off-state current underflows to 0.  The error

@@ -32,7 +32,7 @@ def _arrays(grid):
 
 
 def _curve(curve):
-    return curve.label, curve.x, curve.y
+    return curve.label, curve.x, curve.y.tolist()
 
 
 def _curves(series):
