@@ -161,20 +161,19 @@ class SweepSpec:
 class MarginCurve:
     """Ordered (x, y) samples with the model's arrays behind them.
 
-    x is a Grid and y a float64 array.  sensed is the (i_on, i_off,
+    x is a Grid and y a tuple of floats.  sensed is the (i_on, i_off,
     ratio_effective, margin_normalized) arrays of the model call behind
     the curve, one entry per x.  The constructor checks x (through Grid),
-    the lengths and y, and keeps its own copy of y.  A study's margin
-    curve is a row of a model._sensed plane, which _sensed has checked:
-    _of_row makes it without a second check, its y the row's margins,
-    sensed[3] itself.  y_kind is "margin" for normalized-margin curves
-    (values in (0, 1]) and "delta" for margin-difference curves, which
-    may touch zero.
+    the lengths and y.  A study's margin curve is a row of a
+    model._sensed plane, which _sensed has checked: _of_row makes it
+    without a second check, its y the row's margins, sensed[3].  y_kind
+    is "margin" for normalized-margin curves (values in (0, 1]) and
+    "delta" for margin-difference curves, which may touch zero.
     """
 
     label: str
     x: Grid
-    y: np.ndarray
+    y: tuple[float, ...]
     sensed: tuple[np.ndarray, ...]
     meta: dict[str, Any]
     y_kind: str
@@ -186,10 +185,10 @@ class MarginCurve:
             raise ValueError("x, y and the sensed arrays must have equal length")
         if y_kind not in ("margin", "delta"):
             raise ValueError(f'y_kind must be "margin" or "delta", got {y_kind!r}')
-        y = np.array(y, dtype=float)  # a copy: the caller's array may change after the check
+        y = np.asarray(y, dtype=float)
         _check_y(y, y_kind)
         # Frozen: bypass __setattr__, as dataclass's own __init__ does.
-        self.__dict__.update(label=label, x=x, y=y, sensed=sensed,
+        self.__dict__.update(label=label, x=x, y=tuple(y.tolist()), sensed=sensed,
                              meta={} if meta is None else meta, y_kind=y_kind)
 
     @classmethod
@@ -197,7 +196,7 @@ class MarginCurve:
                 meta: dict[str, Any] | None = None) -> MarginCurve:
         """The margin curve on x of one row of a model._sensed plane, as _sensed checked it."""
         curve = object.__new__(cls)
-        curve.__dict__.update(label=label, x=x, y=sensed[3], sensed=sensed,
+        curve.__dict__.update(label=label, x=x, y=tuple(sensed[3].tolist()), sensed=sensed,
                               meta={} if meta is None else meta, y_kind="margin")
         return curve
 

@@ -143,7 +143,7 @@ def _cmd_sweep(profile: TechnologyProfile, args: argparse.Namespace) -> int:
     if not args.csv and not args.svg:
         for curve in curves:
             print(
-                f"{curve.label}: margin {curve.y.min():.4f} .. {curve.y.max():.4f} "
+                f"{curve.label}: margin {min(curve.y):.4f} .. {max(curve.y):.4f} "
                 f"over R_on {curve.x[0]:g} .. {curve.x[-1]:g} ohm"
             )
     return 0
@@ -161,7 +161,7 @@ def _cmd_ablate(profile: TechnologyProfile, args: argparse.Namespace) -> int:
         print(f"wrote {args.svg}")
     if not args.csv and not args.svg:
         for label, curve in series:
-            print(f"{label}: margin {curve.y.min():.4f} .. {curve.y.max():.4f}")
+            print(f"{label}: margin {min(curve.y):.4f} .. {max(curve.y):.4f}")
     return 0
 
 
@@ -198,7 +198,7 @@ def _cmd_compensate(profile: TechnologyProfile, args: argparse.Namespace) -> int
     curve = compensation_curve(
         profile, args.k, args.n, args.vbase, args.valt, _ron_grid(args)
     )
-    best = int(np.argmax(curve.y))  # the first maximum
+    best = max(range(len(curve.y)), key=curve.y.__getitem__)
     print(
         f"max margin gain {args.vbase:g}V->{args.valt:g}V at n={args.n}: "
         f"{curve.y[best]:.4f} at R_on={curve.x[best]:.4g} ohm "

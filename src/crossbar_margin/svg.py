@@ -14,8 +14,6 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .analysis import MarginCurve
 from .results import write_text
 
@@ -93,7 +91,7 @@ def render_plot(
     if kinds == ["margin"]:  # margins lie in (0, model._MARGIN_MAX]: under 4e-7 px above the frame
         y_label, y_min, y_max = "normalized margin", 0.0, 1.0
     else:
-        data_lo, data_hi = min(c.y.min() for c in curves), max(c.y.max() for c in curves)
+        data_lo, data_hi = min(min(c.y) for c in curves), max(max(c.y) for c in curves)
         pad = 0.05 * (data_hi - data_lo) or max(abs(data_hi) * 0.1, 1e-6)
         y_label, y_min, y_max = "margin gain", data_lo - pad, data_hi + pad
 
@@ -102,8 +100,8 @@ def render_plot(
     def px(xs: Iterable[float]) -> list[float]:
         return [LEFT + (t - tx_lo) / x_span * (RIGHT - LEFT) for t in map(math.log10, xs)]
 
-    def py(ys: np.ndarray) -> list[float]:  # one array expression, Python's order per y
-        return (BOTTOM - (ys - y_min) / y_span * (BOTTOM - TOP)).tolist()
+    def py(ys: Iterable[float]) -> list[float]:
+        return [BOTTOM - (y - y_min) / y_span * (BOTTOM - TOP) for y in ys]
 
     out = []
     out.append(
@@ -146,7 +144,7 @@ def render_plot(
 
     # y ticks
     y_ticks = _nice_ticks(y_min, y_max)
-    for y, t in zip(py(np.array(y_ticks)), y_ticks):
+    for y, t in zip(py(y_ticks), y_ticks):
         out.append(
             f'<line x1="{LEFT - 5}" y1="{y:.2f}" x2="{LEFT}" y2="{y:.2f}" '
             f'stroke="#333333"/>'

@@ -536,9 +536,8 @@ class TestGrid:
         curve = compensation_curve(profile22, 10.0, 1024, 0.2, 0.4, COARSE_R_ON_GRID)
         for clone in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)):
             assert type(clone) is MarginCurve and type(clone.x) is Grid
-            assert (clone.label, clone.x, clone.y.tolist(), clone.meta, clone.y_kind) == (
-                curve.label, curve.x, curve.y.tolist(), curve.meta, curve.y_kind)
-            assert clone.y.dtype == np.float64
+            assert (clone.label, clone.x, clone.y, clone.meta, clone.y_kind) == (
+                curve.label, curve.x, curve.y, curve.meta, curve.y_kind)
             assert all(np.array_equal(a, b) for a, b in zip(clone.sensed, curve.sensed))
         for clone in (pickle.loads(pickle.dumps(DEFAULT_N_GRID)), copy.deepcopy(DEFAULT_N_GRID)):
             assert type(clone) is Grid and clone == DEFAULT_N_GRID
@@ -582,7 +581,7 @@ class TestMarginCurve:
         # One margin rule (model._MARGIN_MAX), shared with SenseResult.
         sensed = self._sensed(profile22)
         curve = MarginCurve("c", (1.0, 2.0), (0.5, 1 + 5e-10), sensed)
-        assert curve.y.tolist() == [0.5, 1 + 5e-10]
+        assert curve.y == (0.5, 1 + 5e-10)
         message = f"margin values must lie in (0, 1], got {1 + 2e-9}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MarginCurve("c", (1.0, 2.0), (0.5, 1 + 2e-9), sensed)
@@ -590,7 +589,7 @@ class TestMarginCurve:
     def test_delta_curves_may_touch_zero(self, profile22):
         sensed = self._sensed(profile22)
         curve = MarginCurve("c", (1.0, 2.0), (0.0, -0.1), sensed, y_kind="delta")
-        assert curve.y.tolist() == [0.0, -0.1]
+        assert curve.y == (0.0, -0.1)
 
     def test_length_mismatch(self, profile22):
         with pytest.raises(ValueError):
@@ -621,10 +620,7 @@ class TestMarginCurve:
     def test_margin_curve_names_the_first_bad_margin(self, profile22, bad, named):
         sensed = [a.copy() for a in self._sensed(profile22, 3)]
         good = MarginCurve("c", (1.0, 2.0, 3.0), sensed[3], tuple(sensed), {})
-        again = MarginCurve("c", (1.0, 2.0, 3.0), good.y, good.sensed, {})
-        assert (again.label, again.x, again.y.tolist(), again.sensed, again.meta,
-                again.y_kind) == (good.label, good.x, good.y.tolist(), good.sensed, good.meta,
-                                  good.y_kind)
+        assert good == MarginCurve("c", (1.0, 2.0, 3.0), good.y, good.sensed, {})
         sensed[3][1:] = bad, 2.0
         with pytest.raises(ValueError, match=rf"must lie in \(0, 1\], got {named}$"):
             MarginCurve("c", (1.0, 2.0, 3.0), sensed[3], tuple(sensed), {})
@@ -634,11 +630,10 @@ class TestMarginCurve:
         y = np.array([0.5, 0.75])
         curve = MarginCurve("c", (1.0, 2.0), y, sensed)
         y[:] = 2.0, math.nan  # past the check, which the curve's y must not see
-        assert curve.y is not y and curve.y.tolist() == [0.5, 0.75]
-        assert curve.y.dtype == np.float64
-        assert MarginCurve("c", (1.0, 2.0), [1, 1], sensed).y.dtype == np.float64
+        assert curve.y == (0.5, 0.75) and all(type(v) is float for v in curve.y)
+        assert MarginCurve("c", (1.0, 2.0), [1, 1], sensed).y == (1.0, 1.0)
 
-    def test_a_study_curve_is_its_kernel_row(self, profile22):
+    def test_a_study_curve_holds_its_kernel_row(self, profile22):
         spec = SweepSpec(COARSE_R_ON_GRID, (64, 1024), (0.2, 0.4), 10.0,
                          (FactorToggles(), FactorToggles(leakage=False)))
         series = ablation_series(profile22, CellSpec(1e4, 10.0), ReadSetup(0.2, 64),
@@ -646,10 +641,10 @@ class TestMarginCurve:
         curves = sweep_grid(spec, profile22) + [curve for _, curve in series]
         assert len(curves) == 8 + 4
         for curve in curves:
-            assert curve.y is curve.sensed[3] and curve.y_kind == "margin"
-            assert curve.x is COARSE_R_ON_GRID
-        gain = compensation_curve(profile22, 10.0, 64, 0.2, 0.4, COARSE_R_ON_GRID)
-        assert gain.y_kind == "delta" and not np.shares_memory(gain.y, gain.sensed[3])
+            assert curve.y == tuple(curve.sensed[3].tolist()) and curve.y_kind == "margin"
+            assert all(type(v) is float for v in curve.y) and curve.x is COARSE_R_ON_GRID
+        curves[0].sensed[3][0] = 2.0  # past the kernel's check: the curve's y is its own
+        assert curves[0].y[0] < 1.0
 
     def test_the_models_margin_check_guards_study_curves(self, profile22, monkeypatch):
         # A study curve is not checked again, so model._sensed's margin bound is the one

@@ -80,13 +80,13 @@ def test_one_kernel_call_per_panel_layer_or_read_voltage(tmp_path, profile22, mo
 @pytest.mark.parametrize("writer, plotted", [(write_fig3, 7), (write_fig4, 15),
                                              (write_fig6, 5)],
                          ids=["fig3", "fig4", "fig6"])
-def test_each_margin_curve_is_its_kernel_row(tmp_path, profile22, monkeypatch, writer, plotted):
+def test_each_margin_curve_holds_its_kernel_row(tmp_path, profile22, monkeypatch, writer, plotted):
     curves = []
     monkeypatch.setattr(figures, "render_plot", lambda plot, *args, **kwargs: curves.extend(plot))
     writer(profile22, tmp_path)
     assert len(curves) == plotted
     for curve in curves:  # fig6's gains are differences of two rows, checked as built
-        assert (curve.y is curve.sensed[3]) == (curve.y_kind == "margin")
+        assert (curve.y == tuple(curve.sensed[3].tolist())) == (curve.y_kind == "margin")
     assert sum(curve.y_kind == "delta" for curve in curves) == (2 if writer is write_fig6 else 0)
 
 

@@ -32,7 +32,7 @@ def _arrays(grid):
 
 
 def _curve(curve):
-    return curve.label, curve.x, curve.y.tolist()
+    return curve.label, curve.x, curve.y
 
 
 def _curves(series):
