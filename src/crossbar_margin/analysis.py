@@ -161,14 +161,13 @@ class SweepSpec:
 class MarginCurve:
     """Ordered (x, y) samples with the model's arrays behind them.
 
-    x is a Grid and y a tuple of floats.  sensed is the (i_on, i_off,
-    ratio_effective, margin_normalized) arrays of the model call behind
-    the curve, one entry per x.  The constructor checks x (through Grid),
-    the lengths and y.  A study's margin curve is a row of a
-    model._sensed plane, which _sensed has checked: _of_row makes it
-    without a second check, its y the row's margins, sensed[3].  y_kind
-    is "margin" for normalized-margin curves (values in (0, 1]) and
-    "delta" for margin-difference curves, which may touch zero.
+    x goes through Grid and y is stored as a tuple of floats.  sensed
+    is the (i_on, i_off, ratio_effective, margin_normalized) arrays of the
+    model call behind the curve, one entry per x.  A study's margin curve,
+    a row of a model._sensed plane that _sensed has checked, is made by
+    _of_row without a second check.  y_kind is "margin"
+    for normalized-margin curves (values in (0, 1]) and "delta" for
+    margin-difference curves, which may touch zero.
     """
 
     label: str
@@ -203,6 +202,8 @@ class MarginCurve:
 
 def _check_y(y: np.ndarray, y_kind: str) -> None:
     """Margins must lie in (0, 1] (to model._MARGIN_MAX), deltas must be finite."""
+    if y_kind == "margin" and y.min() > 0.0 and y.max() <= _MARGIN_MAX:
+        return  # a NaN fails both reductions; the test below names it
     ok = (y > 0.0) & (y <= _MARGIN_MAX) if y_kind == "margin" else np.isfinite(y)
     if not ok.all():
         rule = "lie in (0, 1]" if y_kind == "margin" else "be finite"
