@@ -18,10 +18,14 @@ same script times any commit it is copied into.  Five layers:
             and compensation_curve, MarginCurve alone on one sense_grid row, and
             SweepSpec on the default grid; all but sweep_grid also as
             .tuple_grid, on a plain tuple of the default grid's values (the
-            design-space workload's kind of grid), which they check on every
-            call where the package's grid is pre-checked; sweep_grid.toggles4
-            is a design-space sweep, four toggle sets at one n and one V_read
-            on that tuple, and SweepSpec.tuple_grid builds its spec
+            design-space workload's kind of grid), which is one tuple on every
+            call, so the studies take it as their last grid, checked once, as
+            they take the package's pre-checked grid (MarginCurve checks its x
+            on every call); find_optimal_range and argmax_resistance also as
+            .list_grid, on a list of those values, which a study checks on
+            every call; sweep_grid.toggles4 is a design-space sweep, four
+            toggle sets at one n and one V_read on that tuple, and
+            SweepSpec.tuple_grid builds its spec
   figures   each figure writer whole, and its write_csv and render_plot
             calls replayed on the same arguments, apart from curve compute;
             validate --grid full --csv, in process
@@ -171,17 +175,21 @@ def analysis_cases(profile):
     spec = SweepSpec(DEFAULT_R_ON_GRID, DEFAULT_N_GRID, (V_READ,), K)
     cell, setup = CellSpec(r_on=1e4, ratio_ideal=K), ReadSetup(v_read=V_READ, n_cells=1024)
     row = sense_grid(profile, DEFAULT_R_ON_GRID, K, 1024, V_READ)
-    plain = tuple(DEFAULT_R_ON_GRID)
+    plain, listed = tuple(DEFAULT_R_ON_GRID), list(DEFAULT_R_ON_GRID)
     toggles4 = SweepSpec(plain, (1024,), (V_READ,), K, TOGGLES4)
     yield "analysis.SweepSpec", lambda: SweepSpec(DEFAULT_R_ON_GRID, (1024,), (V_READ,), K)
     yield "analysis.SweepSpec.tuple_grid", lambda: SweepSpec(plain, (1024,), (V_READ,), K, TOGGLES4)
     yield "analysis.find_optimal_range", lambda: find_optimal_range(profile, K, 1024, V_READ, 0.8)
     yield "analysis.find_optimal_range.tuple_grid", lambda: find_optimal_range(
         profile, K, 1024, V_READ, 0.8, plain)
+    yield "analysis.find_optimal_range.list_grid", lambda: find_optimal_range(
+        profile, K, 1024, V_READ, 0.8, listed)
     yield "analysis.argmax_resistance", lambda: argmax_resistance(
         profile, K, 1024, V_READ, DEFAULT_R_ON_GRID)
     yield "analysis.argmax_resistance.tuple_grid", lambda: argmax_resistance(
         profile, K, 1024, V_READ, plain)
+    yield "analysis.argmax_resistance.list_grid", lambda: argmax_resistance(
+        profile, K, 1024, V_READ, listed)
     yield "analysis.sweep_grid", lambda: sweep_grid(spec, profile)
     yield "analysis.sweep_grid.toggles4", lambda: sweep_grid(toggles4, profile)
     yield "analysis.ablation_series", lambda: ablation_series(profile, cell, setup)

@@ -90,6 +90,28 @@ MUTANTS = (
          "tests/test_analysis.py::TestAblationSeries::test_grid_validation"),
     ),
     Mutant(
+        "_grid's memo keyed without its quantity", ANALYSIS,
+        "    if (last := _LAST.get(quantity)) and last[0] is values:\n"
+        "        return last[1], last[2]\n"
+        "    grid, row = _checked_grid(quantity, values, name)\n"
+        "    if type(values) is tuple or isinstance(values, Grid):\n"
+        "        row.flags.writeable = False\n"
+        "        _LAST[quantity] = values, grid, row\n",
+        "    if (last := _LAST.get(\"grid\")) and last[0] is values:\n"
+        "        return last[1], last[2]\n"
+        "    grid, row = _checked_grid(quantity, values, name)\n"
+        "    if type(values) is tuple or isinstance(values, Grid):\n"
+        "        row.flags.writeable = False\n"
+        "        _LAST[\"grid\"] = values, grid, row\n",
+        ("tests/test_analysis.py::TestGrid::test_the_memo_is_kept_per_quantity",),
+    ),
+    Mutant(
+        "_grid remembers a list like a tuple", ANALYSIS,
+        "if type(values) is tuple or isinstance(values, Grid):",
+        "if type(values) in (tuple, list) or isinstance(values, Grid):",
+        ("tests/test_analysis.py::TestGrid::test_a_list_is_checked_on_every_call",),
+    ),
+    Mutant(
         "_sensed_rows' fallback walks the rows in reverse", ANALYSIS,
         "zip(r_rows, n_rows)  # each row a plane",
         "zip(r_rows[::-1], n_rows[::-1])  # each row a plane",

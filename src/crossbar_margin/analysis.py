@@ -5,10 +5,12 @@ increasing, finite): the grid constants, SweepSpec's grids, each
 MarginCurve's x.  SweepSpec and the studies check a grid once, at entry,
 by one rule (_grid): a Grid of R_on or V_read by its least value, a plain
 row of their numbers in one pass, any other grid by the input domain and
-then by shape.  Each plane (a sweep's at one read voltage, the ablation's
-variants, a fig3 panel, a fig4 layer) is one model._sensed call, each curve
-a row of it (_sensed_rows); a failing plane falls back to one call per row,
-so each row keeps its own error: a sweep drops it, the others raise the first.
+then by shape.  A tuple or Grid accepted once is not checked again while it
+is its quantity's last grid: it holds numbers, which cannot change.  Each
+plane (a sweep's at one read voltage, the ablation's variants, a fig3 panel,
+a fig4 layer) is one model._sensed call, each curve a row of it
+(_sensed_rows); a failing plane falls back to one call per row, so each row
+keeps its own error: a sweep drops it, the others raise the first.
 
 The optimal R_on band needs no sweep at all.  With S = R_T + n*r,
 L = (n-1)*I_leak, drive V, fabricated ratio k and threshold t, the lumped
@@ -29,6 +31,7 @@ import contextlib
 import math
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -91,7 +94,24 @@ def _check_grid(name: str, values: np.ndarray) -> None:
             raise ValueError(f"{name} must be finite, got {v}")
 
 
+_LAST: dict[str, tuple] = {}  # per quantity: the last tuple or Grid _grid took, Grid, row
+
+
 def _grid(quantity: str, values, name: str) -> tuple[Grid, np.ndarray]:
+    """_checked_grid, except that the last tuple or Grid of each quantity comes back unchecked:
+    it holds only numbers, which cannot change, and _LAST holds it, so its id is not reused.
+    Its row is read-only, as calls share it.  A list can change, and is checked on every
+    call."""
+    if (last := _LAST.get(quantity)) and last[0] is values:
+        return last[1], last[2]
+    grid, row = _checked_grid(quantity, values, name)
+    if type(values) is tuple or isinstance(values, Grid):
+        row.flags.writeable = False
+        _LAST[quantity] = values, grid, row
+    return grid, row
+
+
+def _checked_grid(quantity: str, values, name: str) -> tuple[Grid, np.ndarray]:
     """A grid of the model input `quantity`, checked as `name`, as a Grid of the model's
     numbers (floats for R_on and V_read, ints for n) and as the array it computes with.
 
@@ -157,7 +177,7 @@ class SweepSpec:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class MarginCurve:
     """Ordered (x, y) samples with the model's arrays behind them.
 
@@ -189,6 +209,15 @@ class MarginCurve:
         # Frozen: bypass __setattr__, as dataclass's own __init__ does.
         self.__dict__.update(label=label, x=x, y=tuple(y.tolist()), sensed=sensed,
                              meta={} if meta is None else meta, y_kind=y_kind)
+
+    __hash__ = None  # sensed holds arrays, meta a dict
+
+    def __eq__(self, other):  # a dataclass's ==, each sensed array by np.array_equal
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = attrgetter("label", "x", "y", "meta", "y_kind")
+        return fields(self) == fields(other) and len(self.sensed) == len(other.sensed) and all(
+            a is b or np.array_equal(a, b) for a, b in zip(self.sensed, other.sensed))
 
     @classmethod
     def _of_row(cls, label: str, x: Grid, sensed: tuple[np.ndarray, ...],

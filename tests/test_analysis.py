@@ -532,6 +532,57 @@ class TestGrid:
         assert checked(sweep_grid, spec, profile22) == {}  # its spec checked every input
         assert checked(compare_lumped_distributed, profile22, cells, setups) == {}
 
+    # _grid remembers the last tuple or Grid of each quantity.  The tests below build each
+    # grid afresh, since a tuple literal is one object on every run of its test.
+    def test_the_last_tuple_or_grid_comes_back_unchecked(self, monkeypatch):
+        for values in (tuple([1e4, 2e4, 4e4]), Grid([1e4, 2e4, 4e4])):
+            grid, row = analysis._grid("r_on", values, "r_on_grid")
+            with monkeypatch.context() as patched:
+                patched.setattr(analysis, "_checked_grid", None)  # not called again
+                again = analysis._grid("r_on", values, "r_on_grid")
+            assert again[0] is grid and again[1] is row
+
+    def test_a_list_is_checked_on_every_call(self, profile22):
+        values = [1e4, 2e4, 4e4]
+        assert argmax_resistance(profile22, 10.0, 64, 0.2, values) in values
+        values[2] = 5e3
+        message = "r_on_grid must be strictly increasing, got 20000.0 then 5000.0"
+        for call in (lambda: analysis._grid("r_on", values, "r_on_grid"),
+                     lambda: argmax_resistance(profile22, 10.0, 64, 0.2, values)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_a_failing_tuple_fails_again(self, profile22):
+        values = tuple([1e4, 3e4, 2e4])
+        message = "r_on_grid must be strictly increasing, got 30000.0 then 20000.0"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                find_optimal_range(profile22, 10.0, 64, 0.2, 0.8, values)
+
+    def test_the_memo_is_kept_per_quantity(self):
+        values = tuple([64, 128])
+        grid, row = analysis._grid("r_on", values, "r_on_grid")
+        assert [type(v) for v in grid] == [float, float] and row.dtype == np.float64
+        grid, row = analysis._grid("n_cells", values, "n_grid")
+        assert [type(v) for v in grid] == [int, int] and row.dtype == np.uint64
+        assert analysis._grid("r_on", values, "r_on_grid")[1].dtype == np.float64
+
+    def test_a_remembered_row_is_read_only_and_study_arrays_are_not(self, profile22):
+        for values in (tuple([1e4, 2e4]), Grid([1e4, 2e4]), (1e4, np.float64(2e4))):
+            for _ in range(2):  # the first call's row, then the remembered one
+                assert not analysis._grid("r_on", values, "r_on_grid")[1].flags.writeable
+        values = [1e4, 2e4]  # a list's row is its call's own
+        rows = [analysis._grid("r_on", values, "r_on_grid")[1] for _ in range(2)]
+        assert rows[0] is not rows[1] and all(row.flags.writeable for row in rows)
+        array = np.array([1e4, 2e4])  # the caller's own array is left as it is
+        assert analysis._grid("r_on", array, "r_on_grid")[1] is array and array.flags.writeable
+        grid = tuple([1e4, 2e4, 4e4])
+        curves = sweep_grid(SweepSpec(grid, (64,), (0.2,), 10.0), profile22) + [
+            curve for _, curve in ablation_series(profile22, CellSpec(1e4, 10.0),
+                                                  ReadSetup(0.2, 64), grid)]
+        curves.append(compensation_curve(profile22, 10.0, 64, 0.2, 0.4, grid))
+        assert all(a.flags.writeable for curve in curves for a in curve.sensed)
+
     def test_grid_and_curve_survive_pickle_and_deepcopy(self, profile22):
         curve = compensation_curve(profile22, 10.0, 1024, 0.2, 0.4, COARSE_R_ON_GRID)
         for clone in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)):
@@ -624,6 +675,17 @@ class TestMarginCurve:
         sensed[3][1:] = bad, 2.0
         with pytest.raises(ValueError, match=rf"must lie in \(0, 1\], got {named}$"):
             MarginCurve("c", (1.0, 2.0, 3.0), sensed[3], tuple(sensed), {})
+
+    def test_curves_compare_by_value(self, profile22):
+        spec = SweepSpec(COARSE_R_ON_GRID, (64,), (0.2,), 10.0)
+        (a,), (b,) = sweep_grid(spec, profile22), sweep_grid(spec, profile22)
+        assert a.sensed[0] is not b.sensed[0] and a == b and not a != b
+        sensed = tuple(array.copy() for array in b.sensed)
+        sensed[0][3] *= 2.0
+        changed = MarginCurve._of_row(b.label, b.x, sensed, b.meta)
+        assert a != changed and not a == changed and a != (a.label, a.x)
+        with pytest.raises(TypeError):
+            hash(a)
 
     def test_the_constructor_keeps_its_own_y(self, profile22):
         sensed = self._sensed(profile22)

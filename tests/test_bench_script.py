@@ -41,6 +41,8 @@ def test_bench_script_reports_every_layer(tmp_path):
     for name in ("find_optimal_range", "argmax_resistance", "ablation_series",
                  "compensation_curve", "MarginCurve", "SweepSpec"):
         assert cases[f"analysis.{name}.tuple_grid"]["layer"] == "analysis"
+    for name in ("find_optimal_range", "argmax_resistance"):
+        assert cases[f"analysis.{name}.list_grid"]["layer"] == "analysis"
     for n in (64, 1024, 16384):
         assert cases[f"oracle.compare_lumped_distributed.n{n}"]["layer"] == "oracle"
     for n in (256, 1024, 4096, 16384):
