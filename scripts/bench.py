@@ -13,7 +13,9 @@ same script times any commit it is copied into.  Five layers:
   oracle    oracle_margin and the network stages build_column, solve_column,
             kcl_residuals and kvl_loop_residual as n grows, and
             compare_lumped_distributed over 20 log-spaced cells at n = 64, 1024
-            and 16384 (the oracle-validation workload's shape)
+            and 16384 (the oracle-validation workload's shape); solve_column
+            computes the branch currents only, and node_voltages times it with
+            the first read of both node voltages, what a voltage reader pays
   analysis  find_optimal_range, argmax_resistance, sweep_grid, ablation_series
             and compensation_curve, MarginCurve alone on one sense_grid row, and
             SweepSpec on the default grid; all but sweep_grid also as
@@ -162,6 +164,8 @@ def oracle_cases(profile):
         yield f"oracle.oracle_margin.n{n}", lambda s=setup: oracle_margin(profile, cell, s)
         yield f"oracle.build_column.n{n}", lambda s=setup: build_column(profile, cell, s, "on")
         yield f"oracle.solve_column.n{n}", lambda net=net: solve_column(net)
+        yield f"oracle.node_voltages.n{n}", lambda net=net: (
+            (sol := solve_column(net)).bl_voltages, sol.sl_voltages)
         yield f"oracle.kcl_residuals.n{n}", lambda net=net, sol=sol: kcl_residuals(net, sol)
         yield f"oracle.kvl_loop_residual.n{n}", lambda net=net, sol=sol: kvl_loop_residual(net, sol)
     cells = [CellSpec(r_on=r, ratio_ideal=K) for r in COMPARE_R_ON]

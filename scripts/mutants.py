@@ -133,6 +133,19 @@ MUTANTS = (
         ("tests/test_analysis.py::TestMarginCurve::"
          "test_the_models_margin_check_guards_study_curves",),
     ),
+    Mutant(
+        "the first-read voltage rebuild without the source line's r", ORACLE,
+        "        sl[: n - 1] *= r\n",
+        "",
+        ("tests/test_oracle.py::TestSolveColumnEqualsCumsumReference::"
+         "test_every_position_toggle_set_and_state",),
+    ),
+    Mutant(
+        "NetworkSolution.__getattr__ answers every missing name", ORACLE,
+        'if net is None or name not in ("bl_voltages", "sl_voltages"):',
+        "if net is None:",
+        ("tests/test_oracle.py::TestVoltagesReadOnDemand::test_an_unknown_attribute_is_missing",),
+    ),
 )
 
 

@@ -37,9 +37,10 @@ system; direct elimination in branch-current space solves it exactly.
 Solving for currents rather than node voltages matters: node voltages
 sit near the drive voltage, and their last-place rounding would swamp
 nanoampere-scale flows, while branch currents keep full relative
-precision at any flow magnitude.  Node voltages are reconstructed from
-the segment drops afterwards.  A dense nodal-analysis formulation of the
-same network lives in the test suite as an independent cross-check.
+precision at any flow magnitude.  Node voltages are rebuilt from the
+segment drops on their first read, since neither Kirchhoff residual needs
+them.  A dense nodal-analysis formulation of the same network lives in
+the test suite as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ class NetworkSolution:
     j toward the sense (n-1 entries).  i_sensed is the total current into
     the sense node, which by current conservation equals i_selected_cell
     plus the summed leakage of the unselected cells.
+
+    A solution from solve_column holds no voltage until one is read: the
+    first read of either rebuilds both from the segment currents, bit for
+    bit what an eager rebuild gives, and keeps them; concurrent first reads
+    return the same arrays.
     """
 
     bl_voltages: np.ndarray
@@ -109,6 +115,25 @@ class NetworkSolution:
     sl_segment_currents: np.ndarray
     i_sensed: float
     i_selected_cell: float
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Called only for a name the instance lacks.  Any name but the two
+        # voltages stays missing, so copy's and pickle's probes never recurse.
+        state = self.__dict__
+        net = state.get("_net")
+        if net is None or name not in ("bl_voltages", "sl_voltages"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n, r = net.n_cells, net.r_segment
+        bl = np.cumsum(self.bl_segment_currents)
+        bl *= r
+        np.subtract(net.v_drive, bl, out=bl)
+        sl = np.empty(n)
+        sl[n - 1] = 0.0
+        np.cumsum(self.sl_segment_currents[::-1], out=sl[: n - 1][::-1])
+        sl[: n - 1] *= r
+        bl = state.setdefault("bl_voltages", bl)
+        sl = state.setdefault("sl_voltages", sl)
+        return bl if name == "bl_voltages" else sl
 
 
 def build_column(
@@ -150,8 +175,10 @@ def solve_column(net: ColumnNetwork) -> NetworkSolution:
 
     with W = s(n+1-s) - n + n(n-1)/2 counting, over the n segments of the
     selected path, how many leakage extractions each one carries.  W is
-    n(n-1)/2 at s = 1 and s = n and largest at s = (n+1)//2.  Raises
-    SolverError if the element values admit no finite solution.
+    n(n-1)/2 at s = 1 and s = n and largest at s = (n+1)//2.  Only these
+    branch currents are computed here; the node voltages are summed from
+    them on their first read (NetworkSolution).  Raises SolverError if the
+    element values admit no finite solution.
     """
     n = net.n_cells
     sel = net.selected_index
@@ -171,12 +198,12 @@ def solve_column(net: ColumnNetwork) -> NetworkSolution:
             f"(r_cell_on_path={net.r_cell_on_path:g}, n*r={n * r:g})"
         )
 
-    # bl first holds leak[k], the leakage of k cells (k < n).  Bit-line
-    # segment j carries n-j unselected cells up to sel and n-j+1 past it;
-    # source-line segment j carries j below sel and j-1 from sel on.  Where
-    # the cell current does not flow, i_cell * 0.0 is still added: every
-    # entry is the sum i_cell * [flows] + leakage, signed zeros included.
-    bl = leak = np.arange(n, dtype=float)
+    # leak[k] is the leakage of k cells (k < n).  Bit-line segment j carries
+    # n-j unselected cells up to sel and n-j+1 past it; source-line segment
+    # j carries j below sel and j-1 from sel on.  Where the cell current
+    # does not flow, i_cell * 0.0 is still added: every entry is the sum
+    # i_cell * [flows] + leakage, signed zeros included.
+    leak = np.arange(n, dtype=float)
     leak *= i_leak
     down = leak[::-1]  # down[k] = leak[n - 1 - k]
     no_cell = i_cell * 0.0
@@ -187,26 +214,16 @@ def solve_column(net: ColumnNetwork) -> NetworkSolution:
     np.add(leak[1:sel], no_cell, out=f_sl[: sel - 1])
     np.add(leak[sel - 1 : n - 1], i_cell, out=f_sl[sel - 1 :])
 
-    np.cumsum(f_bl, out=bl)
-    bl *= r
-    np.subtract(v, bl, out=bl)
-    sl = np.empty(n)
-    sl[n - 1] = 0.0
-    np.cumsum(f_sl[::-1], out=sl[: n - 1][::-1])
-    sl[: n - 1] *= r
-
     # Current into the sense node: last source-line segment plus the end
     # cell's own contribution (the selected resistor or its leakage).
     i_sensed = float(f_sl[n - 2]) if n >= 2 else 0.0
     i_sensed += i_cell if sel == n else i_leak
-    return NetworkSolution(
-        bl_voltages=bl,
-        sl_voltages=sl,
-        bl_segment_currents=f_bl,
-        sl_segment_currents=f_sl,
-        i_sensed=i_sensed,
-        i_selected_cell=i_cell,
-    )
+    # Bypass __init__ to leave both voltages unset; _net lets
+    # NetworkSolution.__getattr__ rebuild them when first read.
+    sol = object.__new__(NetworkSolution)
+    vars(sol).update(bl_segment_currents=f_bl, sl_segment_currents=f_sl, i_sensed=i_sensed,
+                     i_selected_cell=i_cell, _net=net)
+    return sol
 
 
 def kcl_residuals(net: ColumnNetwork, sol: NetworkSolution) -> np.ndarray:

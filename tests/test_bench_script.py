@@ -46,8 +46,8 @@ def test_bench_script_reports_every_layer(tmp_path):
     for n in (64, 1024, 16384):
         assert cases[f"oracle.compare_lumped_distributed.n{n}"]["layer"] == "oracle"
     for n in (256, 1024, 4096, 16384):
-        for stage in ("oracle_margin", "build_column", "solve_column", "kcl_residuals",
-                      "kvl_loop_residual"):
+        for stage in ("oracle_margin", "build_column", "solve_column", "node_voltages",
+                      "kcl_residuals", "kvl_loop_residual"):
             assert cases[f"oracle.{stage}.n{n}"]["layer"] == "oracle"
     gaps = record["accuracy"]["gap_max_pct"]
     assert list(gaps) == ["64", "128", "256", "512", "1024", "2048", "4096", "8192", "16384"]

@@ -6,9 +6,12 @@ nodal-analysis solve (tests/nodal_reference.py) and against closed-form
 limits.
 """
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -242,6 +245,82 @@ class TestSolveColumnEqualsCumsumReference:
             assert kcl_residuals(net, sol).tobytes() == kcl_residuals_loop(net, sol).tobytes()
             assert kvl_loop_residual(net, sol) == kvl_loop_residual_loop(net, sol)
         assert solve_column(ColumnNetwork(64, 50.0, 1e4, 1.0, 32, 0.2)).i_selected_cell < 0
+
+
+class TestVoltagesReadOnDemand:
+    """solve_column's solution derives its node voltages on their first read."""
+
+    @staticmethod
+    def network(sel=37):
+        return ColumnNetwork(64, 2.5, 2e4, 4e-11, sel, 0.2)
+
+    def test_no_voltage_is_held_until_one_is_read(self):
+        sol = solve_column(self.network())
+        held = [name for name, value in vars(sol).items() if isinstance(value, np.ndarray)]
+        assert held == ["bl_segment_currents", "sl_segment_currents"]
+        sol.sl_voltages
+        assert {"bl_voltages", "sl_voltages"} <= set(vars(sol))
+
+    @pytest.mark.parametrize("sel", [1, 37, 64])
+    def test_voltages_read_after_the_residuals_are_the_references(self, sel):
+        net = self.network(sel)
+        sol = solve_column(net)
+        kcl_residuals(net, sol)
+        kvl_loop_residual(net, sol)
+        assert_same_solution(sol, solve_column_cumsum(net))
+
+    def test_a_second_read_returns_the_same_array(self):
+        sol = solve_column(self.network())
+        bl, sl = sol.bl_voltages, sol.sl_voltages
+        assert sol.bl_voltages is bl and sol.sl_voltages is sl
+
+    def test_concurrent_first_reads_return_one_array(self):
+        sol = solve_column(ColumnNetwork(16384, 2.5, 2e4, 4e-11, 16384, 0.2))
+        barrier, seen = threading.Barrier(4), []
+
+        def read(name):
+            barrier.wait()
+            seen.append(getattr(sol, name))
+
+        threads = [threading.Thread(target=read, args=(name,))
+                   for name in ("bl_voltages", "sl_voltages") * 2]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len({id(array) for array in seen}) == 2
+        assert {id(sol.bl_voltages), id(sol.sl_voltages)} == {id(array) for array in seen}
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda sol: pickle.loads(pickle.dumps(sol))])
+    def test_a_copy_of_an_unread_solution_gives_the_same_voltages(self, duplicate):
+        net = self.network()
+        sol = solve_column(net)
+        twin = duplicate(sol)
+        assert "bl_voltages" not in vars(sol)
+        assert_same_solution(twin, solve_column_cumsum(net))
+        assert_same_solution(sol, twin)
+
+    def test_replace_repr_and_asdict_see_the_voltages(self):
+        net = self.network()
+        sol, want = solve_column(net), solve_column_cumsum(net)
+        replaced = dataclasses.replace(sol, i_sensed=1.0)
+        assert replaced.i_sensed == 1.0
+        assert replaced.bl_voltages.tobytes() == want.bl_voltages.tobytes()
+        assert repr(sol) == repr(want)
+        assert dataclasses.asdict(sol)["sl_voltages"].tobytes() == want.sl_voltages.tobytes()
+
+    def test_a_voltage_cannot_be_assigned(self):
+        sol = solve_column(self.network())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.bl_voltages = np.zeros(64)
+
+    def test_an_unknown_attribute_is_missing(self):
+        sol = solve_column(self.network())
+        with pytest.raises(AttributeError, match="bl_voltage'"):
+            sol.bl_voltage
+        assert not hasattr(sol, "__setstate__")
+        assert "bl_voltages" not in vars(sol)
 
 
 class TestAgainstDenseNodalReference:
