@@ -5,8 +5,9 @@
 
 Each entry of MUTANTS names a file of the checkout, an exact old text (found
 there exactly once), the new text that replaces it, and the pytest node ids
-expected to fail with it.  The checkout's src/ and tests/ and its
-pyproject.toml are copied to a temporary directory.  The node ids are run
+expected to fail with it.  The checkout's src/ and tests/, its
+pyproject.toml and the golden digests tests/test_golden.py reads are
+copied to a temporary directory.  The node ids are run
 there once unmutated (they must pass); then each mutant in turn is applied,
 its node ids run in one pytest subprocess, and the file restored.  Mutants
 run one after another, never in parallel.  A mutant is killed when pytest
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "pyproject.toml", "perfbench/golden_digests.json")
 
 
 class Mutant(NamedTuple):
@@ -41,8 +42,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, relative to the checkout
 
 
-MODEL, ANALYSIS, ORACLE = (f"src/crossbar_margin/{name}.py"
-                           for name in ("model", "analysis", "oracle"))
+MODEL, ANALYSIS, ORACLE, RESULTS, SVG = (
+    f"src/crossbar_margin/{name}.py" for name in ("model", "analysis", "oracle", "results", "svg"))
 
 MUTANTS = (
     Mutant(
@@ -141,10 +142,30 @@ MUTANTS = (
          "test_every_position_toggle_set_and_state",),
     ),
     Mutant(
-        "NetworkSolution.__getattr__ answers every missing name", ORACLE,
-        'if net is None or name not in ("bl_voltages", "sl_voltages"):',
-        "if net is None:",
-        ("tests/test_oracle.py::TestVoltagesReadOnDemand::test_an_unknown_attribute_is_missing",),
+        "the first-read voltage rebuild stores nothing", ORACLE,
+        '        bl = state.setdefault("bl_voltages", bl)\n'
+        '        sl = state.setdefault("sl_voltages", sl)\n',
+        "",
+        ("tests/test_oracle.py::TestVoltagesReadOnDemand::test_a_second_read_returns_the_same_array",),
+    ),
+    Mutant(
+        "write_text without its truncate", RESULTS,
+        "        handle.truncate()\n",
+        "",
+        ("tests/test_results_svg.py::TestRenderPlot::test_rewrite_leaves_no_stale_bytes",),
+    ),
+    Mutant(
+        "the polyline template at %.1f", SVG,
+        'x + ",%.2f"',
+        'x + ",%.1f"',
+        ("tests/test_golden.py::test_figures_and_validation_match_golden_digests",
+         "tests/test_results_svg.py::TestRenderPlot::test_flat_unity_margin_sits_on_top_axis"),
+    ),
+    Mutant(
+        "no table gets the '\"\"' fix-up", RESULTS,
+        "if len(table.header) == 1:",
+        "if False:",
+        ("tests/test_results_svg.py::test_write_csv_matches_cell_by_cell_reference",),
     ),
 )
 
@@ -181,6 +202,7 @@ def main() -> int:
                 shutil.copytree(source, tree / name,
                                 ignore=shutil.ignore_patterns("__pycache__"))
             else:
+                (tree / name).parent.mkdir(exist_ok=True)
                 shutil.copy2(source, tree / name)
         node_ids = tuple(dict.fromkeys(t for mutant in MUTANTS for t in mutant.tests))
         if (status := pytest_status(tree, node_ids)) != 0:

@@ -116,24 +116,36 @@ class NetworkSolution:
     i_sensed: float
     i_selected_cell: float
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        # Called only for a name the instance lacks.  Any name but the two
-        # voltages stays missing, so copy's and pickle's probes never recurse.
-        state = self.__dict__
-        net = state.get("_net")
-        if net is None or name not in ("bl_voltages", "sl_voltages"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+class _VoltageOnFirstRead:
+    """A voltage solve_column left unset, rebuilt with the other on its first read.  A
+    non-data descriptor: a stored voltage shadows it, and every read stays a plain one."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, sol: NetworkSolution | None, owner: type | None = None) -> np.ndarray:
+        if sol is None:
+            return self
+        state = vars(sol)
+        if (net := state.get("_net")) is None:  # not from solve_column: a missing name
+            raise AttributeError(f"{type(sol).__name__!r} object has no attribute {self.name!r}")
         n, r = net.n_cells, net.r_segment
-        bl = np.cumsum(self.bl_segment_currents)
+        bl = np.cumsum(sol.bl_segment_currents)
         bl *= r
         np.subtract(net.v_drive, bl, out=bl)
         sl = np.empty(n)
         sl[n - 1] = 0.0
-        np.cumsum(self.sl_segment_currents[::-1], out=sl[: n - 1][::-1])
+        np.cumsum(sol.sl_segment_currents[::-1], out=sl[: n - 1][::-1])
         sl[: n - 1] *= r
         bl = state.setdefault("bl_voltages", bl)
         sl = state.setdefault("sl_voltages", sl)
-        return bl if name == "bl_voltages" else sl
+        return bl if self.name == "bl_voltages" else sl
+
+
+# Set after @dataclass, which would take a class attribute for the fields' default.
+NetworkSolution.bl_voltages = _VoltageOnFirstRead("bl_voltages")
+NetworkSolution.sl_voltages = _VoltageOnFirstRead("sl_voltages")
 
 
 def build_column(
@@ -219,7 +231,7 @@ def solve_column(net: ColumnNetwork) -> NetworkSolution:
     i_sensed = float(f_sl[n - 2]) if n >= 2 else 0.0
     i_sensed += i_cell if sel == n else i_leak
     # Bypass __init__ to leave both voltages unset; _net lets
-    # NetworkSolution.__getattr__ rebuild them when first read.
+    # _VoltageOnFirstRead rebuild them when first read.
     sol = object.__new__(NetworkSolution)
     vars(sol).update(bl_segment_currents=f_bl, sl_segment_currents=f_sl, i_sensed=i_sensed,
                      i_selected_cell=i_cell, _net=net)

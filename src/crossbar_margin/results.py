@@ -9,6 +9,7 @@ table, so a grid shared by many curves is formatted once per file.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from itertools import repeat
@@ -109,15 +110,18 @@ def write_csv(table: ResultTable, path: str | Path) -> int:
                 cells.append(_quote(format_cell(entry)))
         columns = (c if isinstance(c, list) else repeat(c, n_rows) for c in cells)
         lines += map(",".join, zip(*columns))
-    text = "\n".join([line or '""' for line in lines]) + "\n"  # csv's "" for one empty cell
-    write_text(path, text)
+    if len(table.header) == 1:  # only a one-cell row can be empty: csv writes it ""
+        lines = [line or '""' for line in lines]
+    write_text(path, "\n".join(lines) + "\n")
     return len(lines) - 1
 
 
 def write_text(path: str | Path, text: str) -> None:
     """UTF-8 text over the file's old bytes, cut to length: on ext4, truncating on
-    open makes close flush the rewritten file, tens of ms of wall time per file."""
-    Path(path).touch()
-    with Path(path).open("r+b") as handle:
+    open makes close flush the rewritten file, tens of ms of wall time per file.  An
+    existing file keeps its mode, a missing one gets 0o666 less the umask, and a
+    symlink is written through."""
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(path, flags, 0o666), "wb") as handle:
         handle.write(text.encode("utf-8"))
         handle.truncate()

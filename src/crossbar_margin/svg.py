@@ -14,6 +14,8 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .analysis import MarginCurve
 from .results import write_text
 
@@ -68,9 +70,11 @@ def render_plot(
 
     Curves named in marker_labels are drawn as point markers (no line),
     those in dash_labels with a dashed stroke.  The curves share one
-    y_kind, which sets the y axis (module docstring).  The pixel x text of
-    each distinct x object is formatted once per call, so curves on one
-    shared grid pay for it once.
+    y_kind, which sets the y axis (module docstring).  Each distinct x
+    object's pixel x texts and polyline template "x0,%.2f x1,%.2f ..." are
+    built once per call; a curve's points are one template % its pixel ys.
+    Every pixel y of a plot comes from one numpy pass, in the per-point
+    expression's order of operations, so each is the float it gives.
     """
     if not curves:
         raise ValueError("render_plot needs at least one curve")
@@ -99,9 +103,6 @@ def render_plot(
 
     def px(xs: Iterable[float]) -> list[float]:
         return [LEFT + (t - tx_lo) / x_span * (RIGHT - LEFT) for t in map(math.log10, xs)]
-
-    def py(ys: Iterable[float]) -> list[float]:
-        return [BOTTOM - (y - y_min) / y_span * (BOTTOM - TOP) for y in ys]
 
     out = []
     out.append(
@@ -142,9 +143,11 @@ def render_plot(
             f'font-size="11">{escape(label)}</text>'
         )
 
-    # y ticks
+    # y ticks, and the pixel y of every tick and curve point in one pass (docstring)
     y_ticks = _nice_ticks(y_min, y_max)
-    for y, t in zip(py(y_ticks), y_ticks):
+    pixel_ys = (BOTTOM - (np.concatenate([y_ticks, *(c.y for c in curves)]) - y_min) / y_span
+                * (BOTTOM - TOP)).tolist()
+    for y, t in zip(pixel_ys, y_ticks):
         out.append(
             f'<line x1="{LEFT - 5}" y1="{y:.2f}" x2="{LEFT}" y2="{y:.2f}" '
             f'stroke="#333333"/>'
@@ -171,12 +174,15 @@ def render_plot(
 
     # curves, inside the frame by construction of the y bounds, then their legend
     legend = []
-    x_text = {}  # id of a curve's x -> its "{:.2f}" pixel x; the curves keep each x alive
+    x_text = {}  # id of a curve's x -> its pixel x texts and polyline template
+    end = len(y_ticks)
     for idx, curve in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
-        if id(curve.x) not in x_text:
-            x_text[id(curve.x)] = list(map("{:.2f}".format, px(curve.x)))
-        xs, ys = x_text[id(curve.x)], py(curve.y)
+        if id(curve.x) not in x_text:  # the curves keep each x alive
+            xs = list(map("{:.2f}".format, px(curve.x)))
+            x_text[id(curve.x)] = xs, " ".join([x + ",%.2f" for x in xs])
+        (xs, template), ys = x_text[id(curve.x)], pixel_ys[end : end + len(curve.y)]
+        end += len(curve.y)
         y = TOP + 10 + idx * 18
         if curve.label in marker_labels:
             circle = f'<circle cx="{{}}" cy="{{:.2f}}" r="3" fill="{color}"/>'
@@ -184,9 +190,8 @@ def render_plot(
             legend.append(f'<circle cx="{RIGHT + 18}" cy="{y}" r="3" fill="{color}"/>')
         else:
             dash = ' stroke-dasharray="6 3"' if curve.label in dash_labels else ""
-            points = " ".join(map("{},{:.2f}".format, xs, ys))
             out.append(
-                f'<polyline points="{points}" fill="none" stroke="{color}" '
+                f'<polyline points="{template % tuple(ys)}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"{dash}/>'
             )
             legend.append(

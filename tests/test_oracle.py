@@ -40,6 +40,10 @@ from compare_reference import compare_lumped_distributed as compare_reference
 from kirchhoff_reference import kcl_residuals_loop, kvl_loop_residual_loop, solve_column_cumsum
 from nodal_reference import dense_nodal_solution
 
+# The hypothesis tests live at module level: hypothesis takes a method's instance
+# as its executor, and a test collected twice (--keep-duplicates) would meet two
+# of them and fail its health check.
+
 REL = 1e-12
 TOGGLE_SETS = [FactorToggles(*bits) for bits in itertools.product((True, False), repeat=3)]
 
@@ -323,25 +327,26 @@ class TestVoltagesReadOnDemand:
         assert "bl_voltages" not in vars(sol)
 
 
-class TestAgainstDenseNodalReference:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=48),
-        sel_frac=st.floats(min_value=0.0, max_value=1.0),
-        r_on=st.floats(min_value=1e3, max_value=1e6),
-        r_seg=st.floats(min_value=0.5, max_value=20.0),
-        i_leak=st.floats(min_value=0.0, max_value=1e-9),
-    )
-    def test_chain_elimination_matches_dense_solve(self, n, sel_frac, r_on, r_seg, i_leak):
-        sel = 1 + round(sel_frac * (n - 1))
-        net = ColumnNetwork(n, r_seg, r_on, i_leak, sel, 0.2)
-        sol = solve_column(net)
-        bl, sl, i_sensed, i_cell = dense_nodal_solution(net)
-        np.testing.assert_allclose(sol.bl_voltages, bl, rtol=1e-9, atol=1e-13)
-        np.testing.assert_allclose(sol.sl_voltages, sl, rtol=1e-9, atol=1e-13)
-        assert sol.i_selected_cell == pytest.approx(i_cell, rel=1e-8)
-        assert sol.i_sensed == pytest.approx(i_sensed, rel=1e-8)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=48),
+    sel_frac=st.floats(min_value=0.0, max_value=1.0),
+    r_on=st.floats(min_value=1e3, max_value=1e6),
+    r_seg=st.floats(min_value=0.5, max_value=20.0),
+    i_leak=st.floats(min_value=0.0, max_value=1e-9),
+)
+def test_chain_elimination_matches_dense_nodal_solve(n, sel_frac, r_on, r_seg, i_leak):
+    sel = 1 + round(sel_frac * (n - 1))
+    net = ColumnNetwork(n, r_seg, r_on, i_leak, sel, 0.2)
+    sol = solve_column(net)
+    bl, sl, i_sensed, i_cell = dense_nodal_solution(net)
+    np.testing.assert_allclose(sol.bl_voltages, bl, rtol=1e-9, atol=1e-13)
+    np.testing.assert_allclose(sol.sl_voltages, sl, rtol=1e-9, atol=1e-13)
+    assert sol.i_selected_cell == pytest.approx(i_cell, rel=1e-8)
+    assert sol.i_sensed == pytest.approx(i_sensed, rel=1e-8)
 
+
+class TestAgainstDenseNodalReference:
     def test_worst_case_cell_at_column_end(self, profile22):
         net = build_column(
             profile22, CellSpec(20e3, 10), ReadSetup(0.2, 16), "on", selected_index=16
@@ -421,14 +426,15 @@ def fsum_outcome(total, x):
         return type(exc), str(exc)
 
 
+@settings(max_examples=400, deadline=None)
+@given(x=float_arrays())
+def test_exact_sum_equals_fsum(x):
+    want = fsum_outcome(lambda v: math.fsum(v.tolist()), x)
+    assert fsum_outcome(oracle._exact_sum, x) == want
+
+
 class TestExactSum:
     """oracle._exact_sum is math.fsum over the array's values, bit for bit."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(x=float_arrays())
-    def test_equals_fsum(self, x):
-        want = fsum_outcome(lambda v: math.fsum(v.tolist()), x)
-        assert fsum_outcome(oracle._exact_sum, x) == want
 
     @pytest.mark.parametrize("size", [1023, 1024, 1025, 2047, 2048, 4096, 16385])
     def test_equal_magnitudes_fill_the_extraction_range(self, size):
@@ -549,36 +555,37 @@ class TestCompareLumpedDistributed:
 FLOOD = TechnologyProfile("flood", 1.0, 0.0, ((0.1, 1e308), (0.7, 1e308)))
 
 
+# compare_lumped_distributed gives the rows of the point-by-point reference
+# (tests/compare_reference.py), or raises its error.
+COMPARE_R_ON = st.one_of(st.sampled_from([5e-324, 1e300, 1e306, 1e4, 2e5, 1e8]),
+                         st.floats(5e-324, 1e308))
+COMPARE_K = st.one_of(st.sampled_from([1, 10, 10.0, 100.0, 1e3]), st.floats(1.0, 1e300))
+COMPARE_SETUP = st.builds(
+    ReadSetup,
+    st.sampled_from([0.1, 0.2, 0.25, 0.4, 0.6, 0.7]),
+    st.one_of(st.sampled_from([1, 2, 64, 63246, 63247, 65536]), st.integers(1, 70000)),
+    st.sampled_from(TOGGLE_SETS),
+)
+
+
+def compare_outcome(compare, profile, cells, setups):
+    try:
+        return [repr(row) for row in compare(profile, cells, setups)]
+    except Exception as exc:  # the same error type and message, if any
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(points=st.lists(st.tuples(COMPARE_R_ON, COMPARE_K), max_size=6), shared_k=st.booleans(),
+       setups=st.lists(COMPARE_SETUP, max_size=4), flood=st.booleans())
+def test_compare_rows_equal_the_reference(profile22, points, shared_k, setups, flood):
+    profile = FLOOD if flood else profile22
+    cells = [CellSpec(r, points[0][1] if shared_k else k) for r, k in points]
+    assert compare_outcome(compare_lumped_distributed, profile, cells, setups) == (
+        compare_outcome(compare_reference, profile, cells, setups))
+
+
 class TestCompareMatchesReference:
-    """compare_lumped_distributed gives the rows of the point-by-point
-    reference (tests/compare_reference.py), or raises its error."""
-
-    R_ON = st.one_of(st.sampled_from([5e-324, 1e300, 1e306, 1e4, 2e5, 1e8]),
-                     st.floats(5e-324, 1e308))
-    K = st.one_of(st.sampled_from([1, 10, 10.0, 100.0, 1e3]), st.floats(1.0, 1e300))
-    SETUP = st.builds(
-        ReadSetup,
-        st.sampled_from([0.1, 0.2, 0.25, 0.4, 0.6, 0.7]),
-        st.one_of(st.sampled_from([1, 2, 64, 63246, 63247, 65536]), st.integers(1, 70000)),
-        st.sampled_from(TOGGLE_SETS),
-    )
-
-    @staticmethod
-    def outcome(compare, profile, cells, setups):
-        try:
-            return [repr(row) for row in compare(profile, cells, setups)]
-        except Exception as exc:  # the same error type and message, if any
-            return type(exc), str(exc)
-
-    @settings(max_examples=400, deadline=None)
-    @given(points=st.lists(st.tuples(R_ON, K), max_size=6), shared_k=st.booleans(),
-           setups=st.lists(SETUP, max_size=4), flood=st.booleans())
-    def test_rows_equal_the_reference(self, profile22, points, shared_k, setups, flood):
-        profile = FLOOD if flood else profile22
-        cells = [CellSpec(r, points[0][1] if shared_k else k) for r, k in points]
-        assert self.outcome(compare_lumped_distributed, profile, cells, setups) == (
-            self.outcome(compare_reference, profile, cells, setups))
-
     @pytest.mark.parametrize("flood", [False, True])
     def test_failures_keep_their_row(self, profile22, flood):
         profile = FLOOD if flood else profile22
@@ -587,8 +594,8 @@ class TestCompareMatchesReference:
         setups = [ReadSetup(0.2, n, t) for n in (1, 4, 63246, 63247)
                   for t in (FactorToggles(), FactorToggles(False, False, True),
                             FactorToggles(leakage=False), FactorToggles(False, False, False))]
-        rows = self.outcome(compare_lumped_distributed, profile, cells, setups)
-        assert rows == self.outcome(compare_reference, profile, cells, setups)
+        rows = compare_outcome(compare_lumped_distributed, profile, cells, setups)
+        assert rows == compare_outcome(compare_reference, profile, cells, setups)
         assert sum("error=None" not in row for row in rows) > 0
 
 

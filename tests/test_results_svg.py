@@ -25,7 +25,7 @@ from crossbar_margin import (
     write_csv,
 )
 from crossbar_margin.analysis import COARSE_R_ON_GRID, DEFAULT_R_ON_GRID, Grid
-from crossbar_margin.results import format_cell
+from crossbar_margin.results import format_cell, write_text
 from crossbar_margin.svg import BOTTOM, TOP, escape
 
 
@@ -184,6 +184,38 @@ def test_text_cells_holding_cr_round_trip_through_csv_reader(out_dir, rows):
 @example("a & <b> >> &amp;")
 def test_escape_matches_saxutils(text):
     assert escape(text) == sax_escape(text)
+
+
+class TestWriteText:
+    """write_text keeps what pathlib's touch and an in-place rewrite kept."""
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old old old\n")
+        link.symlink_to(target)
+        write_text(link, "new\n")
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == b"new\n"
+
+    def test_an_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "private.csv"
+        path.write_bytes(b"old\n")
+        path.chmod(0o600)
+        write_text(path, "new\n")
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert path.read_bytes() == b"new\n"
+
+    def test_a_missing_file_gets_the_mode_touch_gives(self, tmp_path):
+        touched, written = tmp_path / "touched", tmp_path / "written"
+        touched.touch()
+        write_text(written, "text\n")
+        assert written.stat().st_mode == touched.stat().st_mode
+        assert written.read_bytes() == b"text\n"
+
+    def test_a_directory_raises(self, tmp_path):
+        with pytest.raises(OSError):
+            write_text(tmp_path, "text\n")
+        assert tmp_path.is_dir()
 
 
 def test_cli_import_loads_no_xml_or_network_modules():
