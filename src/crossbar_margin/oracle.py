@@ -118,8 +118,8 @@ class NetworkSolution:
 
 
 class _VoltageOnFirstRead:
-    """A voltage solve_column left unset, rebuilt with the other on its first read.  A
-    non-data descriptor: a stored voltage shadows it, and every read stays a plain one."""
+    """A voltage that solve_column left unset, rebuilt with the other on its first read.
+    A non-data descriptor, not __getattr__, which would slow every attribute read."""
 
     def __init__(self, name: str) -> None:
         self.name = name
