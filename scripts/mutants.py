@@ -135,6 +135,19 @@ MUTANTS = (
          "test_the_models_margin_check_guards_study_curves",),
     ),
     Mutant(
+        "relative gap over the lumped margin", ORACLE,
+        "np.abs(lumped - oracle) / oracle",
+        "np.abs(lumped - oracle) / lumped",
+        ("tests/test_oracle.py::test_compare_rows_equal_the_reference",),
+    ),
+    Mutant(
+        "kcl floor without tiny", ORACLE,
+        "    floor = max(abs(i_leak), tiny)\n",
+        "    floor = abs(i_leak)\n",
+        ("tests/test_oracle.py::TestSolveColumnEqualsCumsumReference::"
+         "test_negative_drive_and_signed_zero_leakage",),
+    ),
+    Mutant(
         "the first-read voltage rebuild without the source line's r", ORACLE,
         "        sl[: n - 1] *= r\n",
         "",

@@ -23,8 +23,6 @@ a grid that curves share is formatted once per file, in CSV and in SVG.
 
 from __future__ import annotations
 
-from dataclasses import fields
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -175,16 +173,12 @@ def render_compensation_svg(curve: MarginCurve, path: str | Path) -> None:
     _plot_vs_r_on([curve], path, title)
 
 
-# A ComparisonRow's fields, in order, as validate's table cells.
-_comparison_cells = attrgetter(*(field.name for field in fields(ComparisonRow)))
-
-
 def write_validation_csv(rows: list[ComparisonRow], path: str | Path) -> int:
     """The validation table, one row per ComparisonRow (no error is an empty
     cell), written as one block of columns; returns the row count."""
     header = ("r_on_ohm", "ratio_ideal", "n_cells", "v_read_v", "margin_lumped",
               "margin_oracle", "relative_gap", "error")
-    blocks = (tuple(zip(*map(_comparison_cells, rows))),) if rows else ()
+    blocks = (tuple(zip(*rows)),) if rows else ()
     return write_csv(ResultTable(header=header, blocks=blocks), path)
 
 

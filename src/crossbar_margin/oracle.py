@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -250,7 +252,9 @@ def kcl_residuals(net: ColumnNetwork, sol: NetworkSolution) -> np.ndarray:
     n, sel = net.n_cells, net.selected_index
     i_leak, i_cell = net.i_leak_per_cell, sol.i_selected_cell
     f_bl, f_sl = sol.bl_segment_currents, sol.sl_segment_currents
+    # tiny floors every scale: it joins each node's maxima, and all take the finite |i_leak|.
     tiny = np.finfo(float).tiny
+    floor = max(abs(i_leak), tiny)
     residuals, scale = np.empty(2 * n - 1), np.empty(n)
     # Cell j carries its current from bit-line node j to source-line node j;
     # a line current past either end of a line is 0.  Each line's nodes are
@@ -261,31 +265,29 @@ def kcl_residuals(net: ColumnNetwork, sol: NetworkSolution) -> np.ndarray:
     np.maximum(res[:-1], res[1:], out=scale[:-1])
     scale[-1] = res[-1]  # max(|f|, 0.0) is |f|
     line_scale = scale[sel - 1]
-    np.maximum(scale, abs(i_leak), out=scale)
-    scale[sel - 1] = np.maximum(line_scale, abs(i_cell))
+    np.maximum(scale, floor, out=scale)
+    scale[sel - 1] = np.maximum(line_scale, max(abs(i_cell), tiny))  # max keeps a NaN first
     np.subtract(f_bl[:-1], f_bl[1:], out=res[:-1])
     res[-1] = f_bl[-1]  # f - 0.0 is f
     res -= i_leak
     outflow = f_bl[sel] if sel < n else 0.0
     res[sel - 1] = f_bl[sel - 1] - outflow - i_cell
-    np.maximum(scale, tiny, out=scale)
     np.abs(res, out=res)
     res /= scale
 
     res, scale = residuals[n:], scale[: n - 1]
     np.abs(f_sl, out=res)
-    scale[:1] = abs(i_leak)  # max(0.0, |i_leak|); [:1] is empty when n = 1
-    np.maximum(res[:-1], abs(i_leak), out=scale[1:])
+    scale[:1] = floor  # max(0.0, |i_leak|, tiny); [:1] is empty when n = 1
+    np.maximum(res[:-1], floor, out=scale[1:])
     if sel < n:
         inflow = f_sl[sel - 2] if sel > 1 else 0.0
-        scale[sel - 1] = np.maximum(abs(inflow), abs(i_cell))
+        scale[sel - 1] = np.maximum(abs(inflow), max(abs(i_cell), tiny))
     np.maximum(scale, res, out=scale)
     res[:1] = 0.0 + i_leak
     np.add(f_sl[:-1], i_leak, out=res[1:])
     if sel < n:
         res[sel - 1] = inflow + i_cell
     res -= f_sl
-    np.maximum(scale, tiny, out=scale)
     np.abs(res, out=res)
     res /= scale
     return residuals
@@ -330,8 +332,8 @@ def _exact_sum(x: np.ndarray) -> float:
         partials.append(float(q.sum()))
         x = rest = np.subtract(x, q, out=rest)  # a new array on the first pass only
         top = max(x.max(), -x.min())
-        if top == 0.0:
-            break
+        if top == 0.0:  # nothing left to add
+            return math.fsum(partials)
     return math.fsum(partials + x[x != 0.0].tolist())
 
 
@@ -344,9 +346,9 @@ def oracle_margin(
     return sense_point(profile, cell, setup, "oracle")
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One lumped-versus-distributed comparison point.
+class ComparisonRow(NamedTuple):
+    """One lumped-versus-distributed comparison point: a named tuple, its
+    fields in validate.csv's column order (copy with _replace).
 
     relative_gap = |margin_lumped - margin_oracle| / margin_oracle.
     Solver failures are flagged through ``error`` (a margin that could
@@ -368,29 +370,32 @@ def compare_lumped_distributed(
     cell_grid: list[CellSpec] | tuple[CellSpec, ...],
     setup_grid: list[ReadSetup] | tuple[ReadSetup, ...],
 ) -> list[ComparisonRow]:
-    """Cross product of cells and read setups, one comparison row each."""
+    """Cross product of cells and read setups, one comparison row each, cell-major."""
     if not cell_grid or not setup_grid:
         return []
-    r_on, k = np.array([(cell.r_on, cell.ratio_ideal) for cell in cell_grid], dtype=float).T
-    k = float(k[0]) if (k == k[0]).all() else k  # one k keeps the kernel's fast path
-    columns = [_margins(profile, r_on, k, setup) for setup in setup_grid]
-    return [ComparisonRow(cell.r_on, cell.ratio_ideal, setup.n_cells, setup.v_read, lumped,
-                          oracle, abs(lumped - oracle) / oracle, error)
-            for cell, points in zip(cell_grid, zip(*columns))
-            for setup, (lumped, oracle, error) in zip(setup_grid, points)]
+    r_list, k_list = [c.r_on for c in cell_grid], [c.ratio_ideal for c in cell_grid]
+    r_on = np.array(r_list)
+    # One k keeps the kernel's fast path.
+    k = k_list[0] if k_list.count(k_list[0]) == len(k_list) else np.array(k_list)
+    per_setup = [map(ComparisonRow, r_list, k_list, repeat(setup.n_cells), repeat(setup.v_read),
+                     *_margins(profile, r_on, k, setup))
+                 for setup in setup_grid]
+    return list(chain.from_iterable(zip(*per_setup)))
 
 
 def _margins(profile, r_on, k, setup):
-    """(lumped margin, oracle margin, error) per r_on for one setup; after a
-    SolverError cell by cell, with no oracle margin where lumped fails."""
-    args, size = (setup.n_cells, setup.v_read, setup.toggles), len(r_on)
-    lumped, oracle, error = [math.nan] * size, [math.nan] * size, None
+    """The columns lumped margin, oracle margin, relative gap and error over r_on for
+    one setup; after a SolverError cell by cell, with no oracle margin where lumped fails."""
+    args, lumped = (setup.n_cells, setup.v_read, setup.toggles), None
     try:
-        lumped = _sensed(profile, r_on, k, *args, "lumped")[3].tolist()
-        oracle = _sensed(profile, r_on, k, *args, "oracle")[3].tolist()
+        lumped = _sensed(profile, r_on, k, *args, "lumped")[3]
+        oracle = _sensed(profile, r_on, k, *args, "oracle")[3]
     except SolverError as exc:
-        if size > 1:
-            cells = zip(r_on[:, None], np.broadcast_to(k, size)[:, None])
-            return [m for r, ki in cells for m in _margins(profile, r, ki, setup)]
-        error = str(exc)
-    return list(zip(lumped, oracle, [error] * size))
+        if len(r_on) > 1:
+            cells = zip(r_on[:, None], np.broadcast_to(k, len(r_on))[:, None])
+            per_cell = [_margins(profile, r, ki, setup) for r, ki in cells]
+            return [list(chain.from_iterable(column)) for column in zip(*per_cell)]
+        lumped = [math.nan] if lumped is None else lumped.tolist()
+        return lumped, [math.nan], [math.nan], [str(exc)]
+    gap = np.abs(lumped - oracle) / oracle
+    return lumped.tolist(), oracle.tolist(), gap.tolist(), repeat(None, len(r_on))

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from crossbar_margin import (
     CellSpec,
     ColumnNetwork,
+    ComparisonRow,
     FactorToggles,
     ReadSetup,
     SolverError,
@@ -36,6 +37,7 @@ from crossbar_margin import (
 )
 from crossbar_margin import model, oracle
 from crossbar_margin.analysis import DEFAULT_R_ON_GRID
+from crossbar_margin.figures import write_validation_csv
 from compare_reference import compare_lumped_distributed as compare_reference
 from kirchhoff_reference import kcl_residuals_loop, kvl_loop_residual_loop, solve_column_cumsum
 from nodal_reference import dense_nodal_solution
@@ -547,6 +549,54 @@ class TestCompareLumpedDistributed:
         out_of_table = [ReadSetup(0.7, 64)]
         assert compare_lumped_distributed(profile22, [], out_of_table) == []
         assert compare_lumped_distributed(profile22, [CellSpec(1e4, 10)], []) == []
+
+    def test_a_cell_failing_in_the_middle_setup_keeps_its_row(self, profile22):
+        # R_on = 5e-324 with every factor off has no finite oracle margin; with
+        # the transistor resistance on, both engines read it.
+        cells = [CellSpec(2e4, 10), CellSpec(5e-324, 10), CellSpec(1e5, 10)]
+        failing = ReadSetup(0.2, 8, FactorToggles(False, False, False))
+        setups = [ReadSetup(0.2, 64), failing, ReadSetup(0.2, 1024)]
+        rows = compare_lumped_distributed(profile22, cells, setups)
+        assert [(row.r_on, row.n_cells, row.v_read) for row in rows] == [
+            (cell.r_on, setup.n_cells, setup.v_read) for cell in cells for setup in setups]
+        assert [row.error is None for row in rows] == [True] * 4 + [False] + [True] * 4
+        with pytest.raises(SolverError) as err:
+            oracle_margin(profile22, cells[1], failing)
+        assert rows[4].error == str(err.value)
+        assert rows[4].margin_lumped == read_currents(profile22, cells[1], failing).margin_normalized
+        assert np.isnan(rows[4].margin_oracle) and np.isnan(rows[4].relative_gap)
+        assert [repr(row) for row in rows] == [
+            repr(row) for row in compare_reference(profile22, cells, setups)]
+
+
+class TestComparisonRow:
+    """A comparison row is a named tuple in validate.csv's column order."""
+
+    def test_fields_are_the_validation_columns_in_order(self, tmp_path):
+        path = tmp_path / "validate.csv"
+        assert write_validation_csv([], path) == 0
+        header = path.read_text(encoding="utf-8").rstrip("\n").split(",")
+        units = [name.removesuffix("_ohm").removesuffix("_v") for name in header]
+        assert ComparisonRow._fields == tuple(units)
+
+    def test_repr_of_a_failed_row(self):
+        nan = float("nan")
+        row = ComparisonRow(2e4, 10.0, 4096, 0.2, 0.5, nan, nan, "column, of n=4096")
+        assert repr(row) == (
+            "ComparisonRow(r_on=20000.0, ratio_ideal=10.0, n_cells=4096, v_read=0.2, "
+            "margin_lumped=0.5, margin_oracle=nan, relative_gap=nan, "
+            "error='column, of n=4096')")
+
+    def test_fields_cannot_be_assigned(self):
+        row = ComparisonRow(1e4, 10.0, 64, 0.2, 0.9, 0.91, 0.011)
+        with pytest.raises(AttributeError):
+            row.relative_gap = 0.0
+        assert row._replace(relative_gap=0.0).relative_gap == 0.0 and row.relative_gap == 0.011
+
+    def test_error_defaults_to_none(self):
+        row = ComparisonRow(1e4, 10.0, 64, 0.2, 0.9, 0.91, 0.011)
+        assert row.error is None
+        assert row == (1e4, 10.0, 64, 0.2, 0.9, 0.91, 0.011, None)
 
 
 # A profile whose leakage is so large that the lumped model's summed
