@@ -78,29 +78,24 @@ MUTANTS = (
         ("tests/test_model.py::TestSenseGrid::test_a_longer_k_array_sets_the_shape_of_all_four",),
     ),
     Mutant(
-        "_grid's one pass bounds only row[0]", ANALYSIS,
-        "and ok(row[0]) and ok(row[-1]):",
-        "and ok(row[0]):",
-        ("tests/test_analysis.py::TestGrid::test_a_row_that_fails_the_one_pass_names_its_fault",),
-    ),
-    Mutant(
-        "_grid's one pass without the strict-increase test", ANALYSIS,
-        "if np.logical_and.reduce(row[1:] > row[:-1]) and ok(row[0])",
-        "if ok(row[0])",
-        ("tests/test_analysis.py::TestGrid::test_a_row_that_fails_the_one_pass_names_its_fault",
-         "tests/test_analysis.py::TestAblationSeries::test_grid_validation"),
-    ),
-    Mutant(
         "_grid's memo keyed without its quantity", ANALYSIS,
         "    if (last := _LAST.get(quantity)) and last[0] is values:\n"
         "        return last[1], last[2]\n"
-        "    grid, row = _checked_grid(quantity, values, name)\n"
+        "    row = _array(quantity, values)\n"
+        "    grid = values\n"
+        "    if not isinstance(values, Grid):\n"
+        "        _check_grid(name, row)\n"
+        "        grid = tuple.__new__(Grid, row.tolist())  # it passed every check Grid makes\n"
         "    if type(values) is tuple or isinstance(values, Grid):\n"
         "        row.flags.writeable = False\n"
         "        _LAST[quantity] = values, grid, row\n",
         "    if (last := _LAST.get(\"grid\")) and last[0] is values:\n"
         "        return last[1], last[2]\n"
-        "    grid, row = _checked_grid(quantity, values, name)\n"
+        "    row = _array(quantity, values)\n"
+        "    grid = values\n"
+        "    if not isinstance(values, Grid):\n"
+        "        _check_grid(name, row)\n"
+        "        grid = tuple.__new__(Grid, row.tolist())  # it passed every check Grid makes\n"
         "    if type(values) is tuple or isinstance(values, Grid):\n"
         "        row.flags.writeable = False\n"
         "        _LAST[\"grid\"] = values, grid, row\n",
@@ -133,6 +128,27 @@ MUTANTS = (
         "lo > 0.0 and ",
         ("tests/test_analysis.py::TestMarginCurve::"
          "test_the_models_margin_check_guards_study_curves",),
+    ),
+    Mutant(
+        "i_leak one ulp off", MODEL,
+        "        return table[pos][1]\n",
+        "        return math.nextafter(table[pos][1], math.inf)\n",
+        ("tests/test_model.py::TestLeakageAt::test_table_points",),
+    ),
+    Mutant(
+        "the breakdown naming set 0", MODEL,
+        "at = int(np.argwhere(unread)[0, 0])",
+        "at = 0",
+        ("tests/test_model.py::TestSenseGrid::"
+         "test_toggle_sets_past_breakdown_name_the_first_failing_set",),
+    ),
+    Mutant(
+        "v_alt checked before computing", ANALYSIS,
+        "    base = _sensed(profile, r_on, k, n, v)\n",
+        "    _checked(\"v_read\", v_alt)\n"
+        "    base = _sensed(profile, r_on, k, n, v)\n",
+        ("tests/test_analysis.py::TestCompensationCurve::"
+         "test_v_alt_is_checked_after_v_bases_errors",),
     ),
     Mutant(
         "relative gap over the lumped margin", ORACLE,

@@ -3,9 +3,8 @@
 A Grid is a tuple checked when built (numbers, non-empty, strictly
 increasing, finite): the grid constants, SweepSpec's grids, each
 MarginCurve's x.  SweepSpec and the studies check a grid once, at entry,
-by one rule (_grid): a Grid of R_on or V_read by its least value, a plain
-row of their numbers in one pass, any other grid by the input domain and
-then by shape.  A tuple or Grid accepted once is not checked again while it
+by one rule (_grid): every grid by the input domain, then by shape unless
+it is a Grid.  A tuple or Grid accepted once is not checked again while it
 is its quantity's last grid: it holds numbers, which cannot change.  Each
 plane (a sweep's at one read voltage, the ablation's variants, a fig3 panel,
 a fig4 layer) is one model._sensed call, each curve a row of it
@@ -27,7 +26,6 @@ lower end, leakage (L) the upper one.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,7 +41,6 @@ from .model import (
     ReadSetup,
     SolverError,
     TechnologyProfile,
-    _DOMAIN,
     _MARGIN_MAX,
     _array,
     _checked,
@@ -98,44 +95,24 @@ _LAST: dict[str, tuple] = {}  # per quantity: the last tuple or Grid _grid took,
 
 
 def _grid(quantity: str, values, name: str) -> tuple[Grid, np.ndarray]:
-    """_checked_grid, except that the last tuple or Grid of each quantity comes back unchecked:
-    it holds only numbers, which cannot change, and _LAST holds it, so its id is not reused.
-    Its row is read-only, as calls share it.  A list can change, and is checked on every
-    call."""
+    """A grid of the model input `quantity`, checked as `name`, as a Grid of the model's
+    numbers (floats for R_on and V_read, ints for n) and as the array it computes with.
+
+    Every grid is checked by the input domain (model._array) and then, unless a Grid, by
+    shape.  The last tuple or Grid of each quantity comes back unchecked: it holds only
+    numbers, which cannot change, and _LAST holds it, so its id is not reused.  Its row is
+    read-only, as calls share it.  A list can change, and is checked on every call."""
     if (last := _LAST.get(quantity)) and last[0] is values:
         return last[1], last[2]
-    grid, row = _checked_grid(quantity, values, name)
+    row = _array(quantity, values)
+    grid = values
+    if not isinstance(values, Grid):
+        _check_grid(name, row)
+        grid = tuple.__new__(Grid, row.tolist())  # it passed every check Grid makes
     if type(values) is tuple or isinstance(values, Grid):
         row.flags.writeable = False
         _LAST[quantity] = values, grid, row
     return grid, row
-
-
-def _checked_grid(quantity: str, values, name: str) -> tuple[Grid, np.ndarray]:
-    """A grid of the model input `quantity`, checked as `name`, as a Grid of the model's
-    numbers (floats for R_on and V_read, ints for n) and as the array it computes with.
-
-    A Grid comes back as it is, one of R_on or V_read bounded by its least value.  A plain
-    list or tuple of R_on or V_read numbers takes one pass: it strictly increases (NaN
-    fails), then its two ends, its extremes, lie in the domain.  Anything else, every n grid
-    too, is checked by the input domain (model._array) and then, unless a Grid, by shape."""
-    if quantity != "n_cells":
-        if isinstance(values, Grid):
-            _checked(quantity, values[0])
-            return values, np.fromiter(values, float, len(values))
-        ok = _DOMAIN[quantity][-1]
-        if isinstance(values, (list, tuple)) and values and (
-                (floats := {float}.issuperset(map(type, values)))
-                or {int, float}.issuperset(map(type, values))):
-            with contextlib.suppress(OverflowError):  # an int past the float range
-                row = np.fromiter(values, float, len(values))
-                if np.logical_and.reduce(row[1:] > row[:-1]) and ok(row[0]) and ok(row[-1]):
-                    return tuple.__new__(Grid, values if floats else row.tolist()), row
-    array = _array(quantity, values)
-    if not isinstance(values, Grid):
-        _check_grid(name, array)
-        values = tuple.__new__(Grid, array.tolist())  # it passed every check Grid makes
-    return values, array
 
 
 def _scalars(ratio_ideal, n_cells, v_read) -> tuple[float, int, float]:

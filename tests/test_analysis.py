@@ -442,9 +442,9 @@ class TestGrid:
         with pytest.raises(AssertionError, match="r_on_grid checked again"):  # a plain row is
             argmax_resistance(profile22, 10.0, 1024, 0.2, tuple(DEFAULT_R_ON_GRID)[::-1])
 
-    # A plain row that fails _grid's one pass is checked as before, by the input domain
-    # and then by shape, so it names the same fault: the first value out of bounds, in the
-    # row's order, before a decrease; a row that increases names its end.
+    # _grid checks a plain row in one pass, by the input domain and then by shape, so a
+    # row that fails it names its fault: the first value out of bounds, in the row's
+    # order, before a decrease; a row that increases names its end.
     @pytest.mark.parametrize("values, message", [
         ((0.0, 1e4, 1e5), "r_on must be finite and > 0, got 0.0"),
         ((-1.0, 1e4), "r_on must be finite and > 0, got -1.0"),
@@ -468,7 +468,7 @@ class TestGrid:
     ])
     def test_a_row_that_fails_the_one_pass_names_its_fault(self, profile22, monkeypatch,
                                                            values, message):
-        domain = []  # the rows the one pass hands to the input domain
+        domain = []  # the rows _grid hands to the input domain
         monkeypatch.setattr(analysis, "_array",
                             lambda name, row: domain.append(row) or model._array(name, row))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -477,8 +477,7 @@ class TestGrid:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             argmax_resistance(profile22, 10.0, 64, 0.2, values)
 
-    def test_a_row_that_passes_the_one_pass_is_the_checked_row(self, profile22, monkeypatch):
-        monkeypatch.setattr(analysis, "_array", None)  # the one pass alone checks these
+    def test_a_checked_row_is_a_grid_of_the_models_numbers(self, profile22):
         assert type(argmax_resistance(profile22, 10.0, 64, 0.2, [10_000, 20_000])) is float
         for quantity in ("r_on", "v_read"):
             for values in [(1e4, 2e4, 1e8), [1, 2.5, 3], (7e3,), tuple(DEFAULT_R_ON_GRID)]:
@@ -511,7 +510,7 @@ class TestGrid:
                     monkeypatch.setattr(module, name, counting(check))
         one_grid = analysis._grid
 
-        def counted_grid(quantity, values, name):  # a plain row of R_on values: one pass
+        def counted_grid(quantity, values, name):  # a grid's one check, at entry
             checks.append(("_grid", quantity))
             return one_grid(quantity, values, name)
 
@@ -538,7 +537,7 @@ class TestGrid:
         for values in (tuple([1e4, 2e4, 4e4]), Grid([1e4, 2e4, 4e4])):
             grid, row = analysis._grid("r_on", values, "r_on_grid")
             with monkeypatch.context() as patched:
-                patched.setattr(analysis, "_checked_grid", None)  # not called again
+                patched.setattr(analysis, "_array", None)  # not called again
                 again = analysis._grid("r_on", values, "r_on_grid")
             assert again[0] is grid and again[1] is row
 
@@ -1122,6 +1121,13 @@ class TestCompensationCurve:
     def test_out_of_table_voltage_propagates(self, profile22):
         with pytest.raises(LeakageRangeError):
             compensation_curve(profile22, 10.0, 1024, 0.2, 0.9)
+
+    def test_v_alt_is_checked_after_v_bases_errors(self, profile22):
+        # v_base's kernel call fails first, so a NaN v_alt is never reached.
+        message = ("read voltage 0.9 V outside leakage table range [0.2 V, 0.6 V] "
+                   "of profile '22nm-FDSOI'")
+        with pytest.raises(LeakageRangeError, match=f"^{re.escape(message)}$"):
+            compensation_curve(profile22, 10.0, 64, 0.9, math.nan)
 
     @pytest.mark.parametrize("grid, message", BAD_GRIDS, ids=BAD_GRID_IDS)
     def test_grid_validation(self, profile22, grid, message):
