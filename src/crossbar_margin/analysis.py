@@ -208,8 +208,6 @@ class MarginCurve:
 
 def _check_y(y: np.ndarray, y_kind: str) -> None:
     """Margins must lie in (0, 1] (to model._MARGIN_MAX), deltas must be finite."""
-    if y_kind == "margin" and y.min() > 0.0 and y.max() <= _MARGIN_MAX:
-        return  # a NaN fails both reductions; the test below names it
     ok = (y > 0.0) & (y <= _MARGIN_MAX) if y_kind == "margin" else np.isfinite(y)
     if not ok.all():
         rule = "lie in (0, 1]" if y_kind == "margin" else "be finite"
