@@ -442,9 +442,9 @@ class TestGrid:
         with pytest.raises(AssertionError, match="r_on_grid checked again"):  # a plain row is
             argmax_resistance(profile22, 10.0, 1024, 0.2, tuple(DEFAULT_R_ON_GRID)[::-1])
 
-    # _grid checks a plain row in one pass, by the input domain and then by shape, so a
-    # row that fails it names its fault: the first value out of bounds, in the row's
-    # order, before a decrease; a row that increases names its end.
+    # The one pass over a plain row is _grid's only check, by the input domain and then by
+    # shape, so a row that fails it names its fault: the first value out of bounds, in the
+    # row's order, before a decrease; a row that increases names its end.
     @pytest.mark.parametrize("values, message", [
         ((0.0, 1e4, 1e5), "r_on must be finite and > 0, got 0.0"),
         ((-1.0, 1e4), "r_on must be finite and > 0, got -1.0"),
