@@ -10,6 +10,7 @@ same script times any commit it is copied into.  Five layers:
             and, per engine, over one R_on row at n = 1024; the studies' kernel
             entry _sensed on that row (.row) and on a plane of four toggle sets
             over it (.plane4): the kernel call and result check behind each study
+            (both left out in a tree without _sensed)
   oracle    oracle_margin and the network stages build_column, solve_column,
             kcl_residuals and kvl_loop_residual as n grows, and
             compare_lumped_distributed over 20 log-spaced cells at n = 64, 1024
@@ -30,7 +31,9 @@ same script times any commit it is copied into.  Five layers:
             SweepSpec.tuple_grid builds its spec
   figures   each figure writer whole, and its write_csv and render_plot
             calls replayed on the same arguments, apart from curve compute;
-            validate --grid full --csv, in process
+            fig5's write_csv calls also as .write_csv.fresh_grid, each table's
+            grids copied anew per call, so a grid's first write (the cold
+            text memo) is timed too; validate --grid full --csv, in process
   cli       in process, build_parser built afresh (its uncached function),
             the argparse tree run_cli builds once per process; fresh
             interpreters: start-up alone, the numpy and package imports, and
@@ -85,10 +88,9 @@ from crossbar_margin import (  # noqa: E402
     solve_column,
     sweep_grid,
 )
-from crossbar_margin import figures, results, svg  # noqa: E402
+from crossbar_margin import figures, model, results, svg  # noqa: E402
 from crossbar_margin.analysis import DEFAULT_N_GRID, DEFAULT_R_ON_GRID, MarginCurve  # noqa: E402
 from crossbar_margin.cli import build_parser, run_cli  # noqa: E402
-from crossbar_margin.model import _sensed  # noqa: E402
 
 LOOP_SECONDS = 0.05
 ORACLE_N = (256, 1024, 4096, 16384)
@@ -141,6 +143,21 @@ def replay(fn, calls):
     return lambda: [fn(*args, **kwargs) for args, kwargs in calls]
 
 
+def replay_fresh_grids(calls):
+    """replay of write_csv calls, each table's grids (DEFAULT_R_ON_GRID's type) copied anew
+    on every call, so no text formatted for an earlier call's grid is reused; the blocks
+    that share a grid share its copy."""
+    grid = type(DEFAULT_R_ON_GRID)
+
+    def fresh(table):
+        copies = {}
+        return results.ResultTable(table.header, tuple(
+            tuple(copies.setdefault(id(e), tuple.__new__(grid, e)) if isinstance(e, grid)
+                  else e for e in block)
+            for block in table.blocks))
+    return lambda: [results.write_csv(fresh(table), *rest) for (table, *rest), _ in calls]
+
+
 def model_cases(profile):
     cell, setup = CellSpec(r_on=2e4, ratio_ideal=K), ReadSetup(v_read=V_READ, n_cells=512)
     r_on = np.asarray(DEFAULT_R_ON_GRID)[:, None]
@@ -150,6 +167,8 @@ def model_cases(profile):
     for engine in ("lumped", "oracle"):  # one margin curve, the call behind each sweep slice
         yield f"model.sense_grid.row.{engine}", lambda e=engine: sense_grid(
             profile, DEFAULT_R_ON_GRID, K, 1024, V_READ, engine=e)
+    if (_sensed := getattr(model, "_sensed", None)) is None:  # a tree older than the kernel
+        return
     row = np.fromiter(DEFAULT_R_ON_GRID, float, len(DEFAULT_R_ON_GRID))
     yield "model._sensed.row", lambda: _sensed(profile, row, K, 1024, V_READ)
     yield "model._sensed.plane4", lambda: _sensed(profile, row, K, 1024, V_READ, TOGGLES4)
@@ -213,6 +232,8 @@ def figure_cases(profile, outdir):
         yield f"figures.{name}", lambda w=writer: w(profile, outdir)
         yield f"figures.{name}.write_csv", replay(results.write_csv, calls["write_csv"])
         yield f"figures.{name}.render_plot", replay(svg.render_plot, calls["render_plot"])
+        if name == "fig5":
+            yield "figures.fig5.write_csv.fresh_grid", replay_fresh_grids(calls["write_csv"])
     argv = ["validate", "--grid", "full", "--csv", str(Path(outdir) / "validate.csv")]
 
     def validate():

@@ -191,6 +191,39 @@ MUTANTS = (
          "tests/test_results_svg.py::TestRenderPlot::test_flat_unity_margin_sits_on_top_axis"),
     ),
     Mutant(
+        "a memo entry without its Grid", RESULTS,
+        "entry = _GRID_TEXTS[id(grid), key] = grid, make(grid)",
+        "entry = _GRID_TEXTS[id(grid), key] = None, make(grid)",
+        ("tests/test_results_svg.py::TestGridTextMemo::"
+         "test_a_freed_grids_id_never_brings_back_its_text",),
+    ),
+    Mutant(
+        "the memo keyed on value", RESULTS,
+        "    if (entry := _GRID_TEXTS.get((id(grid), key))) is None:\n"
+        "        if len(_GRID_TEXTS) >= _GRID_TEXTS_MAX:\n"
+        "            _GRID_TEXTS.clear()  # atomic: another thread at worst builds an entry again\n"
+        "        entry = _GRID_TEXTS[id(grid), key] = grid, make(grid)\n",
+        "    if (entry := _GRID_TEXTS.get((grid, key))) is None:\n"
+        "        if len(_GRID_TEXTS) >= _GRID_TEXTS_MAX:\n"
+        "            _GRID_TEXTS.clear()  # atomic: another thread at worst builds an entry again\n"
+        "        entry = _GRID_TEXTS[grid, key] = grid, make(grid)\n",
+        ("tests/test_results_svg.py::TestGridTextMemo::"
+         "test_equal_grids_of_other_types_write_their_own_cells",),
+    ),
+    Mutant(
+        "the memo without its bound", RESULTS,
+        "if len(_GRID_TEXTS) >= _GRID_TEXTS_MAX:",
+        "if False:",
+        ("tests/test_results_svg.py::TestGridTextMemo::test_the_memo_holds_at_most_its_bound",),
+    ),
+    Mutant(
+        "the SVG memo key without the axis range", SVG,
+        "_grid_text(curve.x, (tx_lo, tx_hi), x_text)",
+        '_grid_text(curve.x, "svg", x_text)',
+        ("tests/test_results_svg.py::TestGridTextMemo::"
+         "test_a_grid_on_two_x_axes_gets_each_axis_pixels",),
+    ),
+    Mutant(
         "no table gets the '\"\"' fix-up", RESULTS,
         "if len(table.header) == 1:",
         "if False:",

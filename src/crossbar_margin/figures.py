@@ -17,8 +17,8 @@ The studies are exposed through the fig3..fig6 CLI subcommands:
 The sweep, ablate, compensate and validate commands write through the
 write_*_csv and render_*_svg writers below (ablate through fig5's).
 Every table is written as one block per curve, its constant cells as
-scalars and its points as the curve's own sequences (results module), so
-a grid that curves share is formatted once per file, in CSV and in SVG.
+scalars and its points as the curve's own sequences (results module).  A curve's x
+is a Grid: only its CSV cells and pixel x texts are kept, formatted once per process.
 """
 
 from __future__ import annotations

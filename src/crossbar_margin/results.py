@@ -3,8 +3,8 @@
 A table is a header and blocks of rows.  A study's curve is one block: its
 constant cells (label, engine, n) are scalars and its points are the
 curve's own sequences, so no writer builds a row per point.  write_csv
-formats each scalar once per block and each sequence object once per
-table, so a grid shared by many curves is formatted once per file.
+formats each scalar and sequence once per block, and a Grid's cells once
+per process: _grid_text keeps the text a Grid alone gives, and nothing else.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+
+from .analysis import Grid
 
 
 # The types of a block entry of one cell per row (a Grid is a tuple); anything else,
@@ -91,21 +93,33 @@ def _format_column(cells) -> list[str]:
     return [_quote(format_cell(cell)) for cell in cells]
 
 
+_GRID_TEXTS: dict = {}  # (id(grid), key) -> (grid, text): holding grid keeps its id its own
+_GRID_TEXTS_MAX = 16
+
+
+def _grid_text(grid: Grid, key, make):
+    """make(grid), built once per process per Grid object and key, never per value (as
+    Grid((1, 2)) == Grid((1.0, 2.0)) has other cells).  A full memo is emptied."""
+    if (entry := _GRID_TEXTS.get((id(grid), key))) is None:
+        if len(_GRID_TEXTS) >= _GRID_TEXTS_MAX:
+            _GRID_TEXTS.clear()  # atomic: another thread at worst builds an entry again
+        entry = _GRID_TEXTS[id(grid), key] = grid, make(grid)
+    return entry[1]
+
+
 def write_csv(table: ResultTable, path: str | Path) -> int:
     """RFC-4180-style CSV: UTF-8, LF endings, header first, deterministic bytes;
     a cell holding ',', '"', CR or LF is quoted, so csv.reader reads it back.
-    Each scalar is formatted once per block, each sequence object once per table.
-    Returns the number of rows written, the header not counted."""
-    formatted = {}  # id of a sequence -> its cells; the table keeps every sequence alive
+    Each scalar and each sequence is formatted once per block, a Grid once per process
+    (module docstring).  Returns the number of rows written, the header not counted."""
     lines = [",".join(map(_quote, table.header))]
     for block in table.blocks:
         n_rows, cells = 1, []  # per entry, a sequence's cells (a list) or a scalar's text
         for entry in block:
             if isinstance(entry, _SEQUENCE):
                 n_rows = len(entry)
-                if id(entry) not in formatted:
-                    formatted[id(entry)] = _format_column(entry)
-                cells.append(formatted[id(entry)])
+                cells.append(_grid_text(entry, "csv", _format_column) if isinstance(entry, Grid)
+                             else _format_column(entry))
             else:
                 cells.append(_quote(format_cell(entry)))
         columns = (c if isinstance(c, list) else repeat(c, n_rows) for c in cells)

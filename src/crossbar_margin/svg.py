@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import MarginCurve
-from .results import write_text
+from .results import _grid_text, write_text
 
 PALETTE = (
     "#1f77b4",
@@ -70,9 +70,9 @@ def render_plot(
 
     Curves named in marker_labels are drawn as point markers (no line),
     those in dash_labels with a dashed stroke.  The curves share one
-    y_kind, which sets the y axis (module docstring).  Each distinct x
-    object's pixel x texts and polyline template "x0,%.2f x1,%.2f ..." are
-    built once per call; a curve's points are one template % its pixel ys.
+    y_kind, which sets the y axis (module docstring).  A curve's x Grid gets its
+    pixel x texts and polyline template "x0,%.2f x1,%.2f ..." once per process and
+    x axis range; a curve's points are one template % its pixel ys.
     Every pixel y of a plot comes from one numpy pass, in the per-point
     expression's order of operations, so each is the float it gives.
     """
@@ -103,6 +103,10 @@ def render_plot(
 
     def px(xs: Iterable[float]) -> list[float]:
         return [LEFT + (t - tx_lo) / x_span * (RIGHT - LEFT) for t in map(math.log10, xs)]
+
+    def x_text(grid):  # its pixel x texts and polyline template: the x axis sets them
+        xs = list(map("{:.2f}".format, px(grid)))
+        return xs, " ".join([x + ",%.2f" for x in xs])
 
     out = []
     out.append(
@@ -174,14 +178,11 @@ def render_plot(
 
     # curves, inside the frame by construction of the y bounds, then their legend
     legend = []
-    x_text = {}  # id of a curve's x -> its pixel x texts and polyline template
     end = len(y_ticks)
     for idx, curve in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
-        if id(curve.x) not in x_text:  # the curves keep each x alive
-            xs = list(map("{:.2f}".format, px(curve.x)))
-            x_text[id(curve.x)] = xs, " ".join([x + ",%.2f" for x in xs])
-        (xs, template), ys = x_text[id(curve.x)], pixel_ys[end : end + len(curve.y)]
+        xs, template = _grid_text(curve.x, (tx_lo, tx_hi), x_text)
+        ys = pixel_ys[end : end + len(curve.y)]
         end += len(curve.y)
         y = TOP + 10 + idx * 18
         if curve.label in marker_labels:

@@ -1,7 +1,7 @@
 """Cell-by-cell CSV writer: csv.writer fed format_cell one cell at a time.
 
 The reference form of results.write_csv, which formats whole sequences at
-once and each shared one once per table; the tests check that both write
+once and each Grid once per process; the tests check that both write
 the same bytes.  Each block is first expanded into rows: a sequence
 (tuple, list or ndarray) gives one cell per row, a scalar the same cell on
 every row, and a block of scalars is one row.  Rows are written with a

@@ -1,11 +1,24 @@
-"""Smoke test of scripts/bench.py: one repetition, every layer reported."""
+"""Smoke test of scripts/bench.py: one repetition, every layer reported; and its cases
+for a tree without model._sensed and for fig5's table on fresh grids."""
 
+import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+from crossbar_margin import results
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench.py"
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench_script", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
 
 
 def test_bench_script_reports_every_layer(tmp_path):
@@ -29,6 +42,7 @@ def test_bench_script_reports_every_layer(tmp_path):
         for part in ("", ".write_csv", ".render_plot"):
             assert f"figures.{fig}{part}" in cases
         assert "compute_median_s" in cases[f"figures.{fig}"]
+    assert cases["figures.fig5.write_csv.fresh_grid"]["layer"] == "figures"
     for name in ("build_parser", "interp_start", "import_numpy", "import_package", "margin_wall"):
         assert f"cli.{name}" in cases
     for engine in ("lumped", "oracle"):
@@ -52,3 +66,23 @@ def test_bench_script_reports_every_layer(tmp_path):
     gaps = record["accuracy"]["gap_max_pct"]
     assert list(gaps) == ["64", "128", "256", "512", "1024", "2048", "4096", "8192", "16384"]
     assert 0.0 <= gaps["1024"] < gaps["16384"] < 5.0
+
+
+def test_a_tree_without_sensed_leaves_out_its_two_cases(monkeypatch):
+    bench = load_bench()
+    monkeypatch.delattr(bench.model, "_sensed")
+    names = [name for name, _ in bench.model_cases(bench.load_bundled_profile())]
+    assert names == ["model.read_currents", "model.sense_grid", "model.sense_grid.row.lumped",
+                     "model.sense_grid.row.oracle"]
+
+
+def test_the_fresh_grid_case_writes_fig5s_table_through_a_new_grid_per_call(tmp_path):
+    bench = load_bench()
+    cases = dict(bench.figure_cases(bench.load_bundled_profile(), tmp_path))
+    golden = json.loads((ROOT / "perfbench" / "golden_digests.json").read_text(encoding="utf-8"))
+    results._GRID_TEXTS.clear()
+    for calls in (1, 2):
+        cases["figures.fig5.write_csv.fresh_grid"]()
+        assert len(results._GRID_TEXTS) == calls  # one grid's cells, for all four blocks
+        digest = hashlib.sha256((tmp_path / "fig5.csv").read_bytes()).hexdigest()
+        assert digest == golden["fig5.csv"]

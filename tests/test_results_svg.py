@@ -25,6 +25,7 @@ from crossbar_margin import (
     write_csv,
 )
 from crossbar_margin.analysis import COARSE_R_ON_GRID, DEFAULT_R_ON_GRID, Grid
+from crossbar_margin import results
 from crossbar_margin.results import format_cell, write_text
 from crossbar_margin.svg import BOTTOM, TOP, escape
 
@@ -357,6 +358,51 @@ class TestRenderPlot:
         with pytest.raises(ValueError, match=r"cannot mix y kinds, got \['delta', 'margin'\]"):
             render_plot(curves, path)
         assert not path.exists()
+
+
+def grid_curve(label, x, y):
+    return MarginCurve(label, x, y, (np.zeros(len(x)),) * 4)
+
+
+class TestGridTextMemo:
+    """results._grid_text keeps each Grid's CSV cells and pixel x texts for the process."""
+
+    def test_a_freed_grids_id_never_brings_back_its_text(self, tmp_path):
+        # Each Grid is freed once written, so the next Grid, of other values, can take its id.
+        results._GRID_TEXTS.clear()
+        for i in range(2 * results._GRID_TEXTS_MAX):
+            table = ResultTable(("x",), ((Grid((float(i), i + 0.5)),),))
+            write_csv(table, tmp_path / "memo.csv")
+            write_csv_reference(table, tmp_path / "cells.csv")
+            assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+            del table
+
+    def test_equal_grids_of_other_types_write_their_own_cells(self, tmp_path):
+        ints, floats = Grid((1, 2)), Grid((1.0, 2.0))
+        assert ints == floats and hash(ints) == hash(floats)
+        for grid, text in ((ints, b"x\n1\n2\n"), (floats, b"x\n1.0\n2.0\n")):
+            write_csv(ResultTable(("x",), ((grid,),)), tmp_path / "x.csv")
+            assert (tmp_path / "x.csv").read_bytes() == text
+
+    def test_a_grid_on_two_x_axes_gets_each_axis_pixels(self, tmp_path):
+        # grid alone, then beside a wider grid, then alone again; a copy misses the memo
+        grid, wider = Grid((1e4, 1e5, 1e6)), Grid((1e3, 1e7))
+
+        def curves(x, others):
+            return [grid_curve("g", x, (0.5, 0.6, 0.7)),
+                    *(grid_curve(f"w{j}", w, (0.2, 0.3)) for j, w in enumerate(others))]
+
+        for others in ((), (wider,), ()):
+            render_plot(curves(grid, others), tmp_path / "memo.svg")
+            render_plot(curves(Grid(list(grid)), others), tmp_path / "copy.svg")
+            assert (tmp_path / "memo.svg").read_bytes() == (tmp_path / "copy.svg").read_bytes()
+
+    def test_the_memo_holds_at_most_its_bound(self, tmp_path):
+        grids = [Grid((1.0 + i, 2.0 + i)) for i in range(3 * results._GRID_TEXTS_MAX)]
+        for grid in grids:
+            write_csv(ResultTable(("x",), ((grid,),)), tmp_path / "x.csv")
+            render_plot([grid_curve("g", grid, (0.5, 0.6))], tmp_path / "x.svg")
+            assert 0 < len(results._GRID_TEXTS) <= results._GRID_TEXTS_MAX
 
 
 LABEL = st.text(st.sampled_from("ab&<> "), min_size=1, max_size=4)
