@@ -32,8 +32,9 @@ same script times any commit it is copied into.  Five layers:
   figures   each figure writer whole, and its write_csv and render_plot
             calls replayed on the same arguments, apart from curve compute;
             fig5's write_csv calls also as .write_csv.fresh_grid, each table's
-            grids copied anew per call, so a grid's first write (the cold
-            text memo) is timed too; validate --grid full --csv, in process
+            grids copied anew per call, so a grid's first write, with no text
+            kept from an earlier call, is timed too; validate --grid full
+            --csv, in process
   cli       in process, build_parser built afresh (its uncached function),
             the argparse tree run_cli builds once per process; fresh
             interpreters: start-up alone, the numpy and package imports, and

@@ -99,7 +99,7 @@ _GRID_TEXTS_MAX = 16
 
 def _grid_text(grid: Grid, key, make):
     """make(grid), built once per process per Grid object and key, never per value (as
-    Grid((1, 2)) == Grid((1.0, 2.0)) has other cells).  A full memo is emptied."""
+    Grid((1, 2)) == Grid((1.0, 2.0)) has other cells); emptied when full.  Shared: read only."""
     if (entry := _GRID_TEXTS.get((id(grid), key))) is None:
         if len(_GRID_TEXTS) >= _GRID_TEXTS_MAX:
             _GRID_TEXTS.clear()  # atomic: another thread at worst builds an entry again

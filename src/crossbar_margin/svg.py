@@ -105,7 +105,7 @@ def render_plot(
         return [LEFT + (t - tx_lo) / x_span * (RIGHT - LEFT) for t in map(math.log10, xs)]
 
     def x_text(grid):  # its pixel x texts and polyline template: the x axis sets them
-        xs = list(map("{:.2f}".format, px(grid)))
+        xs = tuple(map("{:.2f}".format, px(grid)))  # shared by later plots: kept immutable
         return xs, " ".join([x + ",%.2f" for x in xs])
 
     out = []

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from crossbar_margin import results
+from crossbar_margin.analysis import DEFAULT_R_ON_GRID, Grid
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench.py"
@@ -76,13 +77,20 @@ def test_a_tree_without_sensed_leaves_out_its_two_cases(monkeypatch):
                      "model.sense_grid.row.oracle"]
 
 
-def test_the_fresh_grid_case_writes_fig5s_table_through_a_new_grid_per_call(tmp_path):
+def test_the_fresh_grid_case_writes_fig5s_table_through_a_new_grid_per_call(tmp_path,
+                                                                           monkeypatch):
     bench = load_bench()
     cases = dict(bench.figure_cases(bench.load_bundled_profile(), tmp_path))
     golden = json.loads((ROOT / "perfbench" / "golden_digests.json").read_text(encoding="utf-8"))
-    results._GRID_TEXTS.clear()
-    for calls in (1, 2):
+    tables, write_csv = [], results.write_csv
+    monkeypatch.setattr(results, "write_csv", lambda t, path: tables.append(t) or write_csv(t, path))
+    for _ in range(2):
         cases["figures.fig5.write_csv.fresh_grid"]()
-        assert len(results._GRID_TEXTS) == calls  # one grid's cells, for all four blocks
         digest = hashlib.sha256((tmp_path / "fig5.csv").read_bytes()).hexdigest()
         assert digest == golden["fig5.csv"]
+    # each call's blocks share one grid, equal to the package's and new on each call
+    grids = [{id(e): e for block in t.blocks for e in block if isinstance(e, Grid)} for t in tables]
+    assert [len(g) for g in grids] == [1, 1]
+    (first,), (second,) = (g.values() for g in grids)
+    assert first == second == DEFAULT_R_ON_GRID
+    assert len({id(first), id(second), id(DEFAULT_R_ON_GRID)}) == 3

@@ -368,14 +368,27 @@ class TestGridTextMemo:
     """results._grid_text keeps each Grid's CSV cells and pixel x texts for the process."""
 
     def test_a_freed_grids_id_never_brings_back_its_text(self, tmp_path):
-        # Each Grid is freed once written, so the next Grid, of other values, can take its id.
+        # The caller drops each Grid once written.  Its entry must keep it alive, so no
+        # later Grid, of other values, can take its id while its text is kept: the Grid is
+        # freed (its __del__ runs) only when the memo is emptied.
+        freed = []
+
+        class Tracked(Grid):
+            __slots__ = ()
+
+            def __del__(self):
+                freed.append(self[0])
+
         results._GRID_TEXTS.clear()
         for i in range(2 * results._GRID_TEXTS_MAX):
-            table = ResultTable(("x",), ((Grid((float(i), i + 0.5)),),))
+            table = ResultTable(("x",), ((Tracked((float(i), i + 0.5)),),))
             write_csv(table, tmp_path / "memo.csv")
             write_csv_reference(table, tmp_path / "cells.csv")
             assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
             del table
+            assert float(i) not in freed
+        results._GRID_TEXTS.clear()
+        assert len(freed) == 2 * results._GRID_TEXTS_MAX
 
     def test_equal_grids_of_other_types_write_their_own_cells(self, tmp_path):
         ints, floats = Grid((1, 2)), Grid((1.0, 2.0))
