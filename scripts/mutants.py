@@ -164,18 +164,37 @@ MUTANTS = (
          "test_negative_drive_and_signed_zero_leakage",),
     ),
     Mutant(
-        "the first-read voltage rebuild without the source line's r", ORACLE,
+        "the sl_voltages getter without the source line's r", ORACLE,
         "        sl[: n - 1] *= r\n",
         "",
         ("tests/test_oracle.py::TestSolveColumnEqualsCumsumReference::"
          "test_every_position_toggle_set_and_state",),
     ),
     Mutant(
-        "the first-read voltage rebuild stores nothing", ORACLE,
-        '        bl = state.setdefault("bl_voltages", bl)\n'
-        '        sl = state.setdefault("sl_voltages", sl)\n',
+        "the bl_voltages getter without the bit line's r", ORACLE,
+        "        bl *= self.network.r_segment\n",
         "",
+        ("tests/test_oracle.py::TestSolveColumnEqualsCumsumReference::"
+         "test_every_position_toggle_set_and_state",),
+    ),
+    Mutant(
+        "cached_property as property", ORACLE,
+        "    @cached_property\n    def bl_voltages",
+        "    @property\n    def bl_voltages",
         ("tests/test_oracle.py::TestVoltagesReadOnDemand::test_a_second_read_returns_the_same_array",),
+    ),
+    Mutant(
+        "a getter without its setdefault", ORACLE,
+        '        return vars(self).setdefault("sl_voltages", sl)\n',
+        "        return sl\n",
+        ("tests/test_oracle.py::TestVoltagesReadOnDemand::"
+         "test_the_getter_returns_the_array_already_kept",),
+    ),
+    Mutant(
+        "v_drive may be zero", MODEL,
+        "lambda x: (x != 0) & (abs(x) < math.inf)",
+        "lambda x: abs(x) < math.inf",
+        ("tests/test_oracle.py::TestBuildColumn::test_a_zero_drive_is_rejected",),
     ),
     Mutant(
         "write_text without its truncate", RESULTS,

@@ -68,8 +68,8 @@ _DOMAIN = {
     **dict.fromkeys(("r_unit", "r_transistor", "leakage_table current", "r_segment",
                      "i_leak_per_cell"),
                     (*_NUMBER, "finite and >= 0", lambda x: (x >= 0) & (x < math.inf))),
-    **dict.fromkeys(("leakage_table voltage", "v_drive"),
-                    (*_NUMBER, "finite", lambda x: abs(x) < math.inf)),
+    "leakage_table voltage": (*_NUMBER, "finite", lambda x: abs(x) < math.inf),
+    "v_drive": (*_NUMBER, "finite and nonzero", lambda x: (x != 0) & (abs(x) < math.inf)),
     "ratio_ideal": (*_NUMBER, "finite and >= 1", lambda x: (x >= 1) & (x < math.inf)),
     **dict.fromkeys(("n_cells", "selected_index"), (*_INTEGER, ">= 1", lambda x: x >= 1)),
     "threshold": (*_NUMBER, "a number", lambda x: True),  # find_optimal_range bounds it

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -94,60 +95,43 @@ class ColumnNetwork:
 
 @dataclass(frozen=True)
 class NetworkSolution:
-    """Solved state of one ColumnNetwork.
+    """Solved state of one ColumnNetwork, the network it solves included.
 
-    bl_voltages[i-1] / sl_voltages[i-1] are the bit/source line voltages
-    at cell i; the last source-line entry is the sense node and is 0 by
-    definition.  bl_segment_currents[j-1] is the current through the
-    bit-line segment entering node j (n entries, the first carries the
-    drive current); sl_segment_currents[j-1] flows from source-line node
-    j toward the sense (n-1 entries).  i_sensed is the total current into
-    the sense node, which by current conservation equals i_selected_cell
-    plus the summed leakage of the unselected cells.
+    bl_segment_currents[j-1] is the current through the bit-line segment
+    entering node j (n entries, the first carries the drive current);
+    sl_segment_currents[j-1] flows from source-line node j toward the sense
+    (n-1 entries).  i_sensed is the total current into the sense node, which
+    by current conservation equals i_selected_cell plus the summed leakage
+    of the unselected cells.
 
-    A solution from solve_column holds no voltage until one is read: the
-    first read of either rebuilds both from the segment currents, bit for
-    bit what an eager rebuild gives, and keeps them; concurrent first reads
-    return the same arrays.
+    bl_voltages[i-1] / sl_voltages[i-1] are the bit/source line voltages at
+    cell i; the last source-line entry is the sense node and is 0 by
+    definition.  They are cached properties, not fields: each line is summed
+    from its segment drops on its first read and kept, and concurrent first
+    reads return the same array.
     """
 
-    bl_voltages: np.ndarray
-    sl_voltages: np.ndarray
+    network: ColumnNetwork
     bl_segment_currents: np.ndarray
     sl_segment_currents: np.ndarray
     i_sensed: float
     i_selected_cell: float
 
+    @cached_property
+    def bl_voltages(self) -> np.ndarray:
+        bl = np.cumsum(self.bl_segment_currents)
+        bl *= self.network.r_segment
+        np.subtract(self.network.v_drive, bl, out=bl)
+        return vars(self).setdefault("bl_voltages", bl)  # one array for concurrent first reads
 
-class _VoltageOnFirstRead:
-    """A voltage that solve_column left unset, rebuilt with the other on its first read.
-    A non-data descriptor, not __getattr__, which would slow every attribute read."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __get__(self, sol: NetworkSolution | None, owner: type | None = None) -> np.ndarray:
-        if sol is None:
-            return self
-        state = vars(sol)
-        if (net := state.get("_net")) is None:  # not from solve_column: a missing name
-            raise AttributeError(f"{type(sol).__name__!r} object has no attribute {self.name!r}")
-        n, r = net.n_cells, net.r_segment
-        bl = np.cumsum(sol.bl_segment_currents)
-        bl *= r
-        np.subtract(net.v_drive, bl, out=bl)
+    @cached_property
+    def sl_voltages(self) -> np.ndarray:
+        n, r = self.network.n_cells, self.network.r_segment
         sl = np.empty(n)
         sl[n - 1] = 0.0
-        np.cumsum(sol.sl_segment_currents[::-1], out=sl[: n - 1][::-1])
+        np.cumsum(self.sl_segment_currents[::-1], out=sl[: n - 1][::-1])
         sl[: n - 1] *= r
-        bl = state.setdefault("bl_voltages", bl)
-        sl = state.setdefault("sl_voltages", sl)
-        return bl if self.name == "bl_voltages" else sl
-
-
-# Set after @dataclass, which would take a class attribute for the fields' default.
-NetworkSolution.bl_voltages = _VoltageOnFirstRead("bl_voltages")
-NetworkSolution.sl_voltages = _VoltageOnFirstRead("sl_voltages")
+        return vars(self).setdefault("sl_voltages", sl)
 
 
 def build_column(
@@ -232,12 +216,7 @@ def solve_column(net: ColumnNetwork) -> NetworkSolution:
     # cell's own contribution (the selected resistor or its leakage).
     i_sensed = float(f_sl[n - 2]) if n >= 2 else 0.0
     i_sensed += i_cell if sel == n else i_leak
-    # Bypass __init__ to leave both voltages unset; _net lets
-    # _VoltageOnFirstRead rebuild them when first read.
-    sol = object.__new__(NetworkSolution)
-    vars(sol).update(bl_segment_currents=f_bl, sl_segment_currents=f_sl, i_sensed=i_sensed,
-                     i_selected_cell=i_cell, _net=net)
-    return sol
+    return NetworkSolution(net, f_bl, f_sl, i_sensed, i_cell)
 
 
 def kcl_residuals(net: ColumnNetwork, sol: NetworkSolution) -> np.ndarray:

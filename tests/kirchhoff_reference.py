@@ -1,8 +1,10 @@
 """Reference forms of the column solve and of its Kirchhoff checks.
 
 solve_column_cumsum is oracle.solve_column with its leakage counts built
-by cumulative sums over a mask of the unselected cells.  kcl_residuals_loop
-and kvl_loop_residual_loop are oracle.kcl_residuals and
+by cumulative sums over a mask of the unselected cells.  It returns its own
+node voltages, v - r*cumsum, next to the solution: the solution's voltage
+properties are the package's.  kcl_residuals_loop and
+kvl_loop_residual_loop are oracle.kcl_residuals and
 oracle.kvl_loop_residual: the same balances in the same operation order,
 written one node and one segment at a time.  The package's array
 expressions are checked against all three bit for bit.
@@ -17,7 +19,8 @@ from crossbar_margin.oracle import NetworkSolution
 
 
 def solve_column_cumsum(net):
-    """Chain elimination with the leakage counts and the path count from cumsums."""
+    """Chain elimination with the leakage counts and the path count from cumsums:
+    (solution, bit-line voltages, source-line voltages)."""
     n = net.n_cells
     sel = net.selected_index
     r = net.r_segment
@@ -52,7 +55,7 @@ def solve_column_cumsum(net):
 
     i_sensed = float(f_sl[n - 2]) if n >= 2 else 0.0
     i_sensed += i_cell if sel == n else i_leak
-    return NetworkSolution(bl, sl, f_bl, f_sl, i_sensed, i_cell)
+    return NetworkSolution(net, f_bl, f_sl, i_sensed, i_cell), bl, sl
 
 
 def kcl_residuals_loop(net, sol):
