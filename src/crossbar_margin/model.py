@@ -59,7 +59,8 @@ _MARGIN_MAX = 1.0 + 1e-9
 
 # The input domain of the model, its profile and the oracle's ladder: per input its type
 # rule (scalar types, array dtype kinds, words, the conversion used; a bool is never a
-# number, an integer is below 2**64 as numpy's) and its bound, an interval to +inf.
+# number, an integer is below 2**64 as numpy's) and its bound, an interval to +inf
+# (v_drive's also leaves out 0; it is only ever a scalar, so _require never sees it).
 _NUMBER = (frozenset((int, float)), "iuf", "a number", float)
 _INTEGER = (frozenset((int,)), "iu", "integers", int)
 _DOMAIN = {

@@ -300,8 +300,9 @@ class TestVoltagesReadOnDemand:
         # cached_property locks a first read on Python 3.11 and not from 3.12 on; the
         # getter's own setdefault is what hands concurrent first reads one array.
         sol = solve_column(self.network())
-        assert oracle.NetworkSolution.bl_voltages.func(sol) is sol.bl_voltages
-        assert oracle.NetworkSolution.sl_voltages.func(sol) is sol.sl_voltages
+        bl, sl = sol.bl_voltages, sol.sl_voltages
+        assert oracle.NetworkSolution.bl_voltages.func(sol) is bl
+        assert oracle.NetworkSolution.sl_voltages.func(sol) is sl
 
     def test_concurrent_first_reads_return_one_array(self):
         sol = solve_column(ColumnNetwork(16384, 2.5, 2e4, 4e-11, 16384, 0.2))
